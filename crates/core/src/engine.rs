@@ -171,6 +171,10 @@ pub struct EngineCore {
     /// so the demand hot path pays one predicted branch per event.
     observer: ObserverSink,
     last_record_cycle: Cycle,
+    /// Completions of the current advance, moved out of the memory
+    /// systems so their handlers can borrow the engine; reused so
+    /// advancing allocates nothing.
+    completions: Vec<Completion>,
 }
 
 impl EngineCore {
@@ -217,6 +221,7 @@ impl EngineCore {
                 None => ObserverSink::Off,
             },
             last_record_cycle: 0,
+            completions: Vec::new(),
             config,
         })
     }
@@ -908,7 +913,8 @@ impl<P: ArchPolicy> Engine<P> {
     ///
     /// # Errors
     ///
-    /// Propagates simulator errors (none are expected during a drain).
+    /// Propagates simulator errors (none are expected during a drain), and
+    /// returns [`WomPcmError::Internal`] if outstanding work never drains.
     pub fn finish(&mut self) -> Result<RunMetrics, WomPcmError> {
         let mut guard = 0u64;
         while self.core.outstanding_main + self.core.outstanding_cache > 0
@@ -917,7 +923,11 @@ impl<P: ArchPolicy> Engine<P> {
             let next = self.now() + 1_000;
             self.advance_all_to(next)?;
             guard += 1;
-            assert!(guard < 10_000_000, "drain failed to make progress");
+            if guard >= 10_000_000 {
+                return Err(WomPcmError::Internal(
+                    "drain failed to make progress".into(),
+                ));
+            }
         }
         let now = self.now();
         self.core.observer.on_finish(now);
@@ -965,19 +975,22 @@ impl<P: ArchPolicy> Engine<P> {
 
     /// Advances both memory systems in lockstep, handling completions.
     fn advance_all_to(&mut self, cycle: Cycle) -> Result<(), WomPcmError> {
+        let mut done = std::mem::take(&mut self.core.completions);
         if cycle > self.core.main.now() {
-            for c in self.core.main.advance_to(cycle)? {
+            done.extend(self.core.main.advance_to(cycle)?);
+            for c in done.drain(..) {
                 self.handle_main_completion(&c)?;
             }
         }
         if let Some(cm) = &mut self.core.cache_mem {
             if cycle > cm.now() {
-                let completions = cm.advance_to(cycle)?;
-                for c in completions {
+                done.extend(cm.advance_to(cycle)?);
+                for c in done.drain(..) {
                     self.handle_cache_completion(&c)?;
                 }
             }
         }
+        self.core.completions = done;
         self.core.flush_victims();
         Ok(())
     }

@@ -11,7 +11,7 @@
 //! bank/bus event rather than ticking every cycle, which keeps multi-
 //! billion-cycle runs tractable while preserving cycle-accurate ordering.
 
-use crate::address::AddressDecoder;
+use crate::address::{AddressDecoder, DecodedAddr};
 use crate::bank::BankState;
 use crate::config::{MemConfig, RowPolicy, SchedulerPolicy};
 use crate::error::SimError;
@@ -29,6 +29,14 @@ struct RefreshBatch {
     rank: u32,
     /// `(bank, row)` pairs to refresh, at most one per bank.
     rows: Vec<(u32, u32)>,
+}
+
+/// A queued demand access with its address decoded once, at enqueue:
+/// the issue scan visits each entry many times while it waits.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    txn: Transaction,
+    at: DecodedAddr,
 }
 
 /// Pending completion ordered by finish cycle (then id for determinism).
@@ -74,8 +82,8 @@ pub struct MemorySystem {
     next_id: TransactionId,
     banks: Vec<BankState>,
     bus_free_at: Cycle,
-    read_q: VecDeque<Transaction>,
-    write_q: VecDeque<Transaction>,
+    read_q: VecDeque<Queued>,
+    write_q: VecDeque<Queued>,
     refresh_q: VecDeque<RefreshBatch>,
     /// `(first id, row count)` per queued batch. Ids are handed out from
     /// the monotonic `next_id` counter at enqueue, so a batch's ids are
@@ -284,12 +292,9 @@ impl MemorySystem {
             class,
             arrival: self.now,
         };
-        let rank = self.decoder.decode(addr).rank as usize;
-        self.queued_per_rank[rank] += 1;
-        match op {
-            MemOp::Read => self.read_q.push_back(txn),
-            MemOp::Write => self.write_q.push_back(txn),
-        }
+        let at = self.decoder.decode(addr);
+        self.queued_per_rank[at.rank as usize] += 1;
+        self.queue_mut(op).push_back(Queued { txn, at });
         self.try_issue();
         Ok(id)
     }
@@ -367,10 +372,17 @@ impl MemorySystem {
     /// Advances simulated time to `cycle`, returning every completion that
     /// finished in the interval (in finish order).
     ///
+    /// The completions are drained from a buffer the system keeps, so a
+    /// steady stream of calls allocates nothing; completions left in the
+    /// iterator when it is dropped are discarded.
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::TimeRegression`] if `cycle` is in the past.
-    pub fn advance_to(&mut self, cycle: Cycle) -> Result<Vec<Completion>, SimError> {
+    pub fn advance_to(
+        &mut self,
+        cycle: Cycle,
+    ) -> Result<std::vec::Drain<'_, Completion>, SimError> {
         if cycle < self.now {
             return Err(SimError::TimeRegression {
                 now: self.now,
@@ -394,7 +406,7 @@ impl MemorySystem {
         self.now = cycle;
         self.flush_completions();
         self.try_issue();
-        Ok(std::mem::take(&mut self.out))
+        Ok(self.out.drain(..))
     }
 
     /// Runs until all queues are empty and all in-flight work completes,
@@ -498,6 +510,13 @@ impl MemorySystem {
     }
 
     /// Issues every transaction that can start at the current cycle.
+    ///
+    /// Demand accesses are scanned FR-FCFS: the read queue first (the
+    /// write queue first while draining), oldest first within each, and
+    /// the first one whose bank is free (or freed by write pausing)
+    /// issues. The shared data bus admits one burst at a time, so while
+    /// it is busy nothing can issue and the scan only does what still has
+    /// an effect (see [`wait_for_bus`](Self::wait_for_bus)).
     fn try_issue(&mut self) {
         // Hysteretic write draining (disabled under read-always-first).
         if self.config.scheduler == SchedulerPolicy::ReadAlwaysFirst {
@@ -508,93 +527,131 @@ impl MemorySystem {
             self.draining_writes = false;
         }
         loop {
-            let mut progressed = false;
-            let order: [MemOp; 2] = if self.draining_writes {
-                [MemOp::Write, MemOp::Read]
+            let progressed = if self.bus_free_at > self.now {
+                self.wait_for_bus();
+                false
             } else {
-                [MemOp::Read, MemOp::Write]
+                self.issue_first_ready()
             };
-            'queues: for op in order {
-                let len = match op {
-                    MemOp::Read => self.read_q.len(),
-                    MemOp::Write => self.write_q.len(),
-                };
-                // Strict FCFS only ever considers the queue head.
-                let window = match self.config.scheduler {
-                    SchedulerPolicy::StrictFcfs => len.min(1),
-                    _ => len,
-                };
-                for idx in 0..window {
-                    let txn = match op {
-                        MemOp::Read => self.read_q[idx],
-                        MemOp::Write => self.write_q[idx],
-                    };
-                    if self.try_issue_demand(&txn) {
-                        match op {
-                            MemOp::Read => {
-                                self.read_q.remove(idx);
-                            }
-                            MemOp::Write => {
-                                self.write_q.remove(idx);
-                            }
-                        }
-                        progressed = true;
-                        break 'queues; // re-evaluate drain mode and order
-                    }
-                }
-            }
             // Refresh batches issue only behind demand traffic.
-            if !progressed {
-                progressed = self.try_issue_refresh();
-            }
-            if !progressed {
+            if !progressed && !self.try_issue_refresh() {
                 break;
             }
         }
     }
 
-    /// Attempts to start one demand transaction; true if issued.
-    fn try_issue_demand(&mut self, txn: &Transaction) -> bool {
-        let d = self.decoder.decode(txn.addr);
-        let flat = self.flat_bank(d.rank, d.bank);
-        // Write pausing: a bank busy with a preemptible refresh yields to
-        // demand accesses immediately.
-        if !self.banks[flat].is_free(self.now) {
-            if !self.config.write_pausing {
-                return false;
-            }
-            // `preempt` refuses idle banks and non-preemptible classes, so
-            // it doubles as the write-pausing eligibility check.
-            let Some(aborted) = self.banks[flat].preempt(self.now) else {
-                return false;
-            };
-            let addr = self.refresh_addrs.remove(&aborted.id).unwrap_or_default();
-            self.cancelled.insert(aborted.id);
-            let c = Completion {
-                id: aborted.id,
-                addr,
-                op: MemOp::Write,
-                class: ServiceClass::RankRefresh,
-                arrival: aborted.start,
-                start: aborted.start,
-                finish: self.now,
-                preempted: true,
-            };
-            self.stats.record(&c);
-            self.out.push(c);
+    /// The queues in scan order, each with how many of its oldest
+    /// entries the scheduler may consider.
+    fn scan_order(&self) -> [(MemOp, usize); 2] {
+        // Strict FCFS only ever considers the queue head.
+        let window = |len: usize| match self.config.scheduler {
+            SchedulerPolicy::StrictFcfs => len.min(1),
+            _ => len,
+        };
+        let reads = (MemOp::Read, window(self.read_q.len()));
+        let writes = (MemOp::Write, window(self.write_q.len()));
+        if self.draining_writes {
+            [writes, reads]
+        } else {
+            [reads, writes]
         }
-        // Shared channel data bus: one burst at a time.
-        if self.bus_free_at > self.now {
+    }
+
+    fn queue_mut(&mut self, op: MemOp) -> &mut VecDeque<Queued> {
+        match op {
+            MemOp::Read => &mut self.read_q,
+            MemOp::Write => &mut self.write_q,
+        }
+    }
+
+    /// Bus free: issues the first access in scan order whose bank can
+    /// take it; true if one issued.
+    fn issue_first_ready(&mut self) -> bool {
+        for (op, window) in self.scan_order() {
+            for idx in 0..window {
+                let Some(&queued) = self.queue_mut(op).get(idx) else {
+                    break;
+                };
+                let flat = self.flat_bank(queued.at.rank, queued.at.bank);
+                if self.claim_bank(flat) {
+                    self.queue_mut(op).remove(idx);
+                    self.start_demand(queued, flat);
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// Bus busy: no demand access can issue before `bus_free_at`, so a
+    /// scan has only two effects. Every access whose bank runs a
+    /// preemptible refresh row preempts it, in scan order; and if any
+    /// access found its bank free, or freed it, the controller must wake
+    /// at `bus_free_at`. Once that wake-up is due and no refresh row is
+    /// left to preempt, the rest of the queue cannot change anything.
+    fn wait_for_bus(&mut self) {
+        let mut wake = false;
+        'scan: for (op, window) in self.scan_order() {
+            for idx in 0..window {
+                // `refresh_addrs` holds exactly the refresh rows issued
+                // and neither completed nor preempted: completions are
+                // flushed before every scan.
+                if wake && (self.refresh_addrs.is_empty() || !self.config.write_pausing) {
+                    break 'scan;
+                }
+                let Some(&Queued { at, .. }) = self.queue_mut(op).get(idx) else {
+                    break;
+                };
+                wake |= self.claim_bank(self.flat_bank(at.rank, at.bank));
+            }
+        }
+        if wake {
             self.events.insert(self.bus_free_at);
+        }
+    }
+
+    /// Whether bank `flat` can take a demand access now: it is free, or
+    /// write pausing preempts the refresh row running on it. A preempted
+    /// row is reported at once as a `preempted` completion.
+    fn claim_bank(&mut self, flat: usize) -> bool {
+        if self.banks[flat].is_free(self.now) {
+            return true;
+        }
+        if !self.config.write_pausing {
             return false;
         }
-        let service = self.service_cycles(txn.class, flat, d.row);
+        // `preempt` refuses idle banks and non-preemptible classes, so
+        // it doubles as the write-pausing eligibility check.
+        let Some(aborted) = self.banks[flat].preempt(self.now) else {
+            return false;
+        };
+        let addr = self.refresh_addrs.remove(&aborted.id).unwrap_or_default();
+        self.cancelled.insert(aborted.id);
+        let c = Completion {
+            id: aborted.id,
+            addr,
+            op: MemOp::Write,
+            class: ServiceClass::RankRefresh,
+            arrival: aborted.start,
+            start: aborted.start,
+            finish: self.now,
+            preempted: true,
+        };
+        self.stats.record(&c);
+        self.out.push(c);
+        true
+    }
+
+    /// Starts a dequeued access on its (free) bank `flat` and occupies
+    /// the data bus.
+    fn start_demand(&mut self, Queued { txn, at }: Queued, flat: usize) {
+        let service = self.service_cycles(txn.class, flat, at.row);
         let start = self.now;
         let finish = start + service;
-        self.banks[flat].begin(txn.id, txn.class, start, finish, d.row);
+        self.banks[flat].begin(txn.id, txn.class, start, finish, at.row);
         self.bus_free_at = self.now + self.config.timing.burst_cycles();
         self.events.insert(finish);
-        self.queued_per_rank[d.rank as usize] -= 1;
+        self.queued_per_rank[at.rank as usize] -= 1;
         self.pending.push(Reverse(Pending(Completion {
             id: txn.id,
             addr: txn.addr,
@@ -605,7 +662,6 @@ impl MemorySystem {
             finish,
             preempted: false,
         })));
-        true
     }
 
     /// Attempts to start the oldest refresh batch whose banks are all free;
@@ -637,7 +693,7 @@ impl MemorySystem {
             // Encode before `begin` so a failure (impossible: coordinates
             // are validated at enqueue) cannot leave a bank busy with no
             // pending completion.
-            let Ok(addr) = self.decoder.encode(crate::address::DecodedAddr {
+            let Ok(addr) = self.decoder.encode(DecodedAddr {
                 rank: batch.rank,
                 bank,
                 row,
@@ -757,8 +813,8 @@ impl MemorySystem {
             *bank = BankState::load_state(r)?;
         }
         self.bus_free_at = r.take_u64()?;
-        self.read_q = load_txn_queue(r)?;
-        self.write_q = load_txn_queue(r)?;
+        self.read_q = load_txn_queue(r, &self.decoder)?;
+        self.write_q = load_txn_queue(r, &self.decoder)?;
         let batches = r.take_len(4)?;
         self.refresh_q.clear();
         for _ in 0..batches {
@@ -834,18 +890,24 @@ impl MemorySystem {
     }
 }
 
-fn save_txn_queue(q: &VecDeque<Transaction>, w: &mut SnapWriter) {
+fn save_txn_queue(q: &VecDeque<Queued>, w: &mut SnapWriter) {
     w.put_usize(q.len());
-    for txn in q {
-        txn.save_state(w);
+    for queued in q {
+        queued.txn.save_state(w);
     }
 }
 
-fn load_txn_queue(r: &mut SnapReader<'_>) -> Result<VecDeque<Transaction>, SnapError> {
+/// Decoded addresses are not in the payload; they are recomputed.
+fn load_txn_queue(
+    r: &mut SnapReader<'_>,
+    decoder: &AddressDecoder,
+) -> Result<VecDeque<Queued>, SnapError> {
     let len = r.take_len(26)?;
     let mut q = VecDeque::with_capacity(len);
     for _ in 0..len {
-        q.push_back(Transaction::load_state(r)?);
+        let txn = Transaction::load_state(r)?;
+        let at = decoder.decode(txn.addr);
+        q.push_back(Queued { txn, at });
     }
     Ok(q)
 }
@@ -1064,6 +1126,31 @@ mod tests {
     }
 
     #[test]
+    fn busy_bus_scan_preempts_every_refresh_row_in_queue_order() {
+        let mut mem = tiny_system();
+        let read = addr_of(&mem, 0, 2, 0, 0);
+        let to_bank1 = addr_of(&mem, 0, 1, 3, 0);
+        let to_bank0 = addr_of(&mem, 0, 0, 3, 0);
+        // The read takes the data bus for one burst, so both writes
+        // queue with their banks free: bank 1's first, then bank 0's.
+        mem.enqueue(MemOp::Read, read, ServiceClass::Read).unwrap();
+        mem.enqueue(MemOp::Write, to_bank1, ServiceClass::Write)
+            .unwrap();
+        mem.enqueue(MemOp::Write, to_bank0, ServiceClass::Write)
+            .unwrap();
+        assert_eq!(mem.write_queue_len(), 2);
+        // The refresh batch issues on the two free banks. The rescan that
+        // follows still finds the bus busy, and must preempt both rows in
+        // queue order, not stop once the wake-up event is due.
+        let first = mem.enqueue_rank_refresh(0, &[(0, 5), (1, 5)]).unwrap();
+        let done: Vec<_> = mem.advance_to(mem.now()).unwrap().collect();
+        let preempted: Vec<_> = done.iter().filter(|c| c.preempted).map(|c| c.id).collect();
+        assert_eq!(preempted, [first + 1, first], "bank 1's row, then bank 0's");
+        assert_eq!(mem.stats().refreshes_preempted, 2);
+        assert_eq!(mem.write_queue_len(), 2, "neither write can issue yet");
+    }
+
+    #[test]
     fn refresh_waits_for_busy_banks() {
         let mut mem = tiny_system();
         let a = addr_of(&mem, 0, 0, 0, 0);
@@ -1106,7 +1193,7 @@ mod tests {
         mem.enqueue(MemOp::Write, a, ServiceClass::Write).unwrap();
         mem.enqueue(MemOp::Write, b, ServiceClass::ResetOnlyWrite)
             .unwrap();
-        let done = mem.advance_to(10_000).unwrap();
+        let done = mem.advance_to(10_000).unwrap().collect::<Vec<_>>();
         assert_eq!(done.len(), 2);
         assert!(done[0].finish <= done[1].finish);
         // The fast write finished first even though enqueued second.
