@@ -623,16 +623,8 @@ impl EngineCore {
             }
         }
         self.next_refresh_at = r.take_u64()?;
-        let victims = r.take_len(8)?;
-        self.victim_ids = BTreeSet::new();
-        for _ in 0..victims {
-            self.victim_ids.insert(r.take_u64()?);
-        }
-        let levelings = r.take_len(8)?;
-        self.leveling_ids = BTreeSet::new();
-        for _ in 0..levelings {
-            self.leveling_ids.insert(r.take_u64()?);
-        }
+        self.victim_ids = r.take_sorted(8, |&id| id, SnapReader::take_u64)?;
+        self.leveling_ids = r.take_sorted(8, |&id| id, SnapReader::take_u64)?;
         let has_gaps = r.take_bool()?;
         match (&mut self.start_gaps, has_gaps) {
             (Some(sgs), true) => {
@@ -685,14 +677,11 @@ impl EngineCore {
         for _ in 0..victims {
             self.pending_victims.push_back(r.take_u64()?);
         }
-        let windows = r.take_len(17)?;
-        self.merge_windows = BTreeMap::new();
-        for _ in 0..windows {
-            let is_cache = r.take_bool()?;
-            let key = r.take_u64()?;
-            let until = r.take_u64()?;
-            self.merge_windows.insert((is_cache, key), until);
-        }
+        self.merge_windows = r.take_sorted(
+            17,
+            |&(window, _)| window,
+            |r| Ok(((r.take_bool()?, r.take_u64()?), r.take_u64()?)),
+        )?;
         self.outstanding_main = r.take_u64()?;
         self.outstanding_cache = r.take_u64()?;
         self.metrics = RunMetrics::load_state(r)?;
@@ -812,27 +801,28 @@ impl<P: ArchPolicy> Engine<P> {
         self.core.observer.take_epochs()
     }
 
-    /// Serializes the engine's complete mid-run state — memory systems,
+    /// Appends the engine's complete mid-run state — memory systems,
     /// in-flight bookkeeping, metrics, epoch series, and the policy's
-    /// architecture state — as one snapshot payload. Call between
-    /// [`submit`](Self::submit)s; wrap the payload in a `WOMSNAP`
-    /// container with [`crate::snapshot::encode_container`].
+    /// architecture state — to a snapshot payload. Call between
+    /// [`submit`](Self::submit)s; [`Session::checkpoint`] writes it
+    /// straight into a `WOMSNAP` container.
+    ///
+    /// [`Session::checkpoint`]: crate::session::Session::checkpoint
     ///
     /// # Errors
     ///
     /// Returns [`WomPcmError::InvalidConfig`] when a caller-supplied
     /// observer is attached — arbitrary observers cannot be serialized;
     /// detach the observer first.
-    pub fn save_state(&self) -> Result<Vec<u8>, WomPcmError> {
-        let mut w = SnapWriter::new();
-        self.core.save_state(&mut w)?;
-        self.policy.save_state(&mut w);
-        Ok(w.into_bytes())
+    pub fn save_state(&self, w: &mut SnapWriter) -> Result<(), WomPcmError> {
+        self.core.save_state(w)?;
+        self.policy.save_state(w);
+        Ok(())
     }
 
-    /// Restores a payload written by [`save_state`](Self::save_state)
-    /// into this engine, which must have been freshly built from the
-    /// same configuration. After a successful restore the engine is
+    /// Restores state written by [`save_state`](Self::save_state) into
+    /// this engine, which must have been freshly built from the same
+    /// configuration. After a successful restore the engine is
     /// byte-for-byte in the saved run's mid-flight state: submitting the
     /// remaining trace records produces metrics `{:#?}`-identical to the
     /// uninterrupted run.
@@ -842,12 +832,9 @@ impl<P: ArchPolicy> Engine<P> {
     /// Returns [`WomPcmError::Snapshot`] for truncated or corrupt
     /// payloads (including payloads whose structure disagrees with this
     /// engine's configuration).
-    pub fn restore_state(&mut self, payload: &[u8]) -> Result<(), WomPcmError> {
-        let mut r = SnapReader::new(payload);
-        self.core.restore_state(&mut r)?;
-        self.policy.load_state(&mut r)?;
-        r.finish()?;
-        Ok(())
+    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), WomPcmError> {
+        self.core.restore_state(r)?;
+        self.policy.load_state(r)
     }
 
     /// Feeds one trace record to the engine, advancing simulated time to

@@ -142,15 +142,11 @@ impl RefreshDriver {
     /// Propagates payload truncation and structural corruption.
     pub(super) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.engine = RefreshEngine::load_state(r)?;
-        let planned = r.take_len(20)?;
-        self.planned = BTreeMap::new();
-        for _ in 0..planned {
-            let id = r.take_u64()?;
-            let rank = r.take_u32()?;
-            let bank = r.take_u32()?;
-            let row = r.take_u32()?;
-            self.planned.insert(id, (rank, bank, row));
-        }
+        self.planned = r.take_sorted(
+            20,
+            |&(id, _)| id,
+            |r| Ok((r.take_u64()?, (r.take_u32()?, r.take_u32()?, r.take_u32()?))),
+        )?;
         self.idle_scratch.clear();
         self.rows_scratch.clear();
         Ok(())

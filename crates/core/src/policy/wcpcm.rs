@@ -239,14 +239,11 @@ impl ArchPolicy for WcpcmPolicy {
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), WomPcmError> {
         self.cache = WomCache::load_state(r)?;
         self.engine = RefreshEngine::load_state(r)?;
-        let planned = r.take_len(16)?;
-        self.planned = BTreeMap::new();
-        for _ in 0..planned {
-            let id = r.take_u64()?;
-            let rank = r.take_u32()?;
-            let row = r.take_u32()?;
-            self.planned.insert(id, (rank, row));
-        }
+        self.planned = r.take_sorted(
+            16,
+            |&(id, _)| id,
+            |r| Ok((r.take_u64()?, (r.take_u32()?, r.take_u32()?))),
+        )?;
         self.idle_scratch.clear();
         self.rows_scratch.clear();
         Ok(())

@@ -20,10 +20,11 @@
 //! neighbourhood, or the trace round-robins a few dozen banks whose
 //! rows live on different pages — cost a multiply, a compare, and two
 //! array indexes: no hashing of the full key, no tree walk. Iteration
-//! follows the ordered directory and then slot order,
-//! so it is deterministic in ascending key order (a repo invariant:
-//! anything that influences simulated behaviour must iterate
-//! deterministically; see `EngineCore`).
+//! follows the ordered directory and then each page's occupancy bitmap,
+//! so it visits only stored entries (a snapshot of a few rows per page
+//! does not scan 512 slots per page) and is deterministic in ascending
+//! key order (a repo invariant: anything that influences simulated
+//! behaviour must iterate deterministically; see `EngineCore`).
 //!
 //! When *not* to use it: keys with no spatial clustering (uniformly
 //! random u64s) still work but allocate a 512-slot page per key in the
@@ -49,21 +50,42 @@ const CACHE_BITS: u32 = 10;
 /// Direct-mapped page-cache entries.
 const CACHE_WAYS: usize = 1 << CACHE_BITS;
 
-/// One dense leaf page: 512 optional values plus an occupancy count.
-#[derive(Debug, Clone)]
-struct Page<T> {
-    slots: Box<[Option<T>]>,
-    used: u32,
-}
+/// 64-bit words in a leaf page's occupancy bitmap.
+const OCCUPANCY_WORDS: usize = PAGE_SLOTS / 64;
 
-impl<T> Page<T> {
-    fn new() -> Self {
-        Self {
-            // womlint::allow(hotpath/transitive, reason = "one allocation per 512-row page, amortized across every row it hosts")
-            slots: (0..PAGE_SLOTS).map(|_| None).collect(),
-            used: 0,
+/// One leaf page's occupancy bitmap: bit `slot % 64` of word `slot / 64`
+/// is set iff the slot holds a value.
+type Occupancy = [u64; OCCUPANCY_WORDS];
+
+/// Sets or clears `slot`'s bit in the bitmap of arena page `idx`.
+#[inline]
+fn set_occupied(bitmaps: &mut [Occupancy], idx: usize, slot: usize, occupied: bool) {
+    if let Some(word) = bitmaps.get_mut(idx).and_then(|b| b.get_mut(slot / 64)) {
+        let bit = 1 << (slot % 64);
+        if occupied {
+            *word |= bit;
+        } else {
+            *word &= !bit;
         }
     }
+}
+
+/// Positions of the set bits of `word`, lowest first.
+#[inline]
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = word.trailing_zeros() as usize;
+        word &= word.wrapping_sub(1);
+        (bit < 64).then_some(bit)
+    })
+}
+
+/// Occupied slots of one page, ascending.
+fn occupied_slots(bitmap: &Occupancy) -> impl Iterator<Item = usize> + '_ {
+    bitmap
+        .iter()
+        .enumerate()
+        .flat_map(|(w, &word)| set_bits(word).map(move |bit| w * 64 + bit))
 }
 
 /// A map from `u64` row ids to `T`, tuned for the dense, clustered key
@@ -90,10 +112,15 @@ impl<T> Page<T> {
 pub struct RowMap<T> {
     /// page id → arena index, ordered so iteration is deterministic.
     directory: BTreeMap<u64, u32>,
-    /// Leaf-page arena. Pages are never freed individually (an emptied
-    /// page is almost always re-touched — refresh erases a row and the
-    /// workload rewrites it), only by [`clear`](Self::clear).
-    pages: Vec<Page<T>>,
+    /// Leaf-page arena of dense 512-slot pages. Pages are never freed
+    /// individually (an emptied page is almost always re-touched —
+    /// refresh erases a row and the workload rewrites it), only by
+    /// [`clear`](Self::clear).
+    pages: Vec<Box<[Option<T>]>>,
+    /// The occupancy bitmap of each arena page, at the page's index.
+    /// Iteration walks its set bits instead of all 512 slots; lookups
+    /// never read it, so it lives apart from `pages`.
+    occupied: Vec<Occupancy>,
     /// Direct-mapped cache of recently touched pages, each entry a
     /// `(page id, arena index)` pair. `Cell`s so read paths can refresh
     /// entries without `&mut self`; boxed so the map itself stays small
@@ -115,6 +142,7 @@ impl<T> RowMap<T> {
         Self {
             directory: BTreeMap::new(),
             pages: Vec::new(),
+            occupied: Vec::new(),
             cache: (0..CACHE_WAYS).map(|_| Cell::new((NO_PAGE, 0))).collect(),
             len: 0,
         }
@@ -172,7 +200,9 @@ impl<T> RowMap<T> {
             return idx;
         }
         let idx = u32::try_from(self.pages.len()).expect("fewer than 2^32 leaf pages");
-        self.pages.push(Page::new());
+        // womlint::allow(hotpath/transitive, reason = "one allocation per 512-row page, amortized across every row it hosts")
+        self.pages.push((0..PAGE_SLOTS).map(|_| None).collect());
+        self.occupied.push([0; OCCUPANCY_WORDS]);
         self.directory.insert(page, idx);
         self.cache[Self::cache_way(page)].set((page, idx));
         idx
@@ -184,7 +214,7 @@ impl<T> RowMap<T> {
     pub fn get(&self, key: u64) -> Option<&T> {
         let (page, slot) = Self::split(key);
         let idx = self.find_page(page)?;
-        self.pages[idx as usize].slots[slot].as_ref()
+        self.pages[idx as usize][slot].as_ref()
     }
 
     /// Returns a mutable reference to the value at `key`.
@@ -193,7 +223,7 @@ impl<T> RowMap<T> {
     pub fn get_mut(&mut self, key: u64) -> Option<&mut T> {
         let (page, slot) = Self::split(key);
         let idx = self.find_page(page)?;
-        self.pages[idx as usize].slots[slot].as_mut()
+        self.pages[idx as usize][slot].as_mut()
     }
 
     /// True when `key` has a value.
@@ -209,15 +239,15 @@ impl<T> RowMap<T> {
     pub fn get_or_insert_with(&mut self, key: u64, default: impl FnOnce() -> T) -> &mut T {
         let (page, slot) = Self::split(key);
         let idx = self.find_or_alloc_page(page) as usize;
-        let entry = &mut self.pages[idx].slots[slot];
-        if entry.is_none() {
-            *entry = Some(default());
-            self.pages[idx].used += 1;
-            self.len += 1;
+        match &mut self.pages[idx][slot] {
+            Some(value) => value,
+            entry @ None => {
+                let value = entry.insert(default());
+                set_occupied(&mut self.occupied, idx, slot, true);
+                self.len += 1;
+                value
+            }
         }
-        self.pages[idx].slots[slot]
-            .as_mut()
-            .expect("slot was just filled")
     }
 
     /// Inserts `value` at `key`, returning the previous value if any.
@@ -225,9 +255,9 @@ impl<T> RowMap<T> {
     pub fn insert(&mut self, key: u64, value: T) -> Option<T> {
         let (page, slot) = Self::split(key);
         let idx = self.find_or_alloc_page(page) as usize;
-        let old = self.pages[idx].slots[slot].replace(value);
+        let old = self.pages[idx][slot].replace(value);
         if old.is_none() {
-            self.pages[idx].used += 1;
+            set_occupied(&mut self.occupied, idx, slot, true);
             self.len += 1;
         }
         old
@@ -238,10 +268,10 @@ impl<T> RowMap<T> {
     #[inline]
     pub fn remove(&mut self, key: u64) -> Option<T> {
         let (page, slot) = Self::split(key);
-        let idx = self.find_page(page)?;
-        let old = self.pages[idx as usize].slots[slot].take();
+        let idx = self.find_page(page)? as usize;
+        let old = self.pages[idx][slot].take();
         if old.is_some() {
-            self.pages[idx as usize].used -= 1;
+            set_occupied(&mut self.occupied, idx, slot, false);
             self.len -= 1;
         }
         old
@@ -251,6 +281,7 @@ impl<T> RowMap<T> {
     pub fn clear(&mut self) {
         self.directory.clear();
         self.pages.clear();
+        self.occupied.clear();
         for way in self.cache.iter() {
             way.set((NO_PAGE, 0));
         }
@@ -262,32 +293,45 @@ impl<T> RowMap<T> {
     pub fn retain(&mut self, mut f: impl FnMut(u64, &mut T) -> bool) {
         let mut removed = 0usize;
         for (&page, &idx) in &self.directory {
-            let leaf = &mut self.pages[idx as usize];
-            for (slot, value) in leaf.slots.iter_mut().enumerate() {
-                let keep = match value {
-                    Some(v) => f((page << PAGE_BITS) | slot as u64, v),
-                    None => continue,
-                };
-                if !keep {
-                    *value = None;
-                    leaf.used -= 1;
-                    removed += 1;
+            let idx = idx as usize;
+            let (Some(slots), Some(bitmap)) = (self.pages.get_mut(idx), self.occupied.get_mut(idx))
+            else {
+                continue;
+            };
+            for (w, word) in bitmap.iter_mut().enumerate() {
+                for bit in set_bits(*word) {
+                    let slot = w * 64 + bit;
+                    let Some(value) = slots.get_mut(slot) else {
+                        continue;
+                    };
+                    let keep = match value {
+                        Some(v) => f((page << PAGE_BITS) | slot as u64, v),
+                        None => continue,
+                    };
+                    if !keep {
+                        *value = None;
+                        *word &= !(1 << bit);
+                        removed += 1;
+                    }
                 }
             }
         }
         self.len -= removed;
     }
 
-    /// Iterates `(key, &value)` in ascending key order.
+    /// Iterates `(key, &value)` in ascending key order, visiting only
+    /// occupied slots.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> + '_ {
-        let pages = &self.pages;
         self.directory.iter().flat_map(move |(&page, &idx)| {
-            pages[idx as usize]
-                .slots
-                .iter()
-                .enumerate()
-                .filter_map(move |(slot, v)| {
-                    v.as_ref().map(|v| ((page << PAGE_BITS) | slot as u64, v))
+            let leaf = self.pages.get(idx as usize);
+            let bitmap = self.occupied.get(idx as usize);
+            leaf.zip(bitmap)
+                .into_iter()
+                .flat_map(move |(slots, bitmap)| {
+                    occupied_slots(bitmap).filter_map(move |slot| {
+                        let value = slots.get(slot)?.as_ref()?;
+                        Some(((page << PAGE_BITS) | slot as u64, value))
+                    })
                 })
         })
     }
@@ -406,6 +450,34 @@ mod tests {
         assert_eq!(map.pages_allocated(), 1);
         map.insert(8, 2u8);
         assert_eq!(map.pages_allocated(), 1, "page 0 is reused");
+    }
+
+    #[test]
+    fn occupancy_bitmaps_track_every_slot() {
+        let mut rng = pcm_rng::Rng::seed_from_u64(16);
+        let mut map = RowMap::new();
+        for op in 0..4000u64 {
+            let key = rng.gen_below(3 * PAGE_SLOTS as u64);
+            match rng.gen_below(16) {
+                0..=5 => {
+                    map.insert(key, op);
+                }
+                6..=9 => {
+                    map.get_or_insert_with(key, || op);
+                }
+                10..=14 => {
+                    map.remove(key);
+                }
+                _ => map.retain(|k, v| (k ^ *v) % 5 != 0),
+            }
+            for (slots, bitmap) in map.pages.iter().zip(&map.occupied) {
+                for (slot, value) in slots.iter().enumerate() {
+                    let bit = bitmap[slot / 64] >> (slot % 64) & 1;
+                    assert_eq!(bit == 1, value.is_some(), "op {op}, slot {slot}");
+                }
+            }
+        }
+        assert!(!map.is_empty(), "the sequence leaves entries to check");
     }
 
     #[test]

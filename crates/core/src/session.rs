@@ -58,7 +58,7 @@ use crate::metrics::RunMetrics;
 use crate::observe::{EpochCounters, EpochSeries};
 use crate::policy::ArchPolicy;
 use crate::snapshot::{self, SnapshotError};
-use pcm_sim::{Cycle, SnapReader, SnapWriter};
+use pcm_sim::{Cycle, SnapReader};
 use pcm_trace::stream::TraceSource;
 use pcm_trace::TraceRecord;
 
@@ -87,13 +87,20 @@ impl SessionState {
 #[derive(Debug, Clone)]
 pub struct SessionSpec {
     config: SystemConfig,
+    /// [`snapshot::config_fingerprint`] of `config`, rendered once here
+    /// so that no checkpoint or resume renders the configuration again.
+    fingerprint: u64,
 }
 
 impl SessionSpec {
     /// Wraps a full configuration.
     #[must_use]
     pub fn new(config: SystemConfig) -> Self {
-        Self { config }
+        let fingerprint = snapshot::config_fingerprint(&config);
+        Self {
+            config,
+            fingerprint,
+        }
     }
 
     /// The paper's configuration for `arch` (see [`SystemConfig::paper`]).
@@ -112,7 +119,7 @@ impl SessionSpec {
     #[must_use]
     pub fn epoch_cycles(mut self, width: Cycle) -> Self {
         self.config.set_epoch_cycles(Some(width));
-        self
+        Self::new(self.config)
     }
 
     /// The wrapped configuration.
@@ -192,6 +199,8 @@ pub struct Session {
     /// Epochs already handed out by [`Self::poll_epochs`]; persisted in
     /// checkpoints so an evict/restore cycle never replays a delta.
     epochs_polled: usize,
+    /// The spec's configuration fingerprint, written into checkpoints.
+    fingerprint: u64,
 }
 
 impl Session {
@@ -208,6 +217,7 @@ impl Session {
             state: SessionState::Open,
             records_fed: 0,
             epochs_polled: 0,
+            fingerprint: spec.fingerprint,
         })
     }
 
@@ -221,30 +231,33 @@ impl Session {
     /// run — including [`poll_epochs`](Self::poll_epochs) deltas, whose
     /// cursor travels in the container.
     ///
+    /// The container's framing, CRC and fingerprint are checked before
+    /// any engine is built, so foreign or damaged bytes cost no
+    /// allocation beyond the error.
+    ///
     /// # Errors
     ///
     /// Returns [`WomPcmError::Snapshot`] for foreign bytes, truncation,
     /// checksum failure, or a checkpoint taken under a different
     /// configuration; [`WomPcmError::InvalidConfig`] for a bad spec.
     pub fn resume(spec: impl Into<SessionSpec>, container: &[u8]) -> Result<Self, WomPcmError> {
-        let mut session = Self::open(spec)?;
+        let spec = spec.into();
         let envelope = snapshot::decode_container(container)?;
-        let config = session.engine.config();
-        let current = snapshot::config_fingerprint(config);
-        if envelope.arch != config.arch || envelope.fingerprint != current {
+        if envelope.arch != spec.config.arch || envelope.fingerprint != spec.fingerprint {
             return Err(SnapshotError::ConfigMismatch {
                 snapshot: envelope.fingerprint,
-                current,
+                current: spec.fingerprint,
             }
             .into());
         }
         let mut r = SnapReader::new(envelope.payload);
-        let polled = r.take_u64()?;
-        let engine_payload = r.take_bytes(r.remaining())?;
-        session.engine.restore_state(engine_payload)?;
-        session.records_fed = envelope.records_consumed;
-        session.epochs_polled = usize::try_from(polled)
+        let epochs_polled = usize::try_from(r.take_u64()?)
             .map_err(|_| WomPcmError::Snapshot(SnapshotError::Corrupt("epochs_polled")))?;
+        let mut session = Self::open(spec)?;
+        session.engine.restore_state(&mut r)?;
+        r.finish()?;
+        session.records_fed = envelope.records_consumed;
+        session.epochs_polled = epochs_polled;
         Ok(session)
     }
 
@@ -392,17 +405,15 @@ impl Session {
     ///   is attached (arbitrary observers cannot be serialized).
     pub fn checkpoint(&self) -> Result<Vec<u8>, WomPcmError> {
         self.ensure_open("checkpoint")?;
-        let engine_payload = self.engine.save_state()?;
-        let mut w = SnapWriter::new();
-        w.put_u64(self.epochs_polled as u64);
-        w.put_bytes(&engine_payload);
-        let config = self.engine.config();
-        Ok(snapshot::encode_container(
-            config.arch,
-            snapshot::config_fingerprint(config),
+        snapshot::encode_container(
+            self.engine.config().arch,
+            self.fingerprint,
             self.records_fed,
-            &w.into_bytes(),
-        ))
+            |w| {
+                w.put_u64(self.epochs_polled as u64);
+                self.engine.save_state(w)
+            },
+        )
     }
 
     /// Completes all outstanding work and returns the final metrics;

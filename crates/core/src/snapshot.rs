@@ -1,9 +1,10 @@
 //! The `WOMSNAP` snapshot container: deterministic engine state capture
 //! for resumable endurance runs.
 //!
-//! A snapshot freezes a [`WomPcmSystem`](crate::WomPcmSystem) between
+//! A snapshot freezes a [`Session`](crate::session::Session) between
 //! trace records so a long endurance run can be interrupted and resumed
-//! bit-identically. The container mirrors the `WOMTRC` v2 idiom from
+//! bit-identically, and so `womd` can park an idle session and resume it
+//! later. The container mirrors the `WOMTRC` v2 idiom from
 //! `pcm_trace::binary`: an 8-byte magic-plus-version prefix, a fixed
 //! header, the payload, and a self-describing footer (payload length and
 //! CRC-32) so a chopped-off tail is distinguishable from a clean file.
@@ -33,7 +34,7 @@ use core::fmt;
 
 use crate::arch::Architecture;
 use crate::config::SystemConfig;
-use pcm_sim::snap::{crc32, SnapError};
+use pcm_sim::snap::{crc32, SnapError, SnapWriter};
 
 /// File magic prefix; the 8th container byte is the format version.
 const MAGIC: &[u8; 7] = b"WOMSNAP";
@@ -170,25 +171,42 @@ fn arch_from_tag(tag: u8) -> Result<Architecture, SnapshotError> {
     }
 }
 
-/// Wraps an engine-state payload in a `WOMSNAP` container.
-#[must_use]
-pub fn encode_container(
+/// Builds a `WOMSNAP` container whose payload `write_payload` appends
+/// straight into the container buffer: the header goes first with a
+/// placeholder length, which is patched once the payload is complete,
+/// and the footer follows. The payload is never copied.
+///
+/// # Errors
+///
+/// Whatever `write_payload` returns; the partial container is dropped.
+pub fn encode_container<E>(
     arch: Architecture,
     fingerprint: u64,
     records_consumed: u64,
-    payload: &[u8],
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_BYTES + payload.len() + FOOTER_BYTES);
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION);
-    out.push(arch_tag(arch));
-    out.extend_from_slice(&fingerprint.to_le_bytes());
-    out.extend_from_slice(&records_consumed.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out
+    write_payload: impl FnOnce(&mut SnapWriter) -> Result<(), E>,
+) -> Result<Vec<u8>, E> {
+    let mut w = SnapWriter::new();
+    w.put_bytes(MAGIC);
+    w.put_u8(VERSION);
+    w.put_u8(arch_tag(arch));
+    w.put_u64(fingerprint);
+    w.put_u64(records_consumed);
+    w.put_u64(0);
+    write_payload(&mut w)?;
+    let mut out = w.into_bytes();
+    let (header, payload) = out.split_at_mut(HEADER_BYTES);
+    let len = (payload.len() as u64).to_le_bytes();
+    let crc = crc32(payload).to_le_bytes();
+    if let Some(len_field) = header.get_mut(HEADER_BYTES - 8..) {
+        len_field.copy_from_slice(&len);
+    }
+    out.extend_from_slice(&len);
+    out.extend_from_slice(&crc);
+    // womd keeps a parked session as this buffer: hand back the growth
+    // slack (a shrink is usually in place) rather than hold up to twice
+    // the container's size.
+    out.shrink_to_fit();
+    Ok(out)
 }
 
 fn take_le_u64(bytes: &[u8], offset: usize) -> Result<u64, SnapshotError> {
@@ -251,7 +269,7 @@ pub fn decode_container(bytes: &[u8]) -> Result<SnapshotEnvelope<'_>, SnapshotEr
         ));
     }
     let crc_bytes = bytes
-        .get(end + 8..end + 12)
+        .get(end + 8..end + FOOTER_BYTES)
         .ok_or(SnapshotError::Truncated {
             byte_offset: bytes.len() as u64,
         })?;
@@ -273,7 +291,11 @@ mod tests {
     use super::*;
 
     fn sample() -> Vec<u8> {
-        encode_container(Architecture::WomCodeRefresh, 0xDEAD_BEEF, 42, b"payload")
+        let Ok(container) = encode_container(Architecture::WomCodeRefresh, 0xDEAD_BEEF, 42, |w| {
+            w.put_bytes(b"payload");
+            Ok::<_, core::convert::Infallible>(())
+        });
+        container
     }
 
     #[test]

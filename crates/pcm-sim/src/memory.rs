@@ -846,29 +846,16 @@ impl MemorySystem {
             }
             self.refresh_ids.push_back((first, len as u32));
         }
-        let events = r.take_len(8)?;
-        self.events.clear();
-        for _ in 0..events {
-            self.events.insert(r.take_u64()?);
-        }
+        self.events = r.take_sorted(8, |&cycle| cycle, SnapReader::take_u64)?;
         let pending = r.take_len(8)?;
         self.pending.clear();
         for _ in 0..pending {
             self.pending
                 .push(Reverse(Pending(Completion::load_state(r)?)));
         }
-        let cancelled = r.take_len(8)?;
-        self.cancelled.clear();
-        for _ in 0..cancelled {
-            self.cancelled.insert(r.take_u64()?);
-        }
-        let addrs = r.take_len(16)?;
-        self.refresh_addrs.clear();
-        for _ in 0..addrs {
-            let id = r.take_u64()?;
-            let addr = r.take_u64()?;
-            self.refresh_addrs.insert(id, addr);
-        }
+        self.cancelled = r.take_sorted(8, |&id| id, SnapReader::take_u64)?;
+        self.refresh_addrs =
+            r.take_sorted(16, |&(id, _)| id, |r| Ok((r.take_u64()?, r.take_u64()?)))?;
         let out = r.take_len(8)?;
         self.out.clear();
         for _ in 0..out {

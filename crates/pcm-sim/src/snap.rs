@@ -42,22 +42,82 @@ impl fmt::Display for SnapError {
 
 impl std::error::Error for SnapError {}
 
+/// The reflected IEEE 802.3 CRC-32 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables, built at compile time. `CRC_TABLES[s][b]` is the
+/// CRC register after the byte `b` and then `s` zero bytes have passed
+/// through it, so one table lookup per input byte folds eight bytes into
+/// the register at once.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+/// Shifts the 8 low bits of `crc` through the polynomial, one bit at a
+/// time (the definition every table entry derives from).
+const fn crc_shift_byte(mut crc: u32) -> u32 {
+    let mut k = 0;
+    while k < 8 {
+        let mask = (crc & 1).wrapping_neg();
+        crc = (crc >> 1) ^ (CRC_POLY & mask);
+        k += 1;
+    }
+    crc
+}
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut rest: &mut [[u32; 256]] = &mut tables;
+    let mut zeros = 0;
+    while let Some((table, tail)) = rest.split_first_mut() {
+        let mut slots: &mut [u32] = table;
+        let mut byte = 0;
+        while let Some((slot, more)) = slots.split_first_mut() {
+            let mut crc = crc_shift_byte(byte);
+            let mut k = 0;
+            while k < zeros {
+                crc = (crc >> 8) ^ crc_shift_byte(crc & 0xFF);
+                k += 1;
+            }
+            *slot = crc;
+            slots = more;
+            byte += 1;
+        }
+        rest = tail;
+        zeros += 1;
+    }
+    tables
+}
+
+#[inline]
+fn lookup(table: &[u32; 256], byte: u8) -> u32 {
+    // A `u8` always indexes a 256-entry table; the fallback is dead code.
+    table.get(usize::from(byte)).copied().unwrap_or(0)
+}
+
 /// CRC-32 (IEEE 802.3, reflected) of `bytes`.
 ///
-/// Bitwise, table-free: snapshot payloads are megabytes at most and are
-/// written once per checkpoint interval, so the constant-memory form is
-/// plenty — and it keeps this crate free of lookup-table indexing.
+/// Slicing-by-8 over compile-time tables (8 KiB), about 8x the
+/// throughput of the bitwise loop the tables derive from. The checksum
+/// sits on service latency: `womd` parks a session into a `WOMSNAP`
+/// container on every LRU miss and checks the CRC again on every resume.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
+    let (words, tail) = bytes.as_chunks::<8>();
     let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        let mut k = 0;
-        while k < 8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            k += 1;
-        }
+    for word in words {
+        let [b0, b1, b2, b3, b4, b5, b6, b7] =
+            (u64::from_le_bytes(*word) ^ u64::from(crc)).to_le_bytes();
+        crc = lookup(t7, b0)
+            ^ lookup(t6, b1)
+            ^ lookup(t5, b2)
+            ^ lookup(t4, b3)
+            ^ lookup(t3, b4)
+            ^ lookup(t2, b5)
+            ^ lookup(t1, b6)
+            ^ lookup(t0, b7);
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ lookup(t0, (crc as u8) ^ b);
     }
     !crc
 }
@@ -269,6 +329,44 @@ impl<'a> SnapReader<'a> {
         }
     }
 
+    /// Consumes a length-prefixed section of entries saved in strictly
+    /// ascending key order, and collects it into `C`.
+    ///
+    /// `min_entry_bytes` bounds the length as in
+    /// [`take_len`](Self::take_len) before anything is allocated;
+    /// `entry` decodes one entry and `key` gives its ordering key. A
+    /// `BTreeMap` or `BTreeSet` collected from sorted entries is
+    /// bulk-built with no per-key search, which is why every ordered
+    /// collection in a payload is restored through here rather than by
+    /// one `insert` per entry.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `take_len` or `entry` returns, and [`SnapError::Corrupt`]
+    /// for a key that is not strictly greater than the one before it: a
+    /// valid payload never repeats a key or writes one out of order.
+    pub fn take_sorted<T, K, C>(
+        &mut self,
+        min_entry_bytes: usize,
+        key: impl Fn(&T) -> K,
+        mut entry: impl FnMut(&mut Self) -> Result<T, SnapError>,
+    ) -> Result<C, SnapError>
+    where
+        K: Ord,
+        C: FromIterator<T>,
+    {
+        let len = self.take_len(min_entry_bytes)?;
+        let mut entries = Vec::with_capacity(len);
+        for _ in 0..len {
+            let next = entry(self)?;
+            if entries.last().is_some_and(|prev| key(prev) >= key(&next)) {
+                return Err(SnapError::Corrupt("section keys not strictly ascending"));
+            }
+            entries.push(next);
+        }
+        Ok(entries.into_iter().collect())
+    }
+
     /// Consumes an `f64` stored as its exact bit pattern.
     ///
     /// # Errors
@@ -282,6 +380,7 @@ impl<'a> SnapReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn primitives_round_trip() {
@@ -341,6 +440,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         assert!(matches!(r.take_len(8), Err(SnapError::Corrupt(_))));
+        assert!(matches!(take_map(&bytes), Err(SnapError::Corrupt(_))));
     }
 
     #[test]
@@ -354,12 +454,81 @@ mod tests {
         assert_eq!(r.take_bytes(3).unwrap(), &[1, 2, 3]);
     }
 
+    /// The definition the tables derive from: one bit per step.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = crc_shift_byte(crc ^ u32::from(b));
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         // Flipping one bit changes the checksum.
         assert_ne!(crc32(b"womsnap"), crc32(b"womsnaq"));
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bitwise_reference() {
+        let mut rng = pcm_rng::Rng::seed_from_u64(2014);
+        let buf: Vec<u8> = (0..1024 + 8).map(|_| rng.next_u32() as u8).collect();
+        for start in 0..8 {
+            for len in 0..=1024 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bitwise(bytes),
+                    "start {start}, length {len}"
+                );
+            }
+        }
+    }
+
+    fn section(keys: &[u64]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.put_usize(keys.len());
+        for &k in keys {
+            w.put_u64(k);
+            w.put_u32(7);
+        }
+        w.into_bytes()
+    }
+
+    fn take_map(bytes: &[u8]) -> Result<BTreeMap<u64, u32>, SnapError> {
+        let mut r = SnapReader::new(bytes);
+        let map = r.take_sorted(12, |&(k, _)| k, |r| Ok((r.take_u64()?, r.take_u32()?)))?;
+        r.finish()?;
+        Ok(map)
+    }
+
+    #[test]
+    fn sorted_sections_collect_in_key_order() {
+        let map = take_map(&section(&[1, 5, u64::MAX])).unwrap();
+        assert_eq!(map.keys().copied().collect::<Vec<_>>(), [1, 5, u64::MAX]);
+        assert!(take_map(&section(&[])).unwrap().is_empty());
+        let mut w = SnapWriter::new();
+        w.put_usize(2);
+        w.put_u64(3);
+        w.put_u64(9);
+        let bytes = w.into_bytes();
+        let set: BTreeSet<u64> = SnapReader::new(&bytes)
+            .take_sorted(8, |&k| k, SnapReader::take_u64)
+            .unwrap();
+        assert_eq!(set.into_iter().collect::<Vec<_>>(), [3, 9]);
+    }
+
+    #[test]
+    fn repeated_or_descending_keys_are_corrupt() {
+        for keys in [&[4u64, 4][..], &[9, 2], &[1, 3, 3], &[1, 8, 5]] {
+            assert!(
+                matches!(take_map(&section(keys)), Err(SnapError::Corrupt(_))),
+                "keys {keys:?}"
+            );
+        }
     }
 }

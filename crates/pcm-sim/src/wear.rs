@@ -107,7 +107,8 @@ impl WearTracker {
     ///
     /// # Errors
     ///
-    /// Propagates payload truncation and corrupt lengths.
+    /// Propagates payload truncation and corrupt lengths;
+    /// [`SnapError::Corrupt`] for rows that are repeated or out of order.
     pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(Self {
             full: load_counts(r)?,
@@ -125,14 +126,7 @@ fn save_counts(map: &BTreeMap<u64, u64>, w: &mut SnapWriter) {
 }
 
 fn load_counts(r: &mut SnapReader<'_>) -> Result<BTreeMap<u64, u64>, SnapError> {
-    let len = r.take_len(16)?;
-    let mut map = BTreeMap::new();
-    for _ in 0..len {
-        let row = r.take_u64()?;
-        let n = r.take_u64()?;
-        map.insert(row, n);
-    }
-    Ok(map)
+    r.take_sorted(16, |&(row, _)| row, |r| Ok((r.take_u64()?, r.take_u64()?)))
 }
 
 impl WearSummary {
@@ -327,6 +321,28 @@ mod tests {
         let mut w2 = SnapWriter::new();
         back.save_state(&mut w2);
         assert_eq!(w2.into_bytes(), bytes, "re-encode is byte-identical");
+    }
+
+    #[test]
+    fn repeated_or_descending_rows_are_corrupt() {
+        use crate::snap::{SnapReader, SnapWriter};
+        for rows in [[5u64, 5], [9, 2]] {
+            let mut w = SnapWriter::new();
+            w.put_usize(rows.len());
+            for row in rows {
+                w.put_u64(row);
+                w.put_u64(1);
+            }
+            w.put_usize(0);
+            let bytes = w.into_bytes();
+            assert!(
+                matches!(
+                    WearTracker::load_state(&mut SnapReader::new(&bytes)),
+                    Err(SnapError::Corrupt(_))
+                ),
+                "rows {rows:?}"
+            );
+        }
     }
 
     #[test]
