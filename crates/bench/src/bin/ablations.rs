@@ -20,7 +20,7 @@ use wom_pcm::{
     Architecture, BudgetGranularity, ColdPolicy, HiddenPageTable, RunMetrics, SystemBuilder,
     SystemConfig, WideColumn,
 };
-use wom_pcm_bench::{cli, run_configs_parallel};
+use wom_pcm_bench::{cli, run, Job, RunOptions};
 
 const DEFAULT_RECORDS: usize = 30_000;
 const WORKLOAD: &str = "FFT.mi";
@@ -29,8 +29,20 @@ const WORKLOAD: &str = "FFT.mi";
 fn run_all(cfgs: Vec<SystemConfig>, records: usize, seed: u64, threads: usize) -> Vec<RunMetrics> {
     let profile = benchmarks::by_name(WORKLOAD).expect("bundled workload");
     let spec = TraceSpec::synth(profile, seed, records as u64);
-    let jobs: Vec<_> = cfgs.into_iter().map(|cfg| (cfg, spec.clone())).collect();
-    run_configs_parallel(&jobs, threads).expect("ablation cells run")
+    let jobs: Vec<_> = cfgs
+        .into_iter()
+        .map(|config| Job {
+            config,
+            trace: spec.clone(),
+            label: String::new(),
+        })
+        .collect();
+    let opts = RunOptions {
+        threads,
+        ..RunOptions::default()
+    };
+    let runs = run(&jobs, &opts).expect("ablation cells run");
+    runs.into_iter().map(|(m, _)| m).collect()
 }
 
 fn base(arch: Architecture) -> SystemBuilder {

@@ -24,8 +24,7 @@
 
 use pcm_trace::stream::{TraceProfile, TraceSpec};
 use wom_pcm::{Architecture, SystemBuilder};
-use wom_pcm_bench::sharded::{run_configs_spec, RunOptions};
-use wom_pcm_bench::{cli, run_configs_parallel, write_observed_jsonl, ObservedSeries};
+use wom_pcm_bench::{cli, run, write_observed_jsonl, Job, RunOptions};
 
 const USAGE: &str = "endurance [records] [seed] [--workload NAME] [--threads N] [--shards N] \
                      [--resume PATH [--snapshot-every N]] [--observe PATH [--epoch-cycles N]]";
@@ -53,56 +52,48 @@ fn main() {
         "{:23}{:>12}{:>13}{:>11}{:>10}{:>14}",
         "architecture", "SET writes", "RESET-only", "max/row", "wear CV", "cache max/row"
     );
-    const CASES: [(&str, Architecture, Option<u64>); 5] = [
-        ("PCM w/o WOM-code", Architecture::Baseline, None),
-        ("WOM-code PCM", Architecture::WomCode, None),
-        ("PCM-refresh", Architecture::WomCodeRefresh, None),
-        ("WCPCM", Architecture::Wcpcm, None),
+    // (report name, job-label slug, architecture, start-gap interval).
+    // The label `{workload}-{slug}` tags the epoch lines and keys the
+    // derived snapshot file names.
+    const CASES: [(&str, &str, Architecture, Option<u64>); 5] = [
+        ("PCM w/o WOM-code", "baseline", Architecture::Baseline, None),
+        ("WOM-code PCM", "wom", Architecture::WomCode, None),
+        ("PCM-refresh", "refresh", Architecture::WomCodeRefresh, None),
+        ("WCPCM", "wcpcm", Architecture::Wcpcm, None),
         (
             "PCM-refresh + start-gap",
+            "refresh-sg",
             Architecture::WomCodeRefresh,
             Some(64),
         ),
     ];
     let jobs: Vec<_> = CASES
         .iter()
-        .map(|&(_, arch, leveling)| {
+        .map(|&(_, slug, arch, leveling)| {
             let mut b = SystemBuilder::new(arch).rows_per_bank(4096);
             if let Some(interval) = leveling {
                 b = b.wear_leveling(interval);
             }
-            (b.into_config(), spec.clone())
+            Job {
+                config: b.into_config(),
+                trace: spec.clone(),
+                label: format!("{workload}-{slug}"),
+            }
         })
         .collect();
-    // Short per-case slugs key the derived snapshot file names.
-    const SLUGS: [&str; 5] = ["baseline", "wom", "refresh", "wcpcm", "refresh-sg"];
-    let labels: Vec<String> = SLUGS.map(String::from).into();
     let opts = RunOptions {
         shards,
         threads,
         snapshot,
         epoch_cycles: observe.as_ref().map(|o| o.epoch_cycles),
     };
-    let runs = run_configs_spec(&jobs, &labels, &opts).expect("endurance cells run");
-    let metrics: Vec<_> = if let Some(obs) = &observe {
-        let mut metrics = Vec::new();
-        let mut observed = Vec::new();
-        for ((label, arch, _), (m, series)) in CASES.iter().zip(runs) {
-            metrics.push(m);
-            observed.push(ObservedSeries {
-                arch: *arch,
-                workload: format!("{workload}/{label}"),
-                banks_per_rank: 32,
-                series: series.expect("observation was requested"),
-            });
-        }
-        write_observed_jsonl(&obs.path, &observed).expect("writing the epoch JSONL");
-        eprintln!("wrote {} epoch series to {}", observed.len(), obs.path);
-        metrics
-    } else {
-        runs.into_iter().map(|(m, _)| m).collect()
-    };
-    for ((label, _, _), m) in CASES.iter().zip(&metrics) {
+    let runs = run(&jobs, &opts).expect("endurance cells run");
+    if let Some(obs) = &observe {
+        write_observed_jsonl(&obs.path, &jobs, &runs).expect("writing the epoch JSONL");
+        eprintln!("wrote {} epoch series to {}", runs.len(), obs.path);
+    }
+    let metrics: Vec<_> = runs.into_iter().map(|(m, _)| m).collect();
+    for ((label, _, _, _), m) in CASES.iter().zip(&metrics) {
         let w = m.wear_main;
         let cache_max = m.wear_cache.map_or("-".to_string(), |c| c.max.to_string());
         println!(
@@ -145,11 +136,19 @@ fn main() {
             if let Some(interval) = leveling {
                 b = b.wear_leveling(interval);
             }
-            (b.into_config(), hot.clone())
+            Job {
+                config: b.into_config(),
+                trace: hot.clone(),
+                label: String::new(),
+            }
         })
         .collect();
-    let hot_metrics = run_configs_parallel(&hot_jobs, threads).expect("hot-row cells run");
-    for (leveling, m) in INTERVALS.iter().zip(&hot_metrics) {
+    let hot_opts = RunOptions {
+        threads,
+        ..RunOptions::default()
+    };
+    let hot_runs = run(&hot_jobs, &hot_opts).expect("hot-row cells run");
+    for (leveling, (m, _)) in INTERVALS.iter().zip(&hot_runs) {
         println!(
             "{:>22}{:>11}{:>10.2}{:>13.1}%",
             leveling.map_or("off".to_string(), |i| i.to_string()),

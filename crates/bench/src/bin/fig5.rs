@@ -7,8 +7,8 @@
 //! (defaults: 120000, 2014, available parallelism).
 
 use wom_pcm_bench::{
-    average, cli, fig5, fig5_observed, json, reduction_pct, write_observed_jsonl, DEFAULT_RECORDS,
-    DEFAULT_SEED,
+    average, cli, fig5_jobs, fig5_rows, json, reduction_pct, run, write_observed_jsonl, RunOptions,
+    DEFAULT_RECORDS, DEFAULT_SEED,
 };
 
 const USAGE: &str =
@@ -26,15 +26,19 @@ fn main() {
     eprintln!(
         "running fig5: 20 workloads x 4 architectures, {records} records each, {threads} threads ..."
     );
-    let rows = if let Some(obs) = &observe {
-        let (rows, observed) =
-            fig5_observed(records, seed, threads, obs.epoch_cycles).expect("figure runs");
-        write_observed_jsonl(&obs.path, &observed).expect("writing the epoch JSONL");
-        eprintln!("wrote {} epoch series to {}", observed.len(), obs.path);
-        rows
-    } else {
-        fig5(records, seed, threads).expect("figure runs")
+    let jobs = fig5_jobs(records, seed);
+    let opts = RunOptions {
+        threads,
+        epoch_cycles: observe.as_ref().map(|o| o.epoch_cycles),
+        ..RunOptions::default()
     };
+    let runs = run(&jobs, &opts).expect("figure runs");
+    if let Some(obs) = &observe {
+        write_observed_jsonl(&obs.path, &jobs, &runs).expect("writing the epoch JSONL");
+        eprintln!("wrote {} epoch series to {}", runs.len(), obs.path);
+    }
+    let metrics: Vec<_> = runs.into_iter().map(|(m, _)| m).collect();
+    let rows = fig5_rows(&metrics).expect("every cell records reads and writes");
     if json_out {
         println!("{}", json::fig5(&rows));
         return;

@@ -8,8 +8,8 @@
 //! (defaults: 120000, 2014, available parallelism).
 
 use wom_pcm_bench::{
-    bank_sweep_all, bank_sweep_all_observed, cli, json, write_observed_jsonl, DEFAULT_RECORDS,
-    DEFAULT_SEED,
+    bank_sweep_fold, bank_sweep_jobs, cli, json, run, write_observed_jsonl, RunOptions,
+    DEFAULT_RECORDS, DEFAULT_SEED,
 };
 
 const USAGE: &str =
@@ -27,15 +27,19 @@ fn main() {
     eprintln!(
         "running fig7: 20 workloads x 4 bank counts, {records} records each, {threads} threads ..."
     );
-    let sweeps = if let Some(obs) = &observe {
-        let (sweeps, observed) =
-            bank_sweep_all_observed(records, seed, threads, obs.epoch_cycles).expect("sweep runs");
-        write_observed_jsonl(&obs.path, &observed).expect("writing the epoch JSONL");
-        eprintln!("wrote {} epoch series to {}", observed.len(), obs.path);
-        sweeps
-    } else {
-        bank_sweep_all(records, seed, threads).expect("sweep runs")
+    let jobs = bank_sweep_jobs(records, seed);
+    let opts = RunOptions {
+        threads,
+        epoch_cycles: observe.as_ref().map(|o| o.epoch_cycles),
+        ..RunOptions::default()
     };
+    let runs = run(&jobs, &opts).expect("sweep runs");
+    if let Some(obs) = &observe {
+        write_observed_jsonl(&obs.path, &jobs, &runs).expect("writing the epoch JSONL");
+        eprintln!("wrote {} epoch series to {}", runs.len(), obs.path);
+    }
+    let metrics: Vec<_> = runs.into_iter().map(|(m, _)| m).collect();
+    let sweeps = bank_sweep_fold(&metrics).expect("every WCPCM cell reports cache statistics");
 
     if json_out {
         let docs: Vec<String> = sweeps

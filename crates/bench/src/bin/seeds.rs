@@ -6,7 +6,7 @@
 //! Usage: `seeds [records] [n_seeds] [--threads N]`
 //! (defaults: 40000, 5, available parallelism).
 
-use wom_pcm_bench::{average, cli, fig5};
+use wom_pcm_bench::{average, cli, fig5_jobs, fig5_rows, run, RunOptions};
 
 const USAGE: &str = "seeds [records] [n_seeds] [--threads N]";
 
@@ -17,10 +17,16 @@ fn main() {
     let n_seeds: u64 = cli.positional("n_seeds", 5);
     cli.finish();
 
+    let opts = RunOptions {
+        threads,
+        ..RunOptions::default()
+    };
     let mut per_seed: Vec<[f64; 3]> = Vec::new();
     for seed in 0..n_seeds {
         eprintln!("seed {seed} ({records} records x 80 cells, {threads} threads) ...");
-        let rows = fig5(records, seed, threads).expect("figure runs");
+        let runs = run(&fig5_jobs(records, seed), &opts).expect("figure runs");
+        let metrics: Vec<_> = runs.into_iter().map(|(m, _)| m).collect();
+        let rows = fig5_rows(&metrics).expect("every cell records reads and writes");
         per_seed.push([
             average(&rows, 1, true),
             average(&rows, 2, true),

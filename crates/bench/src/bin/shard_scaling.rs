@@ -31,7 +31,7 @@ use pcm_trace::synth::benchmarks;
 use std::fmt::Write as _;
 use std::time::Instant;
 use wom_pcm::{Architecture, RunMetrics, Session, ShardPlan, ShardSource, SystemBuilder};
-use wom_pcm_bench::{cli, sharded};
+use wom_pcm_bench::{cli, run, Job, RunOptions};
 
 const USAGE: &str =
     "shard_scaling [--records N] [--seed N] [--shards N] [--workload NAME] [--json PATH]";
@@ -96,8 +96,19 @@ fn run_arch(arch: Architecture, spec: &TraceSpec, shards: u32) -> Outcome {
 
     // Pooled pass: same decomposition on a worker per shard. Asserting
     // byte-identity here is the harness's determinism check.
-    let pooled = sharded::run_sharded(&cfg, spec, shards, shards as usize)
-        .expect("benchmark traces run clean");
+    let job = Job {
+        config: cfg,
+        trace: spec.clone(),
+        label: arch.slug().to_string(),
+    };
+    let opts = RunOptions {
+        shards,
+        threads: shards as usize,
+        ..RunOptions::default()
+    };
+    let (pooled, _) = run(&[job], &opts)
+        .expect("benchmark traces run clean")
+        .remove(0);
     assert_eq!(
         format!("{serial_merged:#?}"),
         format!("{pooled:#?}"),

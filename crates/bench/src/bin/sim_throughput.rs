@@ -18,7 +18,7 @@ use pcm_trace::synth::benchmarks;
 use std::fmt::Write as _;
 use std::time::Instant;
 use wom_pcm::{Architecture, Session, SystemBuilder, SystemConfig};
-use wom_pcm_bench::{cli, run_cells_observed, write_observed_jsonl, CellSpec};
+use wom_pcm_bench::{cell_job, cli, run, write_observed_jsonl, Job, RunOptions};
 
 const USAGE: &str = "sim_throughput [--records N] [--shards N] [--json PATH] \
                      [--observe PATH [--epoch-cycles N]]";
@@ -51,9 +51,18 @@ fn run_case(
     // One streaming source per case, reset between reps: the timed loop
     // measures the simulator fed at O(chunk) trace-side memory, the same
     // shape every production run now uses. Sharded reps re-open their
-    // per-shard sources inside `run_sharded` instead.
+    // per-shard sources inside `run` instead.
     let mut source = spec.open().expect("benchmark trace sources open");
-    let threads = wom_pcm_bench::parallel::default_threads();
+    let sharded = [Job {
+        config: cfg.clone(),
+        trace: spec.clone(),
+        label: name.to_string(),
+    }];
+    let opts = RunOptions {
+        shards,
+        threads: wom_pcm_bench::parallel::default_threads(),
+        ..RunOptions::default()
+    };
     let mut best = f64::INFINITY;
     for rep in 0..REPS {
         if rep > 0 {
@@ -64,8 +73,7 @@ fn run_case(
         #[allow(clippy::disallowed_methods)]
         let start = Instant::now();
         if shards > 1 {
-            wom_pcm_bench::sharded::run_sharded(cfg, spec, shards, threads)
-                .expect("benchmark traces run clean");
+            run(&sharded, &opts).expect("benchmark traces run clean");
         } else {
             let mut session = Session::open(cfg.clone()).expect("benchmark configs validate");
             session
@@ -165,16 +173,17 @@ fn main() {
     // Observed passes are untimed and separate from the throughput runs
     // above, whose observer stays the zero-overhead disabled sink.
     if let Some(obs) = observe {
-        let specs: Vec<CellSpec> = Architecture::all_paper()
-            .iter()
-            .map(|&arch| CellSpec::new(arch, profile.clone(), records, seed))
-            .collect();
-        let (_, observed) =
-            run_cells_observed(&specs, 1, obs.epoch_cycles).expect("observed passes run");
-        write_observed_jsonl(&obs.path, &observed).expect("writing the epoch JSONL");
+        let jobs = Architecture::all_paper()
+            .map(|arch| cell_job(arch, profile.clone(), records, seed, 32));
+        let opts = RunOptions {
+            epoch_cycles: Some(obs.epoch_cycles),
+            ..RunOptions::default()
+        };
+        let runs = run(&jobs, &opts).expect("observed passes run");
+        write_observed_jsonl(&obs.path, &jobs, &runs).expect("writing the epoch JSONL");
         println!(
             "\nwrote epoch series for {} architectures to {}",
-            observed.len(),
+            runs.len(),
             obs.path
         );
     }

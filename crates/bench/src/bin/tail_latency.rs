@@ -20,9 +20,8 @@
 
 use pcm_sim::MemOp;
 use pcm_trace::stream::{TraceProfile, TraceSpec};
-use wom_pcm::{Architecture, SystemConfig};
-use wom_pcm_bench::sharded::{run_configs_spec, RunOptions};
-use wom_pcm_bench::{cell_builder, cli, write_observed_jsonl, ObservedSeries};
+use wom_pcm::Architecture;
+use wom_pcm_bench::{cell_builder, cli, run, write_observed_jsonl, Job, RunOptions};
 
 const USAGE: &str = "tail_latency [records] [seed] [--workload NAME]... [--threads N] \
                      [--shards N] [--resume PATH [--snapshot-every N]] \
@@ -44,19 +43,18 @@ fn main() {
             .map(String::from)
             .into();
     }
-    let mut jobs: Vec<(SystemConfig, TraceSpec)> = Vec::new();
-    let mut labels: Vec<String> = Vec::new();
+    let mut jobs: Vec<Job> = Vec::new();
     for name in &workloads {
         let Some(profile) = TraceProfile::by_name(name) else {
             eprintln!("error: unknown workload '{name}' (see `womsim list`)");
             std::process::exit(2);
         };
-        for &arch in Architecture::all_paper().iter() {
-            jobs.push((
-                cell_builder(arch, 32).into_config(),
-                TraceSpec::synth(profile.clone(), seed, records as u64),
-            ));
-            labels.push(format!("{name}-{}", arch.slug()));
+        for arch in Architecture::all_paper() {
+            jobs.push(Job {
+                config: cell_builder(arch, 32).into_config(),
+                trace: TraceSpec::synth(profile.clone(), seed, records as u64),
+                label: format!("{name}-{}", arch.slug()),
+            });
         }
     }
     let opts = RunOptions {
@@ -65,29 +63,12 @@ fn main() {
         snapshot,
         epoch_cycles: observe.as_ref().map(|o| o.epoch_cycles),
     };
-    let runs = run_configs_spec(&jobs, &labels, &opts).expect("tail cells run");
-    let metrics: Vec<_> = if let Some(obs) = &observe {
-        let mut metrics = Vec::new();
-        let mut observed = Vec::new();
-        for ((label, (m, series)), arch) in labels
-            .iter()
-            .zip(runs)
-            .zip(workloads.iter().flat_map(|_| Architecture::all_paper()))
-        {
-            metrics.push(m);
-            observed.push(ObservedSeries {
-                arch,
-                workload: label.clone(),
-                banks_per_rank: 32,
-                series: series.expect("observation was requested"),
-            });
-        }
-        write_observed_jsonl(&obs.path, &observed).expect("writing the epoch JSONL");
-        eprintln!("wrote {} epoch series to {}", observed.len(), obs.path);
-        metrics
-    } else {
-        runs.into_iter().map(|(m, _)| m).collect()
-    };
+    let runs = run(&jobs, &opts).expect("tail cells run");
+    if let Some(obs) = &observe {
+        write_observed_jsonl(&obs.path, &jobs, &runs).expect("writing the epoch JSONL");
+        eprintln!("wrote {} epoch series to {}", runs.len(), obs.path);
+    }
+    let metrics: Vec<_> = runs.into_iter().map(|(m, _)| m).collect();
 
     for (bench, cells) in workloads.iter().zip(metrics.chunks_exact(4)) {
         println!("\n{bench} ({records} records) - latencies in ns");

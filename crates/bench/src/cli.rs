@@ -32,7 +32,7 @@ pub struct ObserveSpec {
 
 /// A validated `--resume PATH [--snapshot-every N]` request: restore
 /// from `path` when the file exists, and (with a cadence) rewrite it
-/// every `every` records (see `wom_pcm_bench::sharded`).
+/// every `every` records (see [`crate::run`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotSpec {
     /// Snapshot cadence in trace records; `None` = restore only.

@@ -3,25 +3,23 @@
 //! Each figure has a binary (`fig5`, `fig6`, `fig7`, `table1`, `bounds`)
 //! that prints the same rows/series the paper reports, plus timing
 //! benches over the same code paths. The functions here are the shared
-//! machinery: run one (architecture × workload) cell, sweep the paper's
-//! parameter spaces in parallel (see [`run_cells_parallel`]), and format
-//! results. Every cell is an independent deterministic simulation, so
-//! sweeps parallelize perfectly and results are identical at any thread
-//! count.
+//! machinery: build the paper's sweeps as [`Job`]s, execute them with
+//! [`run`] (the one runner; see [`RunOptions`]), fold the metrics into
+//! figure rows, and format results. Every job is an independent
+//! deterministic simulation, so sweeps parallelize perfectly and results
+//! are identical at any thread count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pcm_sim::Cycle;
 use pcm_trace::stream::{TraceProfile, TraceSpec};
-use pcm_trace::synth::{benchmarks, WorkloadProfile};
-use wom_pcm::{
-    Architecture, EpochSeries, RunMetrics, Session, SessionSpec, SystemBuilder, SystemConfig,
-    WomPcmError,
-};
+use pcm_trace::synth::benchmarks;
+use wom_pcm::{Architecture, EpochSeries, RunMetrics, SystemBuilder, WomPcmError};
 
 pub mod cli;
-pub mod sharded;
+mod runner;
+
+pub use runner::{run, Job, RunOptions};
 
 /// Default records per run for figure regeneration. Large enough for
 /// steady-state behaviour, small enough that all 80 Fig. 5 cells run in
@@ -36,28 +34,6 @@ pub const DEFAULT_SEED: u64 = 2014; // the paper's year
 /// rows only bound the simulator's lazily-allocated state.
 pub const EXPERIMENT_ROWS_PER_BANK: u32 = 4096;
 
-/// Runs one workload through one architecture and returns its metrics.
-///
-/// The trace is streamed from the profile's lazy generator — no cell ever
-/// materializes its records, so sweep memory is bounded by the chunk
-/// size, not the record count.
-///
-/// # Errors
-///
-/// Propagates [`WomPcmError`] from system construction or the run.
-pub fn run_cell(
-    arch: Architecture,
-    profile: &TraceProfile,
-    records: usize,
-    seed: u64,
-    banks_per_rank: u32,
-) -> Result<RunMetrics, WomPcmError> {
-    let mut source = profile.source(seed, records as u64)?;
-    let mut session = cell_builder(arch, banks_per_rank).open()?;
-    session.feed_source(&mut source)?;
-    session.finish()
-}
-
 /// The experiment-cell configuration as a [`SystemBuilder`]: the paper's
 /// defaults at `banks_per_rank`. The Figs. 6-7 sweep reorganizes a
 /// fixed-capacity device: fewer banks per rank means proportionally more
@@ -70,30 +46,23 @@ pub fn cell_builder(arch: Architecture, banks_per_rank: u32) -> SystemBuilder {
         .rows_per_bank(EXPERIMENT_ROWS_PER_BANK * 32 / banks_per_rank)
 }
 
-/// [`run_cell`] with epoch observation enabled: returns the run's
-/// metrics plus its recorded epoch time-series.
-///
-/// # Errors
-///
-/// Propagates [`WomPcmError`] from system construction or the run.
-pub fn run_cell_observed(
+/// One experiment cell as a [`Job`]: [`cell_builder`]'s configuration
+/// over `records` records of `profile` (streamed from its lazy
+/// generator, never materialized), labelled with the profile's name.
+#[must_use]
+pub fn cell_job(
     arch: Architecture,
-    profile: &TraceProfile,
+    profile: impl Into<TraceProfile>,
     records: usize,
     seed: u64,
     banks_per_rank: u32,
-    epoch_cycles: Cycle,
-) -> Result<(RunMetrics, EpochSeries), WomPcmError> {
-    let mut source = profile.source(seed, records as u64)?;
-    let mut session = cell_builder(arch, banks_per_rank)
-        .epoch_cycles(epoch_cycles)
-        .open()?;
-    session.feed_source(&mut source)?;
-    let metrics = session.finish()?;
-    let series = session.into_epochs().ok_or_else(|| {
-        WomPcmError::Internal("epoch observation was enabled but recorded no series".into())
-    })?;
-    Ok((metrics, series))
+) -> Job {
+    let profile = profile.into();
+    Job {
+        config: cell_builder(arch, banks_per_rank).into_config(),
+        label: profile.name().to_string(),
+        trace: TraceSpec::synth(profile, seed, records as u64),
+    }
 }
 
 /// Work distribution for experiment sweeps: a dependency-free parallel
@@ -150,181 +119,39 @@ pub mod parallel {
     }
 }
 
-/// One cell of an experiment sweep: one architecture over one workload.
-#[derive(Debug, Clone)]
-pub struct CellSpec {
-    /// Architecture to simulate.
-    pub arch: Architecture,
-    /// Workload profile generating the trace (paper suite or datacenter).
-    pub profile: TraceProfile,
-    /// Trace records to generate.
-    pub records: usize,
-    /// Trace RNG seed.
-    pub seed: u64,
-    /// Banks per rank (32 is the paper's default organization).
-    pub banks_per_rank: u32,
-}
-
-impl CellSpec {
-    /// A cell at the paper's default 32 banks/rank.
-    #[must_use]
-    pub fn new(
-        arch: Architecture,
-        profile: impl Into<TraceProfile>,
-        records: usize,
-        seed: u64,
-    ) -> Self {
-        Self {
-            arch,
-            profile: profile.into(),
-            records,
-            seed,
-            banks_per_rank: 32,
-        }
-    }
-}
-
-/// Runs a batch of independent cells on up to `threads` worker threads,
-/// returning metrics in cell order — bit-identical to running the cells
-/// serially through [`run_cell`].
+/// Writes the epoch series of observed runs to `path` as one JSON-Lines
+/// file (see [`wom_pcm::observe::write_jsonl`]). Each line carries its
+/// job's tags: `arch` and `banks_per_rank` from the job's configuration,
+/// and the job's label as `workload`.
 ///
 /// # Errors
 ///
-/// Propagates the first (by cell order) [`WomPcmError`] of any cell.
-pub fn run_cells_parallel(
-    cells: &[CellSpec],
-    threads: usize,
-) -> Result<Vec<RunMetrics>, WomPcmError> {
-    parallel::map(cells, threads, |c| {
-        run_cell(c.arch, &c.profile, c.records, c.seed, c.banks_per_rank)
-    })
-    .into_iter()
-    .collect()
-}
-
-/// One observed cell's epoch time-series plus the tags identifying it
-/// in exported JSON-Lines (`arch`, `workload`, `banks_per_rank`).
-#[derive(Debug, Clone)]
-pub struct ObservedSeries {
-    /// Architecture the cell simulated.
-    pub arch: Architecture,
-    /// Workload name (the `workload` tag).
-    pub workload: String,
-    /// Banks per rank (the `banks_per_rank` tag).
-    pub banks_per_rank: u32,
-    /// The recorded epoch series.
-    pub series: EpochSeries,
-}
-
-/// [`run_cells_parallel`] with epoch observation: every cell also
-/// records a `epoch_cycles`-wide time-series, returned alongside the
-/// metrics in cell order.
-///
-/// # Errors
-///
-/// Propagates the first (by cell order) [`WomPcmError`] of any cell.
-pub fn run_cells_observed(
-    cells: &[CellSpec],
-    threads: usize,
-    epoch_cycles: Cycle,
-) -> Result<(Vec<RunMetrics>, Vec<ObservedSeries>), WomPcmError> {
-    let results: Vec<(RunMetrics, EpochSeries)> = parallel::map(cells, threads, |c| {
-        run_cell_observed(
-            c.arch,
-            &c.profile,
-            c.records,
-            c.seed,
-            c.banks_per_rank,
-            epoch_cycles,
-        )
-    })
-    .into_iter()
-    .collect::<Result<_, _>>()?;
-    let mut metrics = Vec::with_capacity(cells.len());
-    let mut observed = Vec::with_capacity(cells.len());
-    for (c, (m, series)) in cells.iter().zip(results) {
-        metrics.push(m);
-        observed.push(ObservedSeries {
-            arch: c.arch,
-            workload: c.profile.name().to_string(),
-            banks_per_rank: c.banks_per_rank,
-            series,
-        });
-    }
-    Ok((metrics, observed))
-}
-
-/// Writes a batch of observed epoch series to `path` as one JSON-Lines
-/// file; each line carries its cell's identifying tags (see
-/// [`wom_pcm::observe::write_jsonl`]).
-///
-/// # Errors
-///
-/// Propagates I/O errors from creating or writing the file.
-pub fn write_observed_jsonl(path: &str, observed: &[ObservedSeries]) -> std::io::Result<()> {
+/// Propagates I/O errors from creating or writing the file, and returns
+/// [`std::io::ErrorKind::InvalidInput`] for a run that recorded no
+/// epoch series (run without [`RunOptions::epoch_cycles`]).
+pub fn write_observed_jsonl(
+    path: &str,
+    jobs: &[Job],
+    runs: &[(RunMetrics, Option<EpochSeries>)],
+) -> std::io::Result<()> {
     use std::io::Write as _;
     let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-    for o in observed {
-        let banks = o.banks_per_rank.to_string();
+    for (job, (_, series)) in jobs.iter().zip(runs) {
+        let series = series.as_ref().ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("job '{}' recorded no epoch series", job.label),
+            )
+        })?;
+        let banks = job.config.mem().geometry.banks_per_rank.to_string();
         let tags = [
-            ("arch", o.arch.label()),
-            ("workload", o.workload.as_str()),
+            ("arch", job.config.arch().label()),
+            ("workload", job.label.as_str()),
             ("banks_per_rank", banks.as_str()),
         ];
-        wom_pcm::observe::write_jsonl(&mut w, &o.series, &tags)?;
+        wom_pcm::observe::write_jsonl(&mut w, series, &tags)?;
     }
     w.flush()
-}
-
-/// Runs pre-built `(config, trace spec)` cells on up to `threads`
-/// workers — the custom-config sibling of [`run_cells_parallel`] for
-/// ablation-style sweeps whose cells differ by more than architecture and
-/// bank count. Every worker opens a private streaming source from its
-/// spec (see [`TraceSpec::open`]), so cells never share reader state and
-/// each replays the identical record stream. Results come back in cell
-/// order, identical at any thread count.
-///
-/// # Errors
-///
-/// Propagates the first (by cell order) [`WomPcmError`] of any cell.
-pub fn run_configs_parallel(
-    jobs: &[(SystemConfig, TraceSpec)],
-    threads: usize,
-) -> Result<Vec<RunMetrics>, WomPcmError> {
-    parallel::map(jobs, threads, |(cfg, spec)| {
-        let mut source = spec.open()?;
-        let mut session = Session::open(cfg.clone())?;
-        session.feed_source(&mut source)?;
-        session.finish()
-    })
-    .into_iter()
-    .collect()
-}
-
-/// [`run_configs_parallel`] with epoch observation: each job's config is
-/// run with an `epoch_cycles`-wide epoch recorder attached, and its
-/// series is returned alongside the metrics.
-///
-/// # Errors
-///
-/// Propagates the first (by cell order) [`WomPcmError`] of any cell.
-pub fn run_configs_observed(
-    jobs: &[(SystemConfig, TraceSpec)],
-    threads: usize,
-    epoch_cycles: Cycle,
-) -> Result<Vec<(RunMetrics, EpochSeries)>, WomPcmError> {
-    parallel::map(jobs, threads, |(cfg, spec)| {
-        let mut source = spec.open()?;
-        let mut session = Session::open(SessionSpec::new(cfg.clone()).epoch_cycles(epoch_cycles))?;
-        session.feed_source(&mut source)?;
-        let metrics = session.finish()?;
-        let series = session.into_epochs().ok_or_else(|| {
-            WomPcmError::Internal("epoch observation was enabled but recorded no series".into())
-        })?;
-        Ok((metrics, series))
-    })
-    .into_iter()
-    .collect()
 }
 
 /// One benchmark's row of Fig. 5: normalized write and read latency for
@@ -340,104 +167,52 @@ pub struct Fig5Row {
     pub read: [f64; 4],
 }
 
-/// Regenerates Fig. 5 (both panels) for the paper's 20 workloads,
-/// running the 80 (architecture × workload) cells on `threads` workers.
-///
-/// # Errors
-///
-/// Propagates errors from any cell.
-///
-/// # Panics
-///
-/// Panics if a run records no reads or writes (cannot happen for the
-/// bundled profiles with a non-trivial record count).
-pub fn fig5(records: usize, seed: u64, threads: usize) -> Result<Vec<Fig5Row>, WomPcmError> {
-    let metrics = run_cells_parallel(&fig5_specs(records, seed), threads)?;
-    Ok(fig5_rows(&metrics))
-}
-
-/// [`fig5`] with epoch observation: also returns one tagged epoch series
-/// per (architecture × workload) cell.
-///
-/// # Errors
-///
-/// Propagates errors from any cell.
-///
-/// # Panics
-///
-/// Panics if a run records no reads or writes (cannot happen for the
-/// bundled profiles with a non-trivial record count).
-pub fn fig5_observed(
-    records: usize,
-    seed: u64,
-    threads: usize,
-    epoch_cycles: Cycle,
-) -> Result<(Vec<Fig5Row>, Vec<ObservedSeries>), WomPcmError> {
-    let (metrics, observed) =
-        run_cells_observed(&fig5_specs(records, seed), threads, epoch_cycles)?;
-    Ok((fig5_rows(&metrics), observed))
-}
-
-/// The 80 (architecture × workload) cells of Fig. 5, in row order.
-fn fig5_specs(records: usize, seed: u64) -> Vec<CellSpec> {
+/// The 80 (workload × architecture) cells of Fig. 5, in row order: the
+/// paper's 20 workloads, each under its four architectures.
+#[must_use]
+pub fn fig5_jobs(records: usize, seed: u64) -> Vec<Job> {
     benchmarks::all()
-        .iter()
+        .into_iter()
         .flat_map(|profile| {
-            Architecture::all_paper()
-                .iter()
-                .map(|&arch| CellSpec::new(arch, profile.clone(), records, seed))
-                .collect::<Vec<_>>()
+            Architecture::all_paper().map(|arch| cell_job(arch, profile.clone(), records, seed, 32))
         })
         .collect()
 }
 
-/// Folds [`fig5_specs`]-ordered metrics into normalized Fig. 5 rows.
-fn fig5_rows(metrics: &[RunMetrics]) -> Vec<Fig5Row> {
-    let profiles = benchmarks::all();
-    let mut rows = Vec::new();
-    for (profile, cells) in profiles.iter().zip(metrics.chunks_exact(4)) {
-        let base = &cells[0];
-        let write = [
-            1.0,
-            cells[1]
-                .normalized_write_latency(base)
-                .expect("writes recorded"),
-            cells[2]
-                .normalized_write_latency(base)
-                .expect("writes recorded"),
-            cells[3]
-                .normalized_write_latency(base)
-                .expect("writes recorded"),
-        ];
-        let read = [
-            1.0,
-            cells[1]
-                .normalized_read_latency(base)
-                .expect("reads recorded"),
-            cells[2]
-                .normalized_read_latency(base)
-                .expect("reads recorded"),
-            cells[3]
-                .normalized_read_latency(base)
-                .expect("reads recorded"),
-        ];
-        rows.push(Fig5Row {
-            benchmark: profile.name.clone(),
-            write,
-            read,
-        });
-    }
-    rows
-}
-
-/// Serial [`fig5`] — kept for spot checks and the parallel-equivalence
-/// test.
+/// Folds [`fig5_jobs`]-ordered metrics into normalized Fig. 5 rows.
 ///
 /// # Errors
 ///
-/// Propagates errors from any cell.
-pub fn fig5_serial(records: usize, seed: u64) -> Result<Vec<Fig5Row>, WomPcmError> {
-    fig5(records, seed, 1)
+/// Returns [`WomPcmError::Internal`] when a run recorded no reads or no
+/// writes, so there is no latency to normalize.
+pub fn fig5_rows(metrics: &[RunMetrics]) -> Result<Vec<Fig5Row>, WomPcmError> {
+    let missing = |benchmark: &str, ops: &str| {
+        WomPcmError::Internal(format!("{benchmark}: a run recorded no {ops}"))
+    };
+    benchmarks::all()
+        .into_iter()
+        .zip(metrics.chunks_exact(4))
+        .map(|(profile, cells)| {
+            let mut write = [1.0; 4];
+            let mut read = [1.0; 4];
+            if let Some((base, others)) = cells.split_first() {
+                let columns = write.iter_mut().zip(read.iter_mut()).skip(1);
+                for ((w, r), m) in columns.zip(others) {
+                    *w = m
+                        .normalized_write_latency(base)
+                        .ok_or_else(|| missing(&profile.name, "writes"))?;
+                    *r = m
+                        .normalized_read_latency(base)
+                        .ok_or_else(|| missing(&profile.name, "reads"))?;
+                }
+            }
+            Ok(Fig5Row {
+                benchmark: profile.name,
+                write,
+                read,
+            })
+        })
+        .collect()
 }
 
 /// The paper's "on average across the benchmarks": arithmetic mean of
@@ -473,126 +248,56 @@ pub struct BankSweepPoint {
     pub mean_write_ns: f64,
 }
 
-/// Regenerates the Figs. 6–7 banks/rank sweep for one workload, running
-/// the four points on `threads` workers.
-///
-/// # Errors
-///
-/// Propagates errors from any cell.
-///
-/// # Panics
-///
-/// Panics if a run reports no cache statistics (cannot happen: the sweep
-/// always runs WCPCM).
-pub fn bank_sweep(
-    profile: &WorkloadProfile,
-    records: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<Vec<BankSweepPoint>, WomPcmError> {
-    const BANKS: [u32; 4] = [4, 8, 16, 32];
-    let specs: Vec<CellSpec> = BANKS
-        .iter()
-        .map(|&banks| CellSpec {
-            banks_per_rank: banks,
-            ..CellSpec::new(Architecture::Wcpcm, profile.clone(), records, seed)
-        })
-        .collect();
-    let metrics = run_cells_parallel(&specs, threads)?;
-    Ok(BANKS
-        .iter()
-        .zip(&metrics)
-        .map(|(&banks, m)| {
-            let cache = m.cache.expect("wcpcm reports cache stats");
-            BankSweepPoint {
-                banks_per_rank: banks,
-                hit_rate: cache.hit_rate(),
-                write_hit_rate: cache.write_hit_rate(),
-                mean_write_ns: m.mean_write_ns(),
-            }
-        })
-        .collect())
-}
-
 /// One `(workload name, points)` pair per bundled workload, in catalog
-/// order — the shape both bank-sweep drivers return.
+/// order — the shape [`bank_sweep_fold`] returns.
 pub type BankSweep = Vec<(String, Vec<BankSweepPoint>)>;
-
-/// Runs the banks/rank sweep for all 20 bundled workloads as one
-/// parallel batch (80 cells), returning `(workload name, points)` pairs
-/// in catalog order.
-///
-/// # Errors
-///
-/// Propagates errors from any cell.
-///
-/// # Panics
-///
-/// Panics if a run reports no cache statistics (cannot happen: the sweep
-/// always runs WCPCM).
-pub fn bank_sweep_all(records: usize, seed: u64, threads: usize) -> Result<BankSweep, WomPcmError> {
-    let metrics = run_cells_parallel(&bank_sweep_specs(records, seed), threads)?;
-    Ok(bank_sweep_fold(&metrics))
-}
-
-/// [`bank_sweep_all`] with epoch observation: also returns one tagged
-/// epoch series per (workload × banks/rank) cell.
-///
-/// # Errors
-///
-/// Propagates errors from any cell.
-///
-/// # Panics
-///
-/// Panics if a run reports no cache statistics (cannot happen: the sweep
-/// always runs WCPCM).
-pub fn bank_sweep_all_observed(
-    records: usize,
-    seed: u64,
-    threads: usize,
-    epoch_cycles: Cycle,
-) -> Result<(BankSweep, Vec<ObservedSeries>), WomPcmError> {
-    let (metrics, observed) =
-        run_cells_observed(&bank_sweep_specs(records, seed), threads, epoch_cycles)?;
-    Ok((bank_sweep_fold(&metrics), observed))
-}
 
 /// The Figs. 6–7 bank counts, in sweep order.
 const SWEEP_BANKS: [u32; 4] = [4, 8, 16, 32];
 
-/// The 80 (workload × banks/rank) WCPCM cells of Figs. 6–7.
-fn bank_sweep_specs(records: usize, seed: u64) -> Vec<CellSpec> {
+/// The 80 (workload × banks/rank) WCPCM cells of Figs. 6–7, in catalog
+/// order with the bank counts 4, 8, 16 and 32 inside each workload.
+#[must_use]
+pub fn bank_sweep_jobs(records: usize, seed: u64) -> Vec<Job> {
     benchmarks::all()
-        .iter()
+        .into_iter()
         .flat_map(|profile| {
-            SWEEP_BANKS.map(|banks| CellSpec {
-                banks_per_rank: banks,
-                ..CellSpec::new(Architecture::Wcpcm, profile.clone(), records, seed)
-            })
+            SWEEP_BANKS
+                .map(|banks| cell_job(Architecture::Wcpcm, profile.clone(), records, seed, banks))
         })
         .collect()
 }
 
-/// Folds [`bank_sweep_specs`]-ordered metrics into per-workload points.
-fn bank_sweep_fold(metrics: &[RunMetrics]) -> BankSweep {
+/// Folds [`bank_sweep_jobs`]-ordered metrics into per-workload points.
+///
+/// # Errors
+///
+/// Returns [`WomPcmError::Internal`] when a run reports no WOM-cache
+/// statistics (every sweep job runs WCPCM, which always does).
+pub fn bank_sweep_fold(metrics: &[RunMetrics]) -> Result<BankSweep, WomPcmError> {
     benchmarks::all()
-        .iter()
+        .into_iter()
         .zip(metrics.chunks_exact(4))
         .map(|(profile, cells)| {
             let points = SWEEP_BANKS
                 .iter()
                 .zip(cells)
                 .map(|(&banks, m)| {
-                    let cache = m.cache.expect("wcpcm reports cache stats");
-                    BankSweepPoint {
+                    let cache = m.cache.ok_or_else(|| {
+                        WomPcmError::Internal(format!(
+                            "{}: a WCPCM run reported no cache statistics",
+                            profile.name
+                        ))
+                    })?;
+                    Ok(BankSweepPoint {
                         banks_per_rank: banks,
                         hit_rate: cache.hit_rate(),
                         write_hit_rate: cache.write_hit_rate(),
                         mean_write_ns: m.mean_write_ns(),
-                    }
+                    })
                 })
-                .collect();
-            (profile.name.clone(), points)
+                .collect::<Result<_, WomPcmError>>()?;
+            Ok((profile.name, points))
         })
         .collect()
 }
@@ -607,12 +312,25 @@ pub fn reduction_pct(normalized: f64) -> f64 {
 mod tests {
     use super::*;
 
+    fn metrics(runs: Vec<(RunMetrics, Option<EpochSeries>)>) -> Vec<RunMetrics> {
+        runs.into_iter().map(|(m, _)| m).collect()
+    }
+
+    fn threads(threads: usize) -> RunOptions {
+        RunOptions {
+            threads,
+            ..RunOptions::default()
+        }
+    }
+
     #[test]
-    fn run_cell_produces_metrics() {
+    fn cell_job_produces_metrics() {
         let profile = benchmarks::by_name("stringsearch").unwrap();
-        let m = run_cell(Architecture::Baseline, &profile.into(), 2_000, 1, 32).unwrap();
-        assert!(m.writes.count > 0);
-        assert!(m.reads.count > 0);
+        let job = cell_job(Architecture::Baseline, profile, 2_000, 1, 32);
+        assert_eq!(job.label, "stringsearch");
+        let m = metrics(run(&[job], &RunOptions::default()).unwrap());
+        assert!(m[0].writes.count > 0);
+        assert!(m[0].reads.count > 0);
     }
 
     #[test]
@@ -637,11 +355,24 @@ mod tests {
 
     #[test]
     fn bank_sweep_runs_all_four_points() {
-        let profile = benchmarks::by_name("stringsearch").unwrap();
-        let points = bank_sweep(&profile, 2_000, 1, 2).unwrap();
+        let jobs = bank_sweep_jobs(2_000, 1);
+        assert_eq!(jobs.len(), 80);
+        let sweep = bank_sweep_fold(&metrics(run(&jobs[..4], &threads(2)).unwrap())).unwrap();
+        assert_eq!(sweep.len(), 1);
+        let points = &sweep[0].1;
         assert_eq!(points.len(), 4);
         assert_eq!(points[0].banks_per_rank, 4);
         assert_eq!(points[3].banks_per_rank, 32);
+    }
+
+    #[test]
+    fn folds_return_typed_errors_for_empty_runs() {
+        let empty = vec![RunMetrics::default(); 4];
+        assert!(matches!(fig5_rows(&empty), Err(WomPcmError::Internal(_))));
+        assert!(matches!(
+            bank_sweep_fold(&empty),
+            Err(WomPcmError::Internal(_))
+        ));
     }
 
     #[test]
@@ -655,23 +386,19 @@ mod tests {
     }
 
     /// The acceptance bar for the sweep runner: a multi-threaded sweep is
-    /// bit-identical to the serial one (each cell is an independent
+    /// bit-identical to the serial one (each job is an independent
     /// deterministic simulation; threading only changes scheduling).
     #[test]
     fn parallel_cells_match_serial_exactly() {
-        let profiles = ["qsort", "mad", "typeset"];
-        let specs: Vec<CellSpec> = profiles
+        let jobs: Vec<Job> = ["qsort", "mad", "typeset"]
             .iter()
             .flat_map(|name| {
                 let profile = benchmarks::by_name(name).unwrap();
-                Architecture::all_paper()
-                    .iter()
-                    .map(|&arch| CellSpec::new(arch, profile.clone(), 2_000, 7))
-                    .collect::<Vec<_>>()
+                Architecture::all_paper().map(|arch| cell_job(arch, profile.clone(), 2_000, 7, 32))
             })
             .collect();
-        let serial = run_cells_parallel(&specs, 1).unwrap();
-        let parallel = run_cells_parallel(&specs, 4).unwrap();
+        let serial = metrics(run(&jobs, &threads(1)).unwrap());
+        let parallel = metrics(run(&jobs, &threads(4)).unwrap());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(format!("{s:#?}"), format!("{p:#?}"));
         }

@@ -13,24 +13,34 @@
 use pcm_trace::stream::TraceSpec;
 use pcm_trace::synth::benchmarks;
 use std::path::PathBuf;
-use wom_pcm::{Architecture, SystemConfig};
-use wom_pcm_bench::cell_builder;
+use wom_pcm::{Architecture, EpochSeries, RunMetrics};
 use wom_pcm_bench::cli::SnapshotSpec;
-use wom_pcm_bench::sharded::{
-    run_resumable, run_sharded, run_sharded_observed, run_spec, RunOptions,
-};
+use wom_pcm_bench::{cell_builder, run, Job, RunOptions};
 
 const SHARDS: u32 = 8;
 const RECORDS: u64 = 6_000;
 const SEED: u64 = 7;
 
-fn config(arch: Architecture) -> SystemConfig {
-    cell_builder(arch, 32).into_config()
+fn job(arch: Architecture, records: u64) -> Job {
+    let profile = benchmarks::by_name("qsort").expect("bundled workload");
+    Job {
+        config: cell_builder(arch, 32).into_config(),
+        trace: TraceSpec::synth(profile, SEED, records),
+        label: String::new(),
+    }
 }
 
-fn spec(records: u64) -> TraceSpec {
-    let profile = benchmarks::by_name("qsort").expect("bundled workload");
-    TraceSpec::synth(profile, SEED, records)
+/// Runs one job under `opts`, returning its metrics and epoch series.
+fn run_one(job: Job, opts: &RunOptions) -> (RunMetrics, Option<EpochSeries>) {
+    run(&[job], opts).expect("job runs").remove(0)
+}
+
+fn sharded(threads: usize) -> RunOptions {
+    RunOptions {
+        shards: SHARDS,
+        threads,
+        ..RunOptions::default()
+    }
 }
 
 /// A per-test scratch path under the cargo-managed tmp dir, cleared of
@@ -47,12 +57,9 @@ fn scratch(name: &str) -> PathBuf {
 
 #[test]
 fn pooled_merge_matches_serial_merge_for_all_architectures() {
-    let spec = spec(RECORDS);
     for arch in Architecture::all_paper() {
-        let cfg = config(arch);
-        let serial = run_sharded(&cfg, &spec, SHARDS, 1).expect("serial shard pass runs");
-        let pooled =
-            run_sharded(&cfg, &spec, SHARDS, SHARDS as usize).expect("pooled shard pass runs");
+        let serial = run_one(job(arch, RECORDS), &sharded(1)).0;
+        let pooled = run_one(job(arch, RECORDS), &sharded(SHARDS as usize)).0;
         assert_eq!(
             format!("{serial:#?}"),
             format!("{pooled:#?}"),
@@ -64,24 +71,24 @@ fn pooled_merge_matches_serial_merge_for_all_architectures() {
 
 #[test]
 fn observed_epoch_series_merge_is_thread_count_independent() {
-    let spec = spec(RECORDS);
-    let cfg = config(Architecture::WomCodeRefresh);
-    let (m1, s1) =
-        run_sharded_observed(&cfg, &spec, SHARDS, 1, 10_000).expect("serial observed pass runs");
-    let (m8, s8) = run_sharded_observed(&cfg, &spec, SHARDS, SHARDS as usize, 10_000)
-        .expect("pooled observed pass runs");
+    let observed = |threads| RunOptions {
+        epoch_cycles: Some(10_000),
+        ..sharded(threads)
+    };
+    let (m1, s1) = run_one(job(Architecture::WomCodeRefresh, RECORDS), &observed(1));
+    let (m8, s8) = run_one(
+        job(Architecture::WomCodeRefresh, RECORDS),
+        &observed(SHARDS as usize),
+    );
+    assert!(s1.is_some(), "observation was requested");
     assert_eq!(format!("{m1:#?}"), format!("{m8:#?}"));
     assert_eq!(format!("{s1:#?}"), format!("{s8:#?}"));
 }
 
 #[test]
 fn interrupted_resume_matches_uninterrupted_run() {
-    let full = spec(RECORDS);
     for arch in Architecture::all_paper() {
-        let cfg = config(arch);
-        let uninterrupted = run_spec(&cfg, &full, &RunOptions::plain())
-            .expect("reference run")
-            .0;
+        let uninterrupted = run_one(job(arch, RECORDS), &RunOptions::default()).0;
 
         // "Interrupt" by running a truncated spec — the synth generator
         // is a prefix-stable stream, so the first 3000 records of the
@@ -92,11 +99,19 @@ fn interrupted_resume_matches_uninterrupted_run() {
                 .display()
                 .to_string(),
         };
-        let _ = run_resumable(&cfg, &spec(RECORDS / 2), &snap).expect("interrupted prefix runs");
+        let resumable = RunOptions {
+            snapshot: Some(snap.clone()),
+            ..RunOptions::default()
+        };
+        let _ = run_one(job(arch, RECORDS / 2), &resumable);
+        assert!(
+            std::path::Path::new(&snap.path).exists(),
+            "the interrupted run wrote its snapshot"
+        );
 
         // Same command line, full spec: restores from the snapshot, skips
         // the consumed prefix, and finishes.
-        let resumed = run_resumable(&cfg, &full, &snap).expect("resumed run finishes");
+        let resumed = run_one(job(arch, RECORDS), &resumable).0;
         assert_eq!(
             format!("{uninterrupted:#?}"),
             format!("{resumed:#?}"),
@@ -108,9 +123,7 @@ fn interrupted_resume_matches_uninterrupted_run() {
 
 #[test]
 fn sharded_interrupted_resume_matches_uninterrupted_sharded_run() {
-    let full = spec(RECORDS);
-    let cfg = config(Architecture::Wcpcm);
-    let uninterrupted = run_sharded(&cfg, &full, SHARDS, 1).expect("reference sharded run");
+    let uninterrupted = run_one(job(Architecture::Wcpcm, RECORDS), &sharded(1)).0;
 
     let base = scratch("resume-sharded.womsnap");
     for i in 0..SHARDS {
@@ -129,15 +142,11 @@ fn sharded_interrupted_resume_matches_uninterrupted_sharded_run() {
         path: base.display().to_string(),
     };
     let opts = RunOptions {
-        shards: SHARDS,
-        threads: SHARDS as usize,
         snapshot: Some(snap),
-        epoch_cycles: None,
+        ..sharded(SHARDS as usize)
     };
-    let _ = run_spec(&cfg, &spec(RECORDS / 2), &opts).expect("interrupted sharded prefix runs");
-    let resumed = run_spec(&cfg, &full, &opts)
-        .expect("resumed sharded run finishes")
-        .0;
+    let _ = run_one(job(Architecture::Wcpcm, RECORDS / 2), &opts);
+    let resumed = run_one(job(Architecture::Wcpcm, RECORDS), &opts).0;
     assert_eq!(
         format!("{uninterrupted:#?}"),
         format!("{resumed:#?}"),

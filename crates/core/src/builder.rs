@@ -1,10 +1,11 @@
-//! Fluent construction of [`WomPcmSystem`]s for experiments.
+//! Fluent construction of simulation configurations and
+//! [`Session`](crate::session::Session)s for experiments.
 
 use crate::arch::{Architecture, Organization};
+use crate::config::SystemConfig;
 use crate::error::WomPcmError;
 use crate::observe::Observer;
 use crate::refresh::RefreshConfig;
-use crate::system::{SystemConfig, WomPcmSystem};
 use crate::wom_state::{BudgetGranularity, ColdPolicy};
 use pcm_sim::{Cycle, MemConfig, SchedulerPolicy, TimingParams};
 
@@ -27,7 +28,7 @@ use pcm_sim::{Cycle, MemConfig, SchedulerPolicy, TimingParams};
 #[derive(Debug)]
 pub struct SystemBuilder {
     config: SystemConfig,
-    /// Custom observer to attach at build time (overrides the epoch
+    /// Custom observer to attach at open time (overrides the epoch
     /// recorder implied by `config.epoch_cycles`). Boxed trait objects
     /// are not `Clone`, so neither is the builder.
     observer: Option<Box<dyn Observer>>,
@@ -183,7 +184,7 @@ impl SystemBuilder {
         self
     }
 
-    /// Enables epoch observation: the built system folds instrumentation
+    /// Enables epoch observation: the opened session folds instrumentation
     /// events into `width`-cycle epochs (see [`crate::observe`]),
     /// streamed with [`Session::poll_epochs`](crate::session::Session::poll_epochs)
     /// or taken with [`Session::into_epochs`](crate::session::Session::into_epochs).
@@ -194,7 +195,7 @@ impl SystemBuilder {
         self
     }
 
-    /// Attaches a custom [`Observer`] to the built system, receiving
+    /// Attaches a custom [`Observer`] to the opened session, receiving
     /// every instrumentation event (overrides
     /// [`epoch_cycles`](Self::epoch_cycles)).
     #[must_use]
@@ -210,7 +211,7 @@ impl SystemBuilder {
     }
 
     /// Consumes the builder, returning the assembled configuration (for
-    /// sweep runners that construct systems themselves; a custom
+    /// sweep runners that open sessions themselves; a custom
     /// [`observer`](Self::observer) cannot travel through a
     /// `SystemConfig` and is dropped).
     #[must_use]
@@ -218,23 +219,9 @@ impl SystemBuilder {
         self.config
     }
 
-    /// Builds the system.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WomPcmError::InvalidConfig`] when the assembled
-    /// configuration is inconsistent.
-    pub fn build(self) -> Result<WomPcmSystem, WomPcmError> {
-        let mut sys = WomPcmSystem::new(self.config)?;
-        if let Some(observer) = self.observer {
-            sys.attach_observer(observer);
-        }
-        Ok(sys)
-    }
-
     /// Opens a [`Session`](crate::session::Session) over the assembled
-    /// configuration — the recommended driving surface (see
-    /// [`crate::session`]). A custom [`observer`](Self::observer) is
+    /// configuration (see [`crate::session`]). A custom
+    /// [`observer`](Self::observer) is
     /// attached to the session; such sessions cannot
     /// [`checkpoint`](crate::session::Session::checkpoint).
     ///
@@ -285,7 +272,7 @@ mod tests {
         assert_eq!(c.refresh.threshold_pct, 25);
         assert_eq!(c.refresh.table_depth, 7);
         assert_eq!(c.wear_leveling, Some(100));
-        b.build().unwrap();
+        b.open().unwrap();
     }
 
     #[test]
@@ -312,7 +299,7 @@ mod tests {
     }
 
     #[test]
-    fn custom_observer_is_attached_at_build() {
+    fn custom_observer_is_attached_at_open() {
         use crate::observe::{Event, Observer};
 
         #[derive(Debug, Default)]
@@ -336,18 +323,18 @@ mod tests {
     }
 
     #[test]
-    fn invalid_geometry_is_rejected_at_build() {
+    fn invalid_geometry_is_rejected_at_open() {
         assert!(SystemBuilder::tiny(Architecture::Baseline)
             .banks_per_rank(3)
-            .build()
+            .open()
             .is_err());
         assert!(SystemBuilder::tiny(Architecture::WomCode)
             .rewrite_limit(0)
-            .build()
+            .open()
             .is_err());
         assert!(SystemBuilder::tiny(Architecture::WomCode)
             .expansion(0.5)
-            .build()
+            .open()
             .is_err());
     }
 }

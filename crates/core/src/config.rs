@@ -7,7 +7,7 @@ use crate::refresh::RefreshConfig;
 use crate::wom_state::{BudgetGranularity, ColdPolicy};
 use pcm_sim::{Cycle, MemConfig};
 
-/// Full configuration of a [`crate::WomPcmSystem`].
+/// Full configuration of a simulated system (see [`crate::session::Session`]).
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
     /// Which of the paper's architectures to run.

@@ -28,7 +28,6 @@ use pcm_sim::{
     AddressDecoder, Completion, Cycle, DecodedAddr, MemOp, MemorySystem, ServiceClass, SimError,
     SnapReader, SnapWriter, TransactionId,
 };
-use pcm_trace::stream::TraceSource;
 use pcm_trace::{TraceOp, TraceRecord};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use wom_code::{Inverted, Rs23Code};
@@ -723,7 +722,7 @@ impl EngineCore {
 /// A trace-driven simulation engine running one [`ArchPolicy`].
 ///
 /// The engine is generic over the policy so monomorphized policies pay no
-/// dispatch cost; [`crate::WomPcmSystem`] wraps an
+/// dispatch cost; a [`Session`](crate::session::Session) drives an
 /// `Engine<Box<dyn ArchPolicy>>` built from a [`SystemConfig`].
 #[derive(Debug)]
 pub struct Engine<P> {
@@ -776,7 +775,7 @@ impl<P: ArchPolicy> Engine<P> {
     }
 
     /// Results accumulated so far (finalized copies come from
-    /// [`finish`](Self::finish) / [`run_trace`](Self::run_trace)).
+    /// [`finish`](Self::finish)).
     #[must_use]
     pub fn metrics(&self) -> &RunMetrics {
         self.core.metrics()
@@ -858,42 +857,6 @@ impl<P: ArchPolicy> Engine<P> {
             TraceOp::Read => self.submit_read(record.addr),
             TraceOp::Write => self.submit_write(record.addr),
         }
-    }
-
-    /// Runs a whole trace and finalizes the metrics.
-    ///
-    /// # Errors
-    ///
-    /// See [`submit`](Self::submit).
-    pub fn run_trace<I: IntoIterator<Item = TraceRecord>>(
-        &mut self,
-        records: I,
-    ) -> Result<RunMetrics, WomPcmError> {
-        for r in records {
-            self.submit(r)?;
-        }
-        self.finish()
-    }
-
-    /// Runs a streaming [`TraceSource`] to exhaustion and finalizes the
-    /// metrics. Unlike [`run_trace`](Self::run_trace), the trace is
-    /// consumed a chunk at a time from the source's reused buffer, so
-    /// trace-side memory stays `O(chunk)` for arbitrarily long runs.
-    ///
-    /// # Errors
-    ///
-    /// * [`WomPcmError::Trace`] when the source fails (I/O, truncation).
-    /// * See [`submit`](Self::submit) for per-record errors.
-    pub fn run_source<S: TraceSource>(
-        &mut self,
-        source: &mut S,
-    ) -> Result<RunMetrics, WomPcmError> {
-        while let Some(chunk) = source.next_chunk().map_err(WomPcmError::Trace)? {
-            for r in chunk {
-                self.submit(*r)?;
-            }
-        }
-        self.finish()
     }
 
     /// Completes all outstanding work and returns the final metrics.

@@ -1,12 +1,12 @@
 //! A data-bearing WOM-code PCM model: real encode/decode, not just timing.
 //!
-//! [`crate::system::WomPcmSystem`] tracks only *latency-relevant* state
-//! (write generations) so that 16 GiB devices simulate fast. This module
-//! complements it with a functional model that stores actual wit patterns
-//! through [`wom_code::BlockCodec`], proving end-to-end that the
-//! architecture's bookkeeping agrees with what real cells would do: every
-//! in-budget write really is RESET-only, every α-write really needs SET,
-//! and data always decodes back intact.
+//! The simulation engine ([`crate::engine`]) tracks only
+//! *latency-relevant* state (write generations) so that 16 GiB devices
+//! simulate fast. This module complements it with a functional model
+//! that stores actual wit patterns through [`wom_code::BlockCodec`],
+//! proving end-to-end that the architecture's bookkeeping agrees with
+//! what real cells would do: every in-budget write really is RESET-only,
+//! every α-write really needs SET, and data always decodes back intact.
 
 use crate::error::WomPcmError;
 use crate::rowmap::RowMap;

@@ -6,18 +6,17 @@
 //! layers inverted write-once-memory codes over a cycle-level PCM
 //! simulator so that most writes become RESET-only:
 //!
-//! * [`session::Session`] — the recommended driving surface: engine,
+//! * [`session::Session`] — the one way to drive a simulation: engine,
 //!   observer, and snapshot state behind one object with an explicit
 //!   lifecycle (`open → feed/poll/checkpoint → finish`), built from a
-//!   [`session::SessionSpec`] or a [`builder::SystemBuilder`].
-//! * [`system::WomPcmSystem`] — the lower-level trace-driven system
-//!   implementing all four architectures of the paper's evaluation:
+//!   [`session::SessionSpec`] or a [`builder::SystemBuilder`]. It runs
+//!   any of the four architectures of the paper's evaluation:
 //!   conventional PCM, WOM-code PCM, WOM-code PCM with PCM-refresh, and
-//!   WCPCM. It is a thin facade over [`engine::Engine`], the
-//!   architecture-agnostic simulation core, running one
-//!   [`policy::ArchPolicy`] — the trait behind which each
-//!   architecture's state and decisions live (and the extension point
-//!   for architectures beyond the paper's four).
+//!   WCPCM.
+//! * [`engine::Engine`] — the architecture-agnostic simulation core a
+//!   session drives, running one [`policy::ArchPolicy`] — the trait
+//!   behind which each architecture's state and decisions live (and the
+//!   extension point for architectures beyond the paper's four).
 //! * [`wom_state`] — per-row rewrite-budget tracking (α-write detection).
 //! * [`wide_column`] / [`hidden_page`] — the two §3.1 memory organizations
 //!   that provision the code's extra bits.
@@ -72,7 +71,6 @@ pub mod rowmap;
 pub mod session;
 pub mod shard;
 pub mod snapshot;
-pub mod system;
 pub mod wcpcm;
 pub mod wear_leveling;
 pub mod wide_column;
@@ -80,6 +78,7 @@ pub mod wom_state;
 
 pub use arch::{Architecture, Organization};
 pub use builder::SystemBuilder;
+pub use config::SystemConfig;
 pub use engine::{Engine, EngineCore};
 pub use error::WomPcmError;
 pub use functional::FunctionalMemory;
@@ -92,7 +91,6 @@ pub use rowmap::RowMap;
 pub use session::{EpochDelta, Session, SessionSpec, SessionState};
 pub use shard::{ShardPlan, ShardSource};
 pub use snapshot::{SnapshotEnvelope, SnapshotError};
-pub use system::{SystemConfig, WomPcmSystem};
 pub use wcpcm::{CacheStats, CacheWriteOutcome, WomCache};
 pub use wear_leveling::StartGap;
 pub use wide_column::WideColumn;

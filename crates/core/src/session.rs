@@ -1,11 +1,9 @@
 //! Session-oriented lifecycle API: one object owning engine, observer,
 //! and snapshot state.
 //!
-//! [`Session`] is the recommended way to drive a simulation. Where the
-//! older [`WomPcmSystem`](crate::WomPcmSystem) facade exposed running,
-//! observation, and checkpointing as loosely-related calls
-//! (`run_source` + `take_epochs` + `snapshot`), a session is an explicit
-//! state machine:
+//! [`Session`] is the one way to drive a simulation. Running,
+//! observation, and checkpointing are methods of one explicit state
+//! machine:
 //!
 //! ```text
 //!            open / resume
@@ -599,5 +597,43 @@ mod tests {
         let mut s = Session::open(SessionSpec::tiny(Architecture::Baseline)).unwrap();
         s.feed(&trace(500)).unwrap();
         assert!(s.poll_epochs().is_empty());
+    }
+
+    #[test]
+    fn all_architectures_open() {
+        for arch in Architecture::all_paper() {
+            Session::open(SessionSpec::tiny(arch)).unwrap();
+        }
+    }
+
+    #[test]
+    fn invalid_configs_are_rejected_at_open() {
+        let mut cfg = SystemConfig::tiny(Architecture::WomCode);
+        cfg.rewrite_limit = 0;
+        assert!(Session::open(cfg).is_err());
+    }
+
+    #[test]
+    fn metrics_are_cumulative_until_finish() {
+        let mut s = Session::open(SessionSpec::tiny(Architecture::Baseline)).unwrap();
+        s.feed(&[TraceRecord::new(0, 0, TraceOp::Write)]).unwrap();
+        assert_eq!(s.metrics().writes.count, 0, "write still in flight");
+        let m = s.finish().unwrap();
+        assert_eq!(m.writes.count, 1);
+        assert_eq!(
+            s.metrics().writes.count,
+            1,
+            "finish snapshots into the session"
+        );
+    }
+
+    #[test]
+    fn feed_rejects_regressing_cycles() {
+        let mut s = Session::open(SessionSpec::tiny(Architecture::Baseline)).unwrap();
+        s.feed(&[TraceRecord::new(10, 0, TraceOp::Read)]).unwrap();
+        assert!(matches!(
+            s.feed(&[TraceRecord::new(9, 0, TraceOp::Read)]),
+            Err(WomPcmError::TraceOrder { .. })
+        ));
     }
 }

@@ -25,10 +25,10 @@
 //! ```
 //!
 //! The config fingerprint rejects restoring a snapshot into a system
-//! built from a different [`SystemConfig`](crate::SystemConfig) — the
-//! payload layout depends on geometry, code selection, and policy
-//! parameters, so a mismatch would at best surface as a confusing
-//! [`SnapshotError::Corrupt`] deep inside the decoder.
+//! built from a different [`SystemConfig`] — the payload layout depends
+//! on geometry, code selection, and policy parameters, so a mismatch
+//! would at best surface as a confusing [`SnapshotError::Corrupt`] deep
+//! inside the decoder.
 
 use core::fmt;
 

@@ -134,7 +134,7 @@ impl WomStateTable {
     /// i.e. they are at the rewrite limit, and their first write is an
     /// α-write. This models a long-running system (the paper's traces are
     /// mid-execution captures) and is the default for main-memory WOM
-    /// state in [`crate::system::WomPcmSystem`].
+    /// state in the simulation engine ([`crate::engine`]).
     ///
     /// # Panics
     ///

@@ -2,7 +2,7 @@
 //! cell per architecture, checked bit-for-bit against captured results.
 //!
 //! The golden files under `tests/golden/` were captured from the
-//! pre-policy-layer monolithic `WomPcmSystem`; the policy/engine split
+//! pre-policy-layer monolithic system; the policy/engine split
 //! must reproduce them *exactly* — every latency sum, histogram bucket,
 //! energy picojoule, and wear count. Any intentional behaviour change
 //! must regenerate them (and say so in review):

@@ -1,11 +1,9 @@
-//! End-to-end behaviour of the four architectures through the public
-//! facade: coalescing, refresh scheduling, cache routing. (Moved out of
-//! the old monolithic `system.rs` when it was split into the engine and
-//! the policy layer.)
+//! End-to-end behaviour of the four architectures through a
+//! [`Session`]: coalescing, refresh scheduling, cache routing.
 
 use pcm_sim::{Cycle, DecodedAddr};
 use pcm_trace::{TraceOp, TraceRecord};
-use wom_pcm::{Architecture, SystemConfig, WomPcmSystem};
+use wom_pcm::{Architecture, Session, SessionSpec};
 
 fn record(cycle: Cycle, addr: u64, op: TraceOp) -> TraceRecord {
     TraceRecord::new(cycle, addr, op)
@@ -13,11 +11,11 @@ fn record(cycle: Cycle, addr: u64, op: TraceOp) -> TraceRecord {
 
 #[test]
 fn write_coalescing_merges_back_to_back_row_writes() {
-    let mut sys = WomPcmSystem::new(SystemConfig::tiny(Architecture::Baseline)).unwrap();
+    let mut sys = Session::open(SessionSpec::tiny(Architecture::Baseline)).unwrap();
     // Two writes to the same row, 4 cycles apart: the second lands
     // while the first row write is still in flight.
-    sys.submit(record(0, 0x00, TraceOp::Write)).unwrap();
-    sys.submit(record(4, 0x40, TraceOp::Write)).unwrap();
+    sys.feed(&[record(0, 0x00, TraceOp::Write)]).unwrap();
+    sys.feed(&[record(4, 0x40, TraceOp::Write)]).unwrap();
     let m = sys.finish().unwrap();
     assert_eq!(m.coalesced_writes, 1);
     assert_eq!(m.slow_writes, 1, "one array write for the merged pair");
@@ -25,9 +23,9 @@ fn write_coalescing_merges_back_to_back_row_writes() {
 
 #[test]
 fn distant_writes_do_not_coalesce() {
-    let mut sys = WomPcmSystem::new(SystemConfig::tiny(Architecture::Baseline)).unwrap();
-    sys.submit(record(0, 0x00, TraceOp::Write)).unwrap();
-    sys.submit(record(10_000, 0x40, TraceOp::Write)).unwrap();
+    let mut sys = Session::open(SessionSpec::tiny(Architecture::Baseline)).unwrap();
+    sys.feed(&[record(0, 0x00, TraceOp::Write)]).unwrap();
+    sys.feed(&[record(10_000, 0x40, TraceOp::Write)]).unwrap();
     let m = sys.finish().unwrap();
     assert_eq!(m.coalesced_writes, 0);
     assert_eq!(m.slow_writes, 2);
@@ -35,7 +33,7 @@ fn distant_writes_do_not_coalesce() {
 
 #[test]
 fn wcpcm_tag_conflict_blocks_coalescing() {
-    let mut sys = WomPcmSystem::new(SystemConfig::tiny(Architecture::Wcpcm)).unwrap();
+    let mut sys = Session::open(SessionSpec::tiny(Architecture::Wcpcm)).unwrap();
     let g = sys.config().mem().geometry;
     let dec = pcm_sim::AddressDecoder::new(g, sys.config().mem().mapping).unwrap();
     // Same (rank, row) but different banks: must not merge - the
@@ -56,8 +54,8 @@ fn wcpcm_tag_conflict_blocks_coalescing() {
             column: 0,
         })
         .unwrap();
-    sys.submit(record(0, a, TraceOp::Write)).unwrap();
-    sys.submit(record(2, b, TraceOp::Write)).unwrap();
+    sys.feed(&[record(0, a, TraceOp::Write)]).unwrap();
+    sys.feed(&[record(2, b, TraceOp::Write)]).unwrap();
     let m = sys.finish().unwrap();
     assert_eq!(m.coalesced_writes, 0);
     assert_eq!(m.victim_writebacks, 1);
@@ -66,13 +64,14 @@ fn wcpcm_tag_conflict_blocks_coalescing() {
 
 #[test]
 fn refresh_engine_runs_during_idle_gaps() {
-    let mut sys = WomPcmSystem::new(SystemConfig::tiny(Architecture::WomCodeRefresh)).unwrap();
+    let mut sys = Session::open(SessionSpec::tiny(Architecture::WomCodeRefresh)).unwrap();
     // Exhaust a row's budget (steady-state cold may need 1-2 writes),
     // then idle long enough for several refresh periods.
     for i in 0..4u64 {
-        sys.submit(record(i * 2_000, 0x00, TraceOp::Write)).unwrap();
+        sys.feed(&[record(i * 2_000, 0x00, TraceOp::Write)])
+            .unwrap();
     }
-    sys.submit(record(200_000, 0x1000, TraceOp::Read)).unwrap();
+    sys.feed(&[record(200_000, 0x1000, TraceOp::Read)]).unwrap();
     let m = sys.finish().unwrap();
     assert!(
         m.refreshes_completed > 0,
@@ -82,9 +81,9 @@ fn refresh_engine_runs_during_idle_gaps() {
 
 #[test]
 fn wcpcm_read_hits_are_served_without_touching_main_wear() {
-    let mut sys = WomPcmSystem::new(SystemConfig::tiny(Architecture::Wcpcm)).unwrap();
-    sys.submit(record(0, 0x80, TraceOp::Write)).unwrap();
-    sys.submit(record(5_000, 0x80, TraceOp::Read)).unwrap();
+    let mut sys = Session::open(SessionSpec::tiny(Architecture::Wcpcm)).unwrap();
+    sys.feed(&[record(0, 0x80, TraceOp::Write)]).unwrap();
+    sys.feed(&[record(5_000, 0x80, TraceOp::Read)]).unwrap();
     let m = sys.finish().unwrap();
     let cache = m.cache.unwrap();
     assert_eq!(cache.read_hits, 1);

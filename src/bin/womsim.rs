@@ -20,8 +20,7 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::process::ExitCode;
 
 use wom_pcm_bench::cli::{ObserveSpec, Parser, SnapshotSpec};
-use wom_pcm_bench::run_configs_parallel;
-use wom_pcm_bench::sharded::{run_spec, RunOptions};
+use wom_pcm_bench::{run, Job, RunOptions};
 use womcode_pcm::arch::{Architecture, SystemBuilder};
 use womcode_pcm::sim::MemOp;
 use womcode_pcm::trace::binary::BinaryWriter;
@@ -358,19 +357,24 @@ fn cmd_run(
             return ExitCode::FAILURE;
         }
     };
-    // Bound lazily-allocated simulator state for interactive use.
-    let config = SystemBuilder::new(arch)
-        .rows_per_bank(4096)
-        .verify_data(verify)
-        .into_config();
+    // Bound lazily-allocated simulator state for interactive use. The
+    // empty label keeps the `--resume` path exactly as given.
+    let job = Job {
+        config: SystemBuilder::new(arch)
+            .rows_per_bank(4096)
+            .verify_data(verify)
+            .into_config(),
+        trace: trace_spec,
+        label: String::new(),
+    };
     let opts = RunOptions {
         shards,
         threads: wom_pcm_bench::parallel::default_threads(),
         snapshot: snapshot.cloned(),
         epoch_cycles: observe.map(|o| o.epoch_cycles),
     };
-    let (metrics, series) = match run_spec(&config, &trace_spec, &opts) {
-        Ok(r) => r,
+    let (metrics, series) = match run(&[job], &opts) {
+        Ok(mut runs) => runs.remove(0),
         Err(e) => {
             eprintln!("simulation failed: {e}");
             return ExitCode::FAILURE;
@@ -448,17 +452,19 @@ fn cmd_compare(args: &[String], threads: usize) -> ExitCode {
         }
     };
     // The four architectures are independent deterministic runs — dispatch
-    // them to the bench crate's parallel sweep runner; every worker opens
-    // its own source from the shared spec.
-    let jobs: Vec<_> = Architecture::all_paper()
-        .iter()
-        .map(|&arch| {
-            let cfg = SystemBuilder::new(arch).rows_per_bank(4096).into_config();
-            (cfg, spec.clone())
-        })
-        .collect();
-    let metrics = match run_configs_parallel(&jobs, threads) {
-        Ok(m) => m,
+    // them to the bench crate's runner; every worker opens its own source
+    // from the shared spec.
+    let jobs = Architecture::all_paper().map(|arch| Job {
+        config: SystemBuilder::new(arch).rows_per_bank(4096).into_config(),
+        trace: spec.clone(),
+        label: arch.slug().to_string(),
+    });
+    let opts = RunOptions {
+        threads,
+        ..RunOptions::default()
+    };
+    let runs = match run(&jobs, &opts) {
+        Ok(runs) => runs,
         Err(e) => {
             eprintln!("simulation failed: {e}");
             return ExitCode::FAILURE;
@@ -471,7 +477,7 @@ fn cmd_compare(args: &[String], threads: usize) -> ExitCode {
         "architecture", "write ns", "read ns", "w p95 ns", "r p95 ns", "fast %", "energy uJ"
     );
     let mut base_write = 0.0;
-    for (arch, m) in Architecture::all_paper().iter().zip(&metrics) {
+    for (arch, (m, _)) in Architecture::all_paper().iter().zip(&runs) {
         if *arch == Architecture::Baseline {
             base_write = m.mean_write_ns();
         }

@@ -58,3 +58,9 @@ pub mod prelude {
     pub use crate::trace::synth::benchmarks;
     pub use crate::trace::{TraceOp, TraceRecord, TraceStats};
 }
+
+/// The README's Rust blocks, compiled and run as doctests so its quick
+/// start cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

@@ -29,7 +29,7 @@ fn endurance_configs() -> Vec<(&'static str, womcode_pcm::arch::SystemConfig)> {
     cfgs
 }
 
-fn run_spec(cfg: &womcode_pcm::arch::SystemConfig, spec: &TraceSpec) -> String {
+fn metrics_digest(cfg: &womcode_pcm::arch::SystemConfig, spec: &TraceSpec) -> String {
     let mut source = spec.open().expect("test specs open");
     let mut session = womcode_pcm::arch::Session::open(cfg.clone()).expect("configs validate");
     session.feed_source(&mut source).expect("test traces run");
@@ -50,8 +50,8 @@ fn golden_roundtrip(records: Vec<TraceRecord>, tag: &str) {
     let streamed = TraceSpec::BinaryFile(path);
     for (label, cfg) in endurance_configs() {
         assert_eq!(
-            run_spec(&cfg, &materialized),
-            run_spec(&cfg, &streamed),
+            metrics_digest(&cfg, &materialized),
+            metrics_digest(&cfg, &streamed),
             "{tag}/{label}: streamed file diverged from materialized vec"
         );
     }
