@@ -1,29 +1,23 @@
 //! Row-codec microbenchmarks: the lane-kernel LUT fast path against
 //! the per-symbol reference path, for encode and decode.
 //!
-//! Single-row cases time a full write lifetime (re-erase + one encode
-//! per generation) and a steady-state decode for one `(code, row size)`
+//! Each case times a full write lifetime (re-erase + one encode per
+//! generation) and a steady-state decode for one `(code, row size)`
 //! geometry: `reference` is the per-symbol path, `fast` the kernel row
-//! path. Batch cases (`…_xN`) instead pit one
-//! `encode_rows_into`/`decode_rows_into` call (`fast`) against the
-//! row-at-a-time kernel loop (`reference`), so the speedup column shows
-//! what the batch amortization alone buys. With `--json PATH` the
-//! results are also written as a machine-readable file —
-//! `BENCH_codec.json` at the repo root is the committed baseline; see
-//! EXPERIMENTS.md for how to regenerate it and
+//! path. With `--json PATH` the results are also written as a
+//! machine-readable file — `BENCH_codec.json` at the repo root is the
+//! committed baseline; see EXPERIMENTS.md for how to regenerate it and
 //! `scripts/bench_compare.sh` for diffing two baselines.
 
 use std::fmt::Write as _;
 use wom_code::{BlockCodec, FlipCode, Inverted, RowScratch, Rs23Code, Rs2Code, WomCode};
 use wom_pcm_bench::timing;
 
-/// One benchmarked geometry. `burst == 1` compares fast vs reference on
-/// single rows; `burst > 1` compares the batch API vs per-row calls.
+/// One benchmarked geometry.
 struct Case {
     name: &'static str,
     codec: BlockCodec<Box<dyn WomCode>>,
     row_bytes: usize,
-    burst: usize,
 }
 
 /// Results for one case, in ns per row operation.
@@ -51,52 +45,33 @@ fn cases() -> Vec<Case> {
     let boxed = |code: Box<dyn WomCode>, bytes: usize| {
         BlockCodec::new(code, bytes * 8).expect("benchmark geometries tile")
     };
-    let mut out = vec![
+    vec![
         // The paper's codec on a 64-byte cache line: the DataCheck /
         // FunctionalMemory hot path.
         Case {
             name: "inverted_rs23_64B",
             codec: boxed(Box::new(Inverted::new(Rs23Code::new())), 64),
             row_bytes: 64,
-            burst: 1,
         },
         // A full 4 KiB array row under the same code.
         Case {
             name: "inverted_rs23_4KiB",
             codec: boxed(Box::new(Inverted::new(Rs23Code::new())), 4096),
             row_bytes: 4096,
-            burst: 1,
         },
         // Wider symbols (4 data bits in 15 wits).
         Case {
             name: "inverted_rs2_k4_64B",
             codec: boxed(Box::new(Inverted::new(Rs2Code::new(4).unwrap())), 64),
             row_bytes: 64,
-            burst: 1,
         },
         // Many tiny symbols (1 data bit in 4 wits, 4 writes).
         Case {
             name: "inverted_flip_t4_64B",
             codec: boxed(Box::new(Inverted::new(FlipCode::new(4).unwrap())), 64),
             row_bytes: 64,
-            burst: 1,
         },
-    ];
-    // Batch bursts of the DataCheck line geometry: the refresh-burst /
-    // WCPCM-writeback shape (N cache lines rewritten at one generation).
-    for (name, burst) in [
-        ("inverted_rs23_64B_x4", 4usize),
-        ("inverted_rs23_64B_x16", 16),
-        ("inverted_rs23_64B_x64", 64),
-    ] {
-        out.push(Case {
-            name,
-            codec: boxed(Box::new(Inverted::new(Rs23Code::new())), 64),
-            row_bytes: 64,
-            burst,
-        });
-    }
-    out
+    ]
 }
 
 /// Deterministic per-generation payloads (xorshift; no RNG dependency).
@@ -127,14 +102,6 @@ fn run_case(case: &Case) -> Outcome {
             case.name
         );
     }
-    if case.burst > 1 {
-        run_batch_case(case)
-    } else {
-        run_single_case(case)
-    }
-}
-
-fn run_single_case(case: &Case) -> Outcome {
     let codec = &case.codec;
     let writes = codec.rewrite_limit();
     let data = payloads(case.row_bytes, writes);
@@ -193,80 +160,6 @@ fn run_single_case(case: &Case) -> Outcome {
         encode_fast_ns: lifetime_fast / f64::from(writes),
         decode_reference_ns: decode_ref,
         decode_fast_ns: decode_fast,
-    }
-}
-
-/// Batch case: one `encode_rows_into`/`decode_rows_into` call over a
-/// burst of rows (`fast`) against the row-at-a-time kernel loop
-/// (`reference`). All timings are normalized to ns per row.
-fn run_batch_case(case: &Case) -> Outcome {
-    let codec = &case.codec;
-    let burst = case.burst;
-    let writes = codec.rewrite_limit();
-    let data = payloads(case.row_bytes * burst, writes);
-    let erased = codec.erased_buffer();
-    let mut cells: Vec<_> = (0..burst).map(|_| erased.clone()).collect();
-    let mut scratch = RowScratch::new();
-    let per_row = f64::from(writes) * burst as f64;
-
-    let seq = timing::bench(&format!("{}/encode/per-row", case.name), || {
-        let mut resets = 0u32;
-        for buf in cells.iter_mut() {
-            buf.copy_from(&erased);
-        }
-        for (gen, d) in data.iter().enumerate() {
-            for (chunk, buf) in d.chunks_exact(case.row_bytes).zip(cells.iter_mut()) {
-                let t = codec
-                    .encode_row_into(gen as u32, chunk, buf, &mut scratch)
-                    .expect("in-budget encode");
-                resets += t.resets;
-            }
-        }
-        resets
-    });
-    let batch = timing::bench(&format!("{}/encode/batch", case.name), || {
-        let mut resets = 0u32;
-        for buf in cells.iter_mut() {
-            buf.copy_from(&erased);
-        }
-        for (gen, d) in data.iter().enumerate() {
-            let t = codec
-                .encode_rows_into(gen as u32, d, &mut cells, &mut scratch)
-                .expect("in-budget encode");
-            resets += t.resets;
-        }
-        resets
-    });
-
-    let mut out = vec![0u8; case.row_bytes * burst];
-    let decode_seq = timing::bench(&format!("{}/decode/per-row", case.name), || {
-        for (chunk, buf) in out.chunks_exact_mut(case.row_bytes).zip(cells.iter()) {
-            codec
-                .decode_row_into(buf, chunk, &mut scratch)
-                .expect("stored rows decode");
-        }
-        out[0]
-    });
-    let decode_batch = timing::bench(&format!("{}/decode/batch", case.name), || {
-        codec
-            .decode_rows_into(&cells, &mut out, &mut scratch)
-            .expect("stored rows decode");
-        out[0]
-    });
-    assert_eq!(
-        out,
-        *data.last().expect("at least one write"),
-        "decode sanity"
-    );
-
-    Outcome {
-        name: case.name,
-        row_bytes: case.row_bytes,
-        writes,
-        encode_reference_ns: seq / per_row,
-        encode_fast_ns: batch / per_row,
-        decode_reference_ns: decode_seq / burst as f64,
-        decode_fast_ns: decode_batch / burst as f64,
     }
 }
 

@@ -90,26 +90,16 @@ impl DataCheck {
         Ok(())
     }
 
-    /// Starts a batched §3.2 refresh: the burst's lines are staged with
-    /// [`stage_refresh_line`](Self::stage_refresh_line) and rewritten in
-    /// one batch encode by [`commit_refresh`](Self::commit_refresh).
-    fn begin_refresh(&mut self) {
-        self.mem.rewrite_begin();
-    }
-
-    /// Stages one refreshed line: its data is read out (from the
-    /// reference) and queued for the erase-and-first-write rewrite.
-    /// Never-written lines have no data to preserve and are skipped.
-    fn stage_refresh_line(&mut self, line: u64) {
+    /// Refreshes one line (§3.2): its data is read out (from the
+    /// reference) and rewritten as the first write of freshly erased
+    /// cells. Never-written lines have no data to preserve and are
+    /// skipped.
+    fn refresh_line(&mut self, line: u64) -> Result<(), WomPcmError> {
         let Self { mem, expected, .. } = self;
         if let Some(data) = expected.get(line) {
-            mem.rewrite_stage(line, data);
+            mem.rewrite(line, data)?;
         }
-    }
-
-    /// Commits the staged refresh burst through the batch codec path.
-    fn commit_refresh(&mut self) -> Result<(), WomPcmError> {
-        self.mem.rewrite_commit()
+        Ok(())
     }
 
     /// Decodes the cells and checks them against the reference.
@@ -438,7 +428,8 @@ impl EngineCore {
     }
 
     /// Re-initializes every line of a refreshed main-memory row in the
-    /// functional checker (no-op when verification is off).
+    /// functional checker, one [`FunctionalMemory::rewrite`] per line
+    /// (no-op when verification is off).
     ///
     /// # Errors
     ///
@@ -448,10 +439,6 @@ impl EngineCore {
         let g = self.config.mem.geometry;
         let decoder = *self.main.decoder();
         if let Some(check) = &mut self.data_check {
-            // The whole row's lines are staged and rewritten as one
-            // batch: `BlockCodec::encode_rows_into` amortizes kernel
-            // dispatch and LUT loads across the refresh burst.
-            check.begin_refresh();
             for column in 0..g.columns_per_row() {
                 let d = DecodedAddr {
                     rank,
@@ -460,9 +447,8 @@ impl EngineCore {
                     column,
                 };
                 let addr = decoder.encode(d)?;
-                check.stage_refresh_line(DataCheck::line_of(addr));
+                check.refresh_line(DataCheck::line_of(addr))?;
             }
-            check.commit_refresh()?;
         }
         Ok(())
     }

@@ -12,7 +12,7 @@ use crate::error::WomPcmError;
 use crate::rowmap::RowMap;
 use crate::wom_state::WriteKind;
 use pcm_sim::{SnapError, SnapReader, SnapWriter};
-use wom_code::{BlockCodec, RowScratch, Transitions, WitBuffer, WomCode};
+use wom_code::{BlockCodec, RowScratch, Transitions, WitBuffer, WomCode, WomCodeError};
 
 /// Outcome of one functional row write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,14 +56,9 @@ pub struct FunctionalMemory<C> {
     row_bytes: usize,
     /// Reused across writes so the steady-state path never allocates.
     scratch: RowScratch,
-    /// Template erased row the rewrite staging buffers are cloned from.
+    /// Template erased row that [`rewrite`](Self::rewrite) resets rows
+    /// from in place.
     erased: WitBuffer,
-    /// Rows staged for the current batched rewrite (refresh burst).
-    stage_lines: Vec<u64>,
-    /// The staged rows' payload bytes, back to back.
-    stage_data: Vec<u8>,
-    /// Freshly-erased cell buffers the batch encode writes into.
-    stage_cells: Vec<WitBuffer>,
 }
 
 impl<C: WomCode> FunctionalMemory<C> {
@@ -82,9 +77,6 @@ impl<C: WomCode> FunctionalMemory<C> {
             row_bytes,
             scratch: RowScratch::new(),
             erased,
-            stage_lines: Vec::new(),
-            stage_data: Vec::new(),
-            stage_cells: Vec::new(),
         })
     }
 
@@ -133,14 +125,8 @@ impl<C: WomCode> FunctionalMemory<C> {
             })
         } else {
             // α-write: erase back to the initial pattern, then first write.
-            let erased = self.codec.erased_buffer();
-            let erase_t = entry.0.transitions_to(&erased)?;
-            let mut fresh = erased;
-            let write_t = self
-                .codec
-                .encode_row_into(0, data, &mut fresh, &mut self.scratch)?;
-            entry.0 = fresh;
-            entry.1 = 1;
+            let erase_t = entry.0.transitions_to(&self.erased)?;
+            let write_t = self.rewrite(row, data)?;
             Ok(FunctionalWrite {
                 kind: WriteKind::Alpha,
                 transitions: Transitions {
@@ -194,76 +180,41 @@ impl<C: WomCode> FunctionalMemory<C> {
         self.rows.remove(row);
     }
 
-    /// Starts a batched rewrite (the data-preserving refresh of a whole
-    /// physical row): clears any previously staged lines. Stage each
-    /// line with [`rewrite_stage`](Self::rewrite_stage), then commit the
-    /// burst in one batch encode with
-    /// [`rewrite_commit`](Self::rewrite_commit).
-    pub fn rewrite_begin(&mut self) {
-        self.stage_lines.clear();
-        self.stage_data.clear();
-    }
-
-    /// Stages one line's payload for the pending batched rewrite.
+    /// Erases `row` back to the initial WOM state and writes `data` as
+    /// its first generation: the data-preserving §3.2 refresh of one
+    /// line, and the erase-and-write half of an α-write. Returns the
+    /// first write's transitions; the row ends at one generation used.
     ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not exactly [`row_bytes`](Self::row_bytes)
-    /// long.
-    pub fn rewrite_stage(&mut self, row: u64, data: &[u8]) {
-        assert_eq!(data.len(), self.row_bytes, "staged line has row size");
-        self.stage_lines.push(row);
-        self.stage_data.extend_from_slice(data);
-    }
-
-    /// Commits the staged burst: every staged line is erased back to the
-    /// initial WOM state and re-encoded at generation 0 through one
-    /// [`BlockCodec::encode_rows_into`] call, amortizing kernel dispatch
-    /// and LUT loads across the burst. Steady-state allocation-free once
-    /// the staging buffers have warmed up.
+    /// A row that was never written materializes. Once the row exists
+    /// the rewrite allocates nothing: it resets the cells in place from
+    /// the erased template.
     ///
     /// # Errors
     ///
-    /// Returns [`WomPcmError::Code`] if the batch encode fails; no row
-    /// is modified then.
-    pub fn rewrite_commit(&mut self) -> Result<(), WomPcmError> {
-        let burst = self.stage_lines.len();
-        if burst == 0 {
-            return Ok(());
-        }
-        while self.stage_cells.len() < burst {
-            // womlint::allow(hotpath/transitive, reason = "staging pool grows to the burst high-water mark once, then every commit reuses it")
-            self.stage_cells.push(self.erased.clone());
+    /// Returns [`WomPcmError::Code`] if `data` is not exactly
+    /// [`row_bytes`](Self::row_bytes) long. The length is checked before
+    /// anything is erased, so the row is left untouched; the
+    /// generation-0 encode of an erased row cannot fail otherwise.
+    pub fn rewrite(&mut self, row: u64, data: &[u8]) -> Result<Transitions, WomPcmError> {
+        if data.len() != self.row_bytes {
+            return Err(WomCodeError::LengthMismatch {
+                expected: self.row_bytes * 8,
+                actual: data.len() * 8,
+            }
+            .into());
         }
         let Self {
             codec,
             rows,
             scratch,
             erased,
-            stage_lines,
-            stage_data,
-            stage_cells,
             ..
         } = self;
-        let Some(bufs) = stage_cells.get_mut(..burst) else {
-            return Ok(());
-        };
-        for buf in bufs.iter_mut() {
-            buf.copy_from(erased);
-        }
-        codec.encode_rows_into(0, stage_data, bufs, scratch)?;
-        for (&line, fresh) in stage_lines.iter().zip(bufs.iter()) {
-            if let Some(entry) = rows.get_mut(line) {
-                entry.0.copy_from(fresh);
-                entry.1 = 1;
-            } else {
-                // womlint::allow(hotpath/transitive, reason = "first-touch row materialization: one allocation per row lifetime, not per write")
-                rows.insert(line, (fresh.clone(), 1));
-            }
-        }
-        stage_lines.clear();
-        stage_data.clear();
-        Ok(())
+        let entry = rows.get_or_insert_with(row, || (codec.erased_buffer(), 0));
+        entry.0.copy_from(erased);
+        let t = codec.encode_row_into(0, data, &mut entry.0, scratch)?;
+        entry.1 = 1;
+        Ok(t)
     }
 
     /// Write generations consumed by `row` since its last erase.
@@ -273,7 +224,7 @@ impl<C: WomCode> FunctionalMemory<C> {
     }
 
     /// Serializes the materialized rows for snapshot/restore. The codec,
-    /// scratch, and staging buffers are reconstructed state and are not
+    /// scratch, and erased template are reconstructed state and are not
     /// written; rows go out in ascending key order as 64-bit wit chunks.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.put_usize(self.rows.len());
@@ -299,8 +250,6 @@ impl<C: WomCode> FunctionalMemory<C> {
         let bits = self.erased.len();
         let len = r.take_len(12 + bits.div_ceil(64) * 8)?;
         self.rows = RowMap::new();
-        self.stage_lines.clear();
-        self.stage_data.clear();
         for _ in 0..len {
             let key = r.take_u64()?;
             let gen = r.take_u32()?;
@@ -408,35 +357,33 @@ mod tests {
     }
 
     #[test]
-    fn batched_rewrite_re_encodes_staged_lines_at_gen_zero() {
+    fn rewrite_re_encodes_lines_at_gen_zero() {
         let mut m = mem();
         // Line 0 exhausted, line 1 mid-budget, line 2 never written.
         m.write(0, &[1u8; 32]).unwrap();
         m.write(0, &[2u8; 32]).unwrap();
         m.write(1, &[3u8; 32]).unwrap();
-        m.rewrite_begin();
-        m.rewrite_stage(0, &[2u8; 32]);
-        m.rewrite_stage(1, &[3u8; 32]);
-        m.rewrite_stage(2, &[9u8; 32]);
-        m.rewrite_commit().unwrap();
+        for (line, val) in [(0u64, 2u8), (1, 3), (2, 9)] {
+            let t = m.rewrite(line, &[val; 32]).unwrap();
+            assert_eq!(t.sets, 0, "the first write from erased is RESET-only");
+        }
         for (line, val) in [(0u64, 2u8), (1, 3), (2, 9)] {
             assert_eq!(m.read(line).unwrap(), vec![val; 32]);
             assert_eq!(m.writes_done(line), 1, "rewrite resets the budget");
         }
+        // Same cells as an erase followed by a first write.
+        let mut fresh = m.codec().erased_buffer();
+        m.codec().encode_row(0, &[2u8; 32], &mut fresh).unwrap();
+        assert_eq!(m.rows.get(0).map(|(cells, _)| cells), Some(&fresh));
         assert!(m.write(0, &[4u8; 32]).unwrap().kind.is_fast());
-    }
-
-    #[test]
-    fn rewrite_begin_discards_previously_staged_lines() {
-        let mut m = mem();
-        m.rewrite_begin();
-        m.rewrite_stage(5, &[1u8; 32]);
-        m.rewrite_begin(); // restart drops the stale staging
-        m.rewrite_commit().unwrap();
+        // A failed rewrite leaves the row untouched and materializes
+        // nothing.
+        let before = m.rows.get(1).cloned();
+        assert!(m.rewrite(1, &[0u8; 31]).is_err());
+        assert_eq!(m.rows.get(1).cloned(), before, "cells and generation kept");
+        assert!(m.rewrite(5, &[0u8; 33]).is_err());
         assert!(m.read(5).is_none());
-        // Committing an empty burst is a no-op.
-        m.rewrite_begin();
-        m.rewrite_commit().unwrap();
+        assert_eq!(m.materialized_rows(), 3);
     }
 
     #[test]

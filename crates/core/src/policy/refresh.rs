@@ -67,9 +67,10 @@ impl RefreshDriver {
     /// Handles a finished main-array refresh transaction end to end:
     /// resolves the planned `(rank, bank, row)`, accounts it, and — for
     /// a completed (not preempted) refresh — re-initializes the row's
-    /// data in the functional checker via the batched
-    /// [`EngineCore::check_refresh_row`] rewrite. Returns the refreshed
-    /// target, or `None` when the refresh was preempted.
+    /// data in the functional checker through
+    /// [`EngineCore::check_refresh_row`], which rewrites each of its
+    /// lines. Returns the refreshed target, or `None` when the refresh
+    /// was preempted.
     ///
     /// # Errors
     ///

@@ -214,7 +214,7 @@ impl ArchPolicy for WcpcmPolicy {
                 core.push_victim(physical);
                 // The flushed entry's lines land in main memory as
                 // first-pattern writes; the functional checker rewrites
-                // them as one batch (see `EngineCore::check_refresh_row`).
+                // each of them (see `EngineCore::check_refresh_row`).
                 core.check_refresh_row(rank, victim_bank, row)?;
             }
         }

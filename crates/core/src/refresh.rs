@@ -332,7 +332,8 @@ impl RefreshEngine {
     /// # Errors
     ///
     /// Propagates payload truncation; [`SnapError::Corrupt`] for
-    /// parameters a fresh engine would reject.
+    /// parameters a fresh engine would reject or more bank tables than
+    /// the payload can hold.
     pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let config = RefreshConfig {
             table_depth: u64_to_usize(r.take_u64()?)?,
@@ -344,7 +345,13 @@ impl RefreshEngine {
         if config.validate().is_err() || ranks == 0 || banks_per_rank == 0 || cursor >= ranks {
             return Err(SnapError::Corrupt("refresh engine parameters"));
         }
-        let bank_count = ranks as usize * banks_per_rank as usize;
+        // Each bank's row-address table costs at least its 8-byte length,
+        // so the dimensions are bounded by the payload before anything is
+        // sized from them (`ranks <= bank_count` bounds `pending_banks`).
+        let bank_count = (ranks as usize)
+            .checked_mul(banks_per_rank as usize)
+            .filter(|&n| n <= r.remaining() / 8)
+            .ok_or(SnapError::Corrupt("refresh tables exceed the payload"))?;
         let mut tables = Vec::with_capacity(bank_count);
         let mut pending_banks = vec![0u32; ranks as usize];
         let mut pending_total = 0u32;
@@ -390,6 +397,24 @@ mod tests {
 
     fn engine() -> RefreshEngine {
         RefreshEngine::new(RefreshConfig::paper(), 2, 4).unwrap()
+    }
+
+    #[test]
+    fn load_state_bounds_the_table_count_by_the_payload() {
+        let config = RefreshConfig::paper();
+        let mut w = SnapWriter::new();
+        w.put_usize(config.table_depth);
+        w.put_u8(config.threshold_pct);
+        w.put_u32(u32::MAX); // ranks
+        w.put_u32(u32::MAX); // banks_per_rank
+        w.put_u32(0); // cursor
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 21);
+        let mut r = SnapReader::new(&bytes);
+        assert!(matches!(
+            RefreshEngine::load_state(&mut r),
+            Err(SnapError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -330,7 +330,8 @@ impl WomCache {
     /// # Errors
     ///
     /// Propagates payload truncation; [`SnapError::Corrupt`] for
-    /// zero-sized dimensions or out-of-range tags.
+    /// zero-sized dimensions, more tags than the payload can hold, or
+    /// out-of-range tags.
     pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let ranks = r.take_u32()?;
         let banks_per_rank = r.take_u32()?;
@@ -338,7 +339,13 @@ impl WomCache {
         if ranks == 0 || banks_per_rank == 0 || rows == 0 {
             return Err(SnapError::Corrupt("cache dimensions"));
         }
-        let entries = ranks as usize * rows as usize;
+        // Each tag costs at least its one-byte valid flag, so the
+        // dimensions are bounded by the payload before anything is sized
+        // from them.
+        let entries = (ranks as usize)
+            .checked_mul(rows as usize)
+            .filter(|&n| n <= r.remaining())
+            .ok_or(SnapError::Corrupt("cache tags exceed the payload"))?;
         let mut tags = Vec::with_capacity(entries);
         for _ in 0..entries {
             let tag = if r.take_bool()? {
@@ -369,6 +376,22 @@ mod tests {
 
     fn cache() -> WomCache {
         WomCache::new(2, 4, 16, 8, 2)
+    }
+
+    #[test]
+    fn load_state_bounds_the_tag_count_by_the_payload() {
+        let mut w = SnapWriter::new();
+        w.put_u32(u32::MAX); // ranks
+        w.put_u32(4); // banks_per_rank
+        w.put_u32(u32::MAX); // rows
+        w.put_bool(false);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 13);
+        let mut r = SnapReader::new(&bytes);
+        assert!(matches!(
+            WomCache::load_state(&mut r),
+            Err(SnapError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //!
 //! Also pins the container format with one golden `.womsnap` fixture per
 //! architecture (checkpoints of a deterministic run must be byte-identical
-//! across builds), and checks that damaged containers fail with typed
+//! across builds), plus one per refresh architecture under the functional
+//! data checker, whose checkpoint carries the cells every §3.2 refresh
+//! rewrote. It also checks that damaged containers fail with typed
 //! errors, mirroring the `WOMTRC` truncation semantics. Regenerate the
 //! fixtures after an intentional format or model change:
 //!
@@ -66,6 +68,13 @@ fn run_straight(cfg: &SystemConfig, records: &[TraceRecord]) -> (String, String)
     (format!("{metrics:#?}"), format!("{epochs:#?}"))
 }
 
+/// Feeds `records[..split]` through a fresh session and checkpoints it.
+fn checkpoint_at(cfg: &SystemConfig, records: &[TraceRecord], split: usize) -> Vec<u8> {
+    let mut session = Session::open(cfg.clone()).expect("valid config");
+    session.feed(&records[..split]).expect("feeds");
+    session.checkpoint().expect("checkpoints")
+}
+
 /// Runs `cfg` over `records`, checkpointing at `split` and resuming in a
 /// fresh session; returns the same renderings plus the container bytes.
 fn run_interrupted(
@@ -73,11 +82,7 @@ fn run_interrupted(
     records: &[TraceRecord],
     split: usize,
 ) -> (String, String, Vec<u8>) {
-    let mut session = Session::open(cfg.clone()).expect("valid config");
-    session.feed(&records[..split]).expect("feeds");
-    let container = session.checkpoint().expect("checkpoints");
-    drop(session);
-
+    let container = checkpoint_at(cfg, records, split);
     let mut resumed = Session::resume(cfg.clone(), &container).expect("restores");
     let consumed = resumed.records_fed();
     assert_eq!(consumed, split as u64, "records_consumed round-trips");
@@ -120,9 +125,7 @@ fn resume_preserves_wear_leveling_and_data_verification() {
         let mut session = Session::open(cfg.clone()).expect("valid config");
         session.feed(&records).expect("runs");
         let straight = format!("{:#?}", session.finish().expect("finishes"));
-        let mut session = Session::open(cfg.clone()).expect("valid config");
-        session.feed(&records[..SPLIT]).expect("feeds");
-        let container = session.checkpoint().expect("checkpoints");
+        let container = checkpoint_at(&cfg, &records, SPLIT);
         let mut resumed = Session::resume(cfg.clone(), &container).expect("restores");
         resumed.feed(&records[SPLIT..]).expect("feeds");
         let metrics = format!("{:#?}", resumed.finish().expect("finishes"));
@@ -134,27 +137,40 @@ fn resume_preserves_wear_leveling_and_data_verification() {
 fn snapshot_twice_is_byte_identical() {
     let records = trace();
     let cfg = config(Architecture::Wcpcm);
-    let snap = |()| {
-        let mut session = Session::open(cfg.clone()).expect("valid config");
-        session.feed(&records[..SPLIT]).expect("feeds");
-        session.checkpoint().expect("checkpoints")
-    };
-    assert_eq!(snap(()), snap(()), "checkpoint bytes are deterministic");
+    assert_eq!(
+        checkpoint_at(&cfg, &records, SPLIT),
+        checkpoint_at(&cfg, &records, SPLIT),
+        "checkpoint bytes are deterministic"
+    );
 }
 
-fn fixture_path(arch: Architecture) -> PathBuf {
+fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
-        .join(format!("{}.womsnap", arch.slug()))
+        .join(format!("{name}.womsnap"))
+}
+
+/// Every golden checkpoint as `(fixture name, config)`: each architecture,
+/// plus the two refresh architectures with the data checker on, whose
+/// checkpoints hold the functional cells each refresh rewrote.
+fn golden_inputs() -> Vec<(String, SystemConfig)> {
+    let mut inputs: Vec<(String, SystemConfig)> = Architecture::all_paper()
+        .into_iter()
+        .map(|arch| (arch.slug().to_string(), config(arch)))
+        .collect();
+    for arch in [Architecture::WomCodeRefresh, Architecture::Wcpcm] {
+        let cfg = SystemBuilder::tiny(arch).verify_data(true).into_config();
+        inputs.push((format!("{}-verified", arch.slug()), cfg));
+    }
+    inputs
 }
 
 #[test]
 fn golden_womsnap_fixtures_stay_stable() {
     let records = trace();
-    for arch in Architecture::all_paper() {
-        let cfg = config(arch);
-        let (_, _, container) = run_interrupted(&cfg, &records, SPLIT);
-        let path = fixture_path(arch);
+    for (name, cfg) in golden_inputs() {
+        let container = checkpoint_at(&cfg, &records, SPLIT);
+        let path = fixture_path(&name);
         // GOLDEN_REGEN gates regeneration of the checked-in files; it
         // never affects a verifying run, so the env ban does not apply.
         #[allow(clippy::disallowed_methods)]
@@ -173,12 +189,20 @@ fn golden_womsnap_fixtures_stay_stable() {
         assert_eq!(
             container,
             golden,
-            "{arch:?}: checkpoint bytes drifted from {}; if the change is \
+            "{name}: checkpoint bytes drifted from {}; if the change is \
              intentional, regenerate with GOLDEN_REGEN=1",
             path.display()
         );
         // The committed container must still decode and resume.
         let mut resumed = Session::resume(cfg.clone(), &golden).expect("golden restores");
+        if cfg.verify_data() {
+            // A verified fixture pins the refresh rewrite only if refreshes
+            // ran before the checkpoint.
+            assert!(
+                resumed.metrics().refreshes_completed > 0,
+                "{name}: no refresh completed before the checkpoint"
+            );
+        }
         let consumed = resumed.records_fed();
         resumed.feed(&records[consumed as usize..]).expect("feeds");
         resumed.finish().expect("finishes");

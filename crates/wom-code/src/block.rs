@@ -220,9 +220,6 @@ pub struct BlockCodec<C> {
     /// row tiles an even number of symbols and the doubled geometry
     /// stays L1-resident; `None` keeps the single-symbol lanes.
     pair_lut: Option<Arc<SymbolLut>>,
-    /// Which tabulated row kernel the `*_row_into` fast paths dispatch
-    /// to (irrelevant without a LUT).
-    kernel: Kernel,
 }
 
 impl<C: WomCode> BlockCodec<C> {
@@ -255,15 +252,7 @@ impl<C: WomCode> BlockCodec<C> {
             data_bits: row_data_bits,
             lut,
             pair_lut,
-            kernel: Kernel::compiled_default(),
         })
-    }
-
-    /// Whether the word-parallel LUT fast path is available for this
-    /// code's geometry.
-    #[must_use]
-    pub fn has_fast_path(&self) -> bool {
-        self.lut.is_some()
     }
 
     /// Whether row calls actually run the tabulated kernels. `false`
@@ -276,24 +265,12 @@ impl<C: WomCode> BlockCodec<C> {
         self.lut.is_some()
     }
 
-    /// The kernel row calls dispatch to when [`Self::is_accelerated`].
+    /// The kernel row calls run when [`Self::is_accelerated`]: always
+    /// [`Kernel::Lanes`]. Benchmark reports print it as the `kernel` of
+    /// their provenance.
     #[must_use]
     pub fn kernel(&self) -> Kernel {
-        self.kernel
-    }
-
-    /// Overrides the kernel. Tests and benchmarks pin [`Kernel::Scalar`]
-    /// to differentially compare it against [`Kernel::Lanes`]; both are
-    /// bit-identical to the reference path by contract.
-    pub fn set_kernel(&mut self, kernel: Kernel) {
-        self.kernel = kernel;
-    }
-
-    /// Builder-style [`Self::set_kernel`].
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = kernel;
-        self
+        Kernel::Lanes
     }
 
     /// The precompiled symbol tables, when the geometry allowed them.
@@ -416,19 +393,17 @@ impl<C: WomCode> BlockCodec<C> {
         Ok(out)
     }
 
-    /// Tabulated row encode into caller-provided scratch: symbols are
-    /// read straight out of the [`WitBuffer`]'s `u64` words, looked up in
-    /// the precompiled [`SymbolLut`], and staged in `scratch` — no heap
-    /// allocation once `scratch` has warmed up. Transition totals come
-    /// from whole-word XOR popcounts rather than per-symbol counting.
+    /// Tabulated row encode into caller-provided scratch: one pass of
+    /// branch-free gathers ([`simd::gather`]) and AND-accumulated table
+    /// lookups ([`SymbolLut::encode_stream`]) stages the next row image
+    /// in `scratch`, via the symbol-*pair* table (two symbols per lookup)
+    /// when the geometry allowed building one — no heap allocation once
+    /// `scratch` has warmed up. Transition totals come from whole-word
+    /// XOR popcounts rather than per-symbol counting.
     ///
-    /// Dispatches to the active [`Kernel`]: branch-free lane kernels
-    /// ([`crate::simd`]) by default, or the original scalar walk under
-    /// [`Kernel::Scalar`] / the `force-scalar` feature.
-    ///
-    /// Behaviour is bit-identical to [`Self::encode_row_reference`] for
-    /// every kernel, including the all-or-nothing guarantee: on any error
-    /// `cells` is left unmodified. Codes too large to tabulate (not
+    /// Behaviour is bit-identical to [`Self::encode_row_reference`],
+    /// including the all-or-nothing guarantee: on any error `cells` is
+    /// left unmodified. Codes too large to tabulate (not
     /// [`Self::is_accelerated`]) fall back to the reference path, which
     /// allocates its staging buffer per call.
     ///
@@ -452,6 +427,15 @@ impl<C: WomCode> BlockCodec<C> {
                 limit: self.code.writes(),
             });
         }
+        let (table, paired) = match self.pair_lut.as_deref() {
+            Some(pair) => (pair, true),
+            None => (lut, false),
+        };
+        let lanes = if paired {
+            self.symbols / 2
+        } else {
+            self.symbols
+        };
         let RowScratch {
             words,
             cur_words,
@@ -460,19 +444,25 @@ impl<C: WomCode> BlockCodec<C> {
             io_syms,
         } = scratch;
         fit(words, cells.words.len());
-        match self.kernel {
-            Kernel::Lanes => self.stage_row_lanes(
-                lut,
-                gen,
-                data,
-                &cells.words,
-                words,
-                cur_words,
-                io_words,
-                cur_syms,
-                io_syms,
-            )?,
-            Kernel::Scalar => self.stage_row_scalar(lut, gen, data, &cells.words, words)?,
+        // The gathers are branch-free and always read a word pair, so
+        // the current image is copied once with a padding word (the data
+        // bytes get theirs from `bytes_to_words`).
+        cur_words.clear();
+        cur_words.extend_from_slice(&cells.words);
+        cur_words.push(0);
+        simd::bytes_to_words(data, io_words);
+        if !table.encode_stream(gen, lanes, cur_words, io_words, words) {
+            // Cold path: unpack the lanes and re-run the symbol code to
+            // surface the exact error the reference path would produce.
+            fit(cur_syms, lanes);
+            fit(io_syms, lanes);
+            simd::unpack_symbols(cur_words, table.wits() as usize, cur_syms);
+            simd::unpack_symbols(io_words, table.data_bits() as usize, io_syms);
+            return Err(if paired {
+                self.first_symbol_error_paired(gen, cur_syms, io_syms)
+            } else {
+                self.first_symbol_error(gen, cur_syms, io_syms)
+            });
         }
         let total = simd::xor_transitions(&cells.words, words);
         for (dst, &src) in cells.words.iter_mut().zip(words.iter()) {
@@ -481,199 +471,10 @@ impl<C: WomCode> BlockCodec<C> {
         Ok(total)
     }
 
-    /// Encodes a batch of equally-sized rows in one call, amortizing
-    /// kernel dispatch, generation checks, and LUT loads across the
-    /// whole batch — the shape of a refresh burst or WCPCM writeback
-    /// set, where every row is rewritten at the same generation.
-    ///
-    /// `data` holds the rows' payloads back to back
-    /// (`cells.len() × data_bits()/8` bytes). The all-or-nothing
-    /// guarantee extends over the *whole batch*: every row's next image
-    /// is staged and validated before any row's cells are touched, so on
-    /// error (reported for the first failing symbol of the first failing
-    /// row, exactly as the reference path would) no row is modified.
-    /// Returns the aggregate transitions over all rows.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::encode_row`], checked per row.
-    pub fn encode_rows_into(
-        &self,
-        gen: u32,
-        data: &[u8],
-        cells: &mut [WitBuffer],
-        scratch: &mut RowScratch,
-    ) -> Result<Transitions, WomCodeError> {
-        let row_bytes = self.data_bits / 8;
-        if data.len() != row_bytes * cells.len() {
-            return Err(WomCodeError::LengthMismatch {
-                expected: self.data_bits * cells.len(),
-                actual: data.len() * 8,
-            });
-        }
-        let Some(lut) = self.lut.as_deref() else {
-            return self.encode_rows_reference(gen, data, cells);
-        };
-        if gen >= self.code.writes() {
-            return Err(WomCodeError::GenerationExhausted {
-                requested: gen,
-                limit: self.code.writes(),
-            });
-        }
-        let words_len = self.encoded_bits().div_ceil(64);
-        let RowScratch {
-            words,
-            cur_words,
-            io_words,
-            cur_syms,
-            io_syms,
-        } = scratch;
-        fit(words, words_len * cells.len());
-        for ((chunk, cellbuf), seg) in data
-            .chunks_exact(row_bytes)
-            .zip(cells.iter())
-            .zip(words.chunks_exact_mut(words_len))
-        {
-            self.check_row_args(chunk.len(), cellbuf.len())?;
-            match self.kernel {
-                Kernel::Lanes => self.stage_row_lanes(
-                    lut,
-                    gen,
-                    chunk,
-                    &cellbuf.words,
-                    seg,
-                    cur_words,
-                    io_words,
-                    cur_syms,
-                    io_syms,
-                )?,
-                Kernel::Scalar => self.stage_row_scalar(lut, gen, chunk, &cellbuf.words, seg)?,
-            }
-        }
-        let mut total = Transitions::default();
-        for (cellbuf, seg) in cells.iter_mut().zip(scratch.words.chunks_exact(words_len)) {
-            let t = simd::xor_transitions(&cellbuf.words, seg);
-            total.sets += t.sets;
-            total.resets += t.resets;
-            for (dst, &src) in cellbuf.words.iter_mut().zip(seg.iter()) {
-                *dst = src;
-            }
-        }
-        Ok(total)
-    }
-
-    /// Batch fallback for codes too large to tabulate: per-row reference
-    /// encodes into cloned staging buffers, committed only when every
-    /// row validated (preserving the batch-wide atomicity contract).
-    fn encode_rows_reference(
-        &self,
-        gen: u32,
-        data: &[u8],
-        cells: &mut [WitBuffer],
-    ) -> Result<Transitions, WomCodeError> {
-        let row_bytes = self.data_bits / 8;
-        // womlint::allow(hotpath/transitive, reason = "reference fallback for codes too large to tabulate; the tabulated kernels serve every benchmarked geometry")
-        let mut staged = cells.to_vec();
-        let mut total = Transitions::default();
-        for (chunk, buf) in data.chunks_exact(row_bytes).zip(staged.iter_mut()) {
-            let t = self.encode_row_reference(gen, chunk, buf)?;
-            total.sets += t.sets;
-            total.resets += t.resets;
-        }
-        for (dst, src) in cells.iter_mut().zip(&staged) {
-            dst.copy_from(src);
-        }
-        Ok(total)
-    }
-
-    /// Stages one row's next image into `seg` with the fused lane
-    /// stream: one pass of branch-free gathers ([`simd::gather`]) and
-    /// AND-accumulated table lookups streaming straight into `seg`
-    /// ([`SymbolLut::encode_stream`]), via the symbol-*pair* table (two
-    /// symbols per lookup) when the geometry allowed building one. Reads
-    /// `cell_words` only — the caller commits `seg` after every row of
-    /// its batch validated.
-    #[allow(clippy::too_many_arguments)]
-    fn stage_row_lanes(
-        &self,
-        lut: &SymbolLut,
-        gen: u32,
-        data: &[u8],
-        cell_words: &[u64],
-        seg: &mut [u64],
-        cur_words: &mut Vec<u64>,
-        io_words: &mut Vec<u64>,
-        cur_syms: &mut Vec<u16>,
-        io_syms: &mut Vec<u16>,
-    ) -> Result<(), WomCodeError> {
-        let (table, paired) = match self.pair_lut.as_deref() {
-            Some(pair) => (pair, true),
-            None => (lut, false),
-        };
-        let wbits = table.wits() as usize;
-        let dbits = table.data_bits() as usize;
-        let lanes = if paired {
-            self.symbols / 2
-        } else {
-            self.symbols
-        };
-        // The gathers are branch-free and always read a word pair, so
-        // the current image is copied once with a padding word (the data
-        // bytes get theirs from `bytes_to_words`).
-        cur_words.clear();
-        cur_words.extend_from_slice(cell_words);
-        cur_words.push(0);
-        simd::bytes_to_words(data, io_words);
-        if !table.encode_stream(gen, lanes, cur_words, io_words, seg) {
-            // Cold path: unpack the lanes and re-run the symbol code to
-            // surface the exact error the reference path would produce.
-            fit(cur_syms, lanes);
-            fit(io_syms, lanes);
-            simd::unpack_symbols(cur_words, wbits, cur_syms);
-            simd::unpack_symbols(io_words, dbits, io_syms);
-            return Err(if paired {
-                self.first_symbol_error_paired(gen, cur_syms, io_syms)
-            } else {
-                self.first_symbol_error(gen, cur_syms, io_syms)
-            });
-        }
-        Ok(())
-    }
-
-    /// Stages one row's next image into `seg` with the scalar kernel —
-    /// the original word-at-a-time walk, kept as the differential oracle
-    /// for the lane kernels (and the `force-scalar` build).
-    fn stage_row_scalar(
-        &self,
-        lut: &SymbolLut,
-        gen: u32,
-        data: &[u8],
-        cell_words: &[u64],
-        seg: &mut [u64],
-    ) -> Result<(), WomCodeError> {
-        seg.fill(0);
-        let dbits = self.code.data_bits();
-        let wbits = self.code.wits() as usize;
-        let mut reader = BitReader::new(data);
-        let mut bit = 0usize;
-        for _ in 0..self.symbols {
-            let current = word_chunk(cell_words, bit, wbits);
-            // womlint::allow(hotpath/transitive, reason = "BitReader::read pulls bits from the input slice; it does not allocate (the ban targets FunctionalMemory::read)")
-            let value = reader.read(dbits);
-            let Some(next) = lut.encode_bits(gen, current, value) else {
-                return Err(self.symbol_error(gen, value, current, wbits));
-            };
-            word_merge(seg, bit, next);
-            bit += wbits;
-        }
-        Ok(())
-    }
-
     /// Decodes the row's cells into a caller-provided byte slice without
     /// allocating — the word-parallel counterpart of
-    /// [`Self::decode_row`]. Uses the [`SymbolLut`] when available
-    /// (dispatching to the active [`Kernel`]) and the per-symbol
-    /// reference decode otherwise.
+    /// [`Self::decode_row`]. Uses the lane kernels over the [`SymbolLut`]
+    /// when available and the per-symbol reference decode otherwise.
     ///
     /// # Errors
     ///
@@ -689,46 +490,15 @@ impl<C: WomCode> BlockCodec<C> {
             return self.decode_row_reference(cells, out);
         };
         self.check_row_args(out.len(), cells.len())?;
-        match self.kernel {
-            Kernel::Lanes => self.decode_row_lanes(lut, cells, out, scratch),
-            Kernel::Scalar => self.decode_row_scalar(lut, cells, out),
-        }
+        self.decode_row_lanes(lut, cells, out, scratch);
         Ok(())
     }
 
-    /// Decodes a batch of equally-sized rows in one call (`cells.len()`
-    /// rows into `out`, payloads back to back), amortizing dispatch and
-    /// LUT loads — the read-side counterpart of
-    /// [`Self::encode_rows_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WomCodeError::LengthMismatch`] if `out` is not
-    /// `cells.len() × data_bits()/8` bytes or any row's cells have the
-    /// wrong size.
-    pub fn decode_rows_into(
-        &self,
-        cells: &[WitBuffer],
-        out: &mut [u8],
-        scratch: &mut RowScratch,
-    ) -> Result<(), WomCodeError> {
-        let row_bytes = self.data_bits / 8;
-        if out.len() != row_bytes * cells.len() {
-            return Err(WomCodeError::LengthMismatch {
-                expected: self.data_bits * cells.len(),
-                actual: out.len() * 8,
-            });
-        }
-        for (cellbuf, chunk) in cells.iter().zip(out.chunks_exact_mut(row_bytes)) {
-            self.decode_row_into(cellbuf, chunk, scratch)?;
-        }
-        Ok(())
-    }
-
-    /// Lane decode: branch-free unpack, then either the register-
-    /// resident broadcast table (geometries where `2^wits × data_bits`
-    /// fits in 64 bits — no memory lookup at all) or the lane table
-    /// walk, then branch-free repack into bytes.
+    /// Lane decode: one fused gather-and-pack sweep over the pair or
+    /// single-symbol table, or, for geometries whose `2^wits × data_bits`
+    /// fits in 64 bits, a branch-free unpack, the register-resident
+    /// broadcast table (no memory lookup at all) and a branch-free repack
+    /// into bytes.
     fn decode_row_lanes(
         &self,
         lut: &SymbolLut,
@@ -752,42 +522,25 @@ impl<C: WomCode> BlockCodec<C> {
         // in one fused sweep; only the broadcast (register-table) codes
         // keep the unpack→broadcast→pack pipeline, which beats a fused
         // memory walk for them.
-        if lut.packed_decode().is_none() {
+        let Some(packed) = lut.packed_decode() else {
             fit(&mut scratch.io_words, self.data_bits.div_ceil(64));
             lut.decode_stream(self.symbols, &scratch.cur_words, &mut scratch.io_words);
             simd::words_to_bytes(&scratch.io_words, out);
             return;
-        }
+        };
         let wbits = lut.wits() as usize;
         let dbits = lut.data_bits() as usize;
         let lanes = self.symbols;
         fit(&mut scratch.cur_syms, lanes);
         fit(&mut scratch.io_syms, lanes);
         simd::unpack_symbols(&scratch.cur_words, wbits, &mut scratch.cur_syms);
-        if let Some(packed) = lut.packed_decode() {
-            let dmask = (1u64 << dbits) - 1;
-            for (&p, o) in scratch.cur_syms.iter().zip(scratch.io_syms.iter_mut()) {
-                *o = ((packed >> ((p as usize) * dbits)) & dmask) as u16;
-            }
-        } else {
-            lut.decode_symbols(&scratch.cur_syms, &mut scratch.io_syms);
+        let dmask = (1u64 << dbits) - 1;
+        for (&p, o) in scratch.cur_syms.iter().zip(scratch.io_syms.iter_mut()) {
+            *o = ((packed >> ((p as usize) * dbits)) & dmask) as u16;
         }
         fit(&mut scratch.io_words, self.data_bits.div_ceil(64));
         simd::pack_symbols(&scratch.io_syms, dbits, &mut scratch.io_words);
         simd::words_to_bytes(&scratch.io_words, out);
-    }
-
-    /// Scalar decode: the original word-at-a-time LUT walk.
-    fn decode_row_scalar(&self, lut: &SymbolLut, cells: &WitBuffer, out: &mut [u8]) {
-        let dbits = self.code.data_bits();
-        let wbits = self.code.wits() as usize;
-        let mut writer = BitWriter::new(out);
-        let mut bit = 0usize;
-        for _ in 0..self.symbols {
-            let current = word_chunk(&cells.words, bit, wbits);
-            writer.write(lut.decode(current), dbits);
-            bit += wbits;
-        }
     }
 
     /// The per-symbol reference implementation of
@@ -834,18 +587,6 @@ impl<C: WomCode> BlockCodec<C> {
             });
         }
         Ok(())
-    }
-
-    /// Reproduces the exact symbol-level error for a LUT miss.
-    #[cold]
-    fn symbol_error(&self, gen: u32, data: u64, current: u64, wbits: usize) -> WomCodeError {
-        match self
-            .code
-            .encode(gen, data, Pattern::from_bits(current, wbits))
-        {
-            Err(e) => e,
-            Ok(_) => unreachable!("SymbolLut and WomCode disagree on encode success"),
-        }
     }
 
     /// Reproduces the exact symbol-level error after the lane kernel's
@@ -898,19 +639,17 @@ fn fit<T: Copy + Default>(v: &mut Vec<T>, n: usize) {
     }
 }
 
-/// Caller-owned staging buffers for [`BlockCodec::encode_row_into`],
-/// [`BlockCodec::decode_row_into`], and the batch
-/// [`BlockCodec::encode_rows_into`]/[`BlockCodec::decode_rows_into`].
+/// Caller-owned staging buffers for [`BlockCodec::encode_row_into`] and
+/// [`BlockCodec::decode_row_into`].
 ///
-/// `words` holds the next row image(s) while symbols are validated, so a
-/// failed encode cannot leave any row half-written; the remaining fields
+/// `words` holds the next row image while symbols are validated, so a
+/// failed encode cannot leave the row half-written; the remaining fields
 /// are the lane kernels' symbol and word staging. A warm scratch makes
 /// the whole encode/decode allocation-free. One scratch can be reused
-/// across codecs and row sizes; it grows to the largest row (or batch)
-/// it has seen.
+/// across codecs and row sizes; it grows to the largest row it has seen.
 #[derive(Debug, Clone, Default)]
 pub struct RowScratch {
-    /// Staged next row image(s) — `words_per_row × rows` for a batch.
+    /// Staged next row image.
     words: Vec<u64>,
     /// Padded copy of the current cell image the lane unpack gathers from.
     cur_words: Vec<u64>,
@@ -929,105 +668,6 @@ impl RowScratch {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Current capacity in bits (diagnostics only).
-    #[must_use]
-    pub fn capacity_bits(&self) -> usize {
-        self.words.capacity() * 64
-    }
-}
-
-/// Reads a `width`-bit chunk starting at `offset` from packed words,
-/// crossing at most one word boundary (`width ≤ 16 < 64`).
-#[inline]
-fn word_chunk(words: &[u64], offset: usize, width: usize) -> u64 {
-    let word = offset / 64;
-    let shift = offset % 64;
-    let mut value = words[word] >> shift;
-    if shift + width > 64 {
-        value |= words[word + 1] << (64 - shift);
-    }
-    value & ((1u64 << width) - 1)
-}
-
-/// ORs `value` into zero-initialized packed words at bit `offset` (the
-/// staging buffer starts all-zeros, so no clearing mask is needed).
-#[inline]
-fn word_merge(words: &mut [u64], offset: usize, value: u64) {
-    let word = offset / 64;
-    let shift = offset % 64;
-    words[word] |= value << shift;
-    if shift != 0 {
-        if let Some(high) = words.get_mut(word + 1) {
-            *high |= value >> (64 - shift);
-        }
-    }
-}
-
-/// Sequential little-endian bit reader over a byte slice (symbol widths
-/// are at most 16 bits, so the accumulator never overflows).
-struct BitReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    acc: u64,
-    acc_bits: u32,
-}
-
-impl<'a> BitReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self {
-            bytes,
-            pos: 0,
-            acc: 0,
-            acc_bits: 0,
-        }
-    }
-
-    #[inline]
-    fn read(&mut self, width: u32) -> u64 {
-        while self.acc_bits < width {
-            self.acc |= u64::from(self.bytes[self.pos]) << self.acc_bits;
-            self.pos += 1;
-            self.acc_bits += 8;
-        }
-        let value = self.acc & ((1u64 << width) - 1);
-        self.acc >>= width;
-        self.acc_bits -= width;
-        value
-    }
-}
-
-/// Sequential little-endian bit writer over a byte slice; flushes whole
-/// bytes as they fill, so a row whose data bits are a byte multiple ends
-/// exactly flush.
-struct BitWriter<'a> {
-    bytes: &'a mut [u8],
-    pos: usize,
-    acc: u64,
-    acc_bits: u32,
-}
-
-impl<'a> BitWriter<'a> {
-    fn new(bytes: &'a mut [u8]) -> Self {
-        Self {
-            bytes,
-            pos: 0,
-            acc: 0,
-            acc_bits: 0,
-        }
-    }
-
-    #[inline]
-    fn write(&mut self, value: u64, width: u32) {
-        self.acc |= value << self.acc_bits;
-        self.acc_bits += width;
-        while self.acc_bits >= 8 {
-            self.bytes[self.pos] = self.acc as u8;
-            self.pos += 1;
-            self.acc >>= 8;
-            self.acc_bits -= 8;
-        }
     }
 }
 

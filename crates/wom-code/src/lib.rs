@@ -48,7 +48,7 @@
 //! * [`lut`] — precompiled dense symbol tables backing the word-parallel
 //!   row fast path.
 //! * [`simd`] — branch-free lane kernels for the gather-free stages of
-//!   the row fast path, with [`Kernel`] dispatch and a scalar fallback.
+//!   the row fast path.
 //! * [`analysis`] — the paper's §3.2 latency/speedup bounds.
 
 #![forbid(unsafe_code)]

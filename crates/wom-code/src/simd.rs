@@ -13,51 +13,23 @@
 //! The table *lookup* itself is a data-dependent gather and stays
 //! scalar; with 2^22-entry tables at most it is L1/L2-resident and the
 //! out-of-order core overlaps the independent loads. What these kernels
-//! remove is everything around the gather: the per-symbol bit-reader
-//! loops, the `Option` branches, and the per-symbol transition counts of
-//! the scalar walk.
+//! remove is everything around the gather: per-symbol bit-reader loops,
+//! `Option` branches, and per-symbol transition counts.
 //!
-//! Kernel choice is a [`Kernel`] value on
-//! [`crate::BlockCodec`]: `Lanes` by default, `Scalar` (the original
-//! word-at-a-time walk, kept as the equivalence oracle) either
-//! programmatically or for the whole build with the `force-scalar`
-//! cargo feature. Both produce bit-identical rows; `tests/lut_equivalence.rs`
-//! proves it against the per-symbol reference code.
+//! These are the only tabulated row kernels: [`crate::BlockCodec`]'s
+//! `encode_row_into`/`decode_row_into` run them whenever the code's
+//! geometry tabulates and fall back to the per-symbol reference path
+//! otherwise. `tests/lut_equivalence.rs` proves them bit-identical to
+//! that reference path.
 
 use crate::wit::Transitions;
 
-/// Which tabulated row kernel [`crate::BlockCodec`] runs.
-///
-/// Selection is compile-time by default (`force-scalar` feature flips
-/// it) with a programmatic override for tests and benchmarks — the
-/// simulation crates ban `std::env`, so there is deliberately no
-/// environment-variable dispatch.
+/// The tabulated row kernel [`crate::BlockCodec`] runs: the lane
+/// kernels of this module are the only one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
     /// Branch-free lane kernels (this module) around the table gather.
     Lanes,
-    /// The original word-at-a-time scalar walk; the fallback contract is
-    /// that it is bit-identical to `Lanes` in results *and* errors.
-    Scalar,
-}
-
-impl Kernel {
-    /// The build's default kernel: `Lanes`, or `Scalar` when the
-    /// `force-scalar` cargo feature is enabled.
-    #[must_use]
-    pub const fn compiled_default() -> Self {
-        if cfg!(feature = "force-scalar") {
-            Self::Scalar
-        } else {
-            Self::Lanes
-        }
-    }
-}
-
-impl Default for Kernel {
-    fn default() -> Self {
-        Self::compiled_default()
-    }
 }
 
 /// Four `u64` lanes processed element-wise — the manual vector type the
@@ -232,17 +204,6 @@ mod tests {
     /// Naive single-bit extraction oracle.
     fn bit_of(words: &[u64], bit: usize) -> u64 {
         (words[bit / 64] >> (bit % 64)) & 1
-    }
-
-    #[test]
-    fn compiled_default_tracks_the_feature() {
-        let expect = if cfg!(feature = "force-scalar") {
-            Kernel::Scalar
-        } else {
-            Kernel::Lanes
-        };
-        assert_eq!(Kernel::compiled_default(), expect);
-        assert_eq!(Kernel::default(), expect);
     }
 
     #[test]

@@ -8,28 +8,20 @@
 //!    `(generation, current_pattern, data_value)` triple, including which
 //!    triples error, and on the transition counts (patterns *and*
 //!    transitions, not just round-trip values).
-//! 2. **Row level** — [`BlockCodec::encode_row_into`] /
-//!    [`BlockCodec::decode_row_into`] must be bit-identical to
-//!    [`BlockCodec::encode_row_reference`] / [`BlockCodec::decode_row`]
-//!    across whole write lifetimes, including the exhaustion error (same
-//!    error, cells untouched) — under **both** kernels
-//!    ([`Kernel::Lanes`] and [`Kernel::Scalar`]), pinned
-//!    programmatically so each CI matrix leg proves all three paths.
-//! 3. **Batch level** — [`BlockCodec::encode_rows_into`] /
-//!    [`BlockCodec::decode_rows_into`] must match row-at-a-time calls
-//!    bit-identically and preserve whole-batch atomicity on error.
+//! 2. **Row level** — the lane kernels behind
+//!    [`BlockCodec::encode_row_into`] / [`BlockCodec::decode_row_into`]
+//!    must be bit-identical to [`BlockCodec::encode_row_reference`] /
+//!    [`BlockCodec::decode_row_reference`] across whole write lifetimes,
+//!    including the exhaustion error (same error, cells untouched).
 //!
 //! The code matrix covers rs23, rs2 (k = 2..=4), flip, tabular, and
 //! identity, each in both orientations (plain and [`Inverted`]).
 
 use pcm_rng::Rng;
 use wom_code::{
-    BlockCodec, FlipCode, IdentityCode, Inverted, Kernel, Pattern, RowScratch, Rs23Code, Rs2Code,
+    BlockCodec, FlipCode, IdentityCode, Inverted, Pattern, RowScratch, Rs23Code, Rs2Code,
     SymbolLut, TabularWomCode, WitBuffer, WomCode, WomCodeError,
 };
-
-/// Both dispatchable kernels, swept explicitly by every row-level test.
-const KERNELS: [Kernel; 2] = [Kernel::Lanes, Kernel::Scalar];
 
 /// Fills a [`WitBuffer`] with arbitrary (not necessarily codeword) bits.
 fn random_cells(rng: &mut Rng, bits: usize) -> WitBuffer {
@@ -143,52 +135,41 @@ fn symbol_lut_is_bit_identical_to_every_code() {
     }
 }
 
-/// Row-level equivalence over whole write lifetimes: the lane kernel,
-/// the scalar kernel, and the reference path, fed identical data
-/// streams, must produce identical cells, identical transition totals,
-/// and identical decodes at every generation — three-way bit identity.
+/// Row-level equivalence over whole write lifetimes: the lane kernels
+/// and the reference path, fed identical data streams, must produce
+/// identical cells, identical transition totals, and identical decodes
+/// at every generation.
 #[test]
 fn row_fast_path_matches_reference_across_generations() {
     let mut rng = Rng::seed_from_u64(0x10_7E57);
     for (label, code, row_bits) in code_matrix() {
-        let mut codec = BlockCodec::new(code, row_bits).unwrap();
-        assert!(codec.has_fast_path(), "{label}: matrix codes tabulate");
-        assert!(codec.is_accelerated(), "{label}: accessors agree");
+        let codec = BlockCodec::new(code, row_bits).unwrap();
+        assert!(codec.is_accelerated(), "{label}: matrix codes tabulate");
         let mut scratch = RowScratch::new();
         for _round in 0..8 {
             let mut lanes = codec.erased_buffer();
-            let mut scalar = codec.erased_buffer();
             let mut reference = codec.erased_buffer();
             for gen in 0..codec.rewrite_limit() {
                 let data: Vec<u8> = (0..row_bits / 8).map(|_| rng.next_u64() as u8).collect();
-                codec.set_kernel(Kernel::Lanes);
                 let t_lanes = codec.encode_row_into(gen, &data, &mut lanes, &mut scratch);
-                codec.set_kernel(Kernel::Scalar);
-                let t_scalar = codec.encode_row_into(gen, &data, &mut scalar, &mut scratch);
                 let t_ref = codec.encode_row_reference(gen, &data, &mut reference);
-                match (t_lanes, t_scalar, t_ref) {
-                    (Ok(a), Ok(b), Ok(c)) => {
-                        assert_eq!(a, c, "{label}: lane transitions diverge at g{gen}");
-                        assert_eq!(b, c, "{label}: scalar transitions diverge at g{gen}");
+                match (t_lanes, t_ref) {
+                    (Ok(a), Ok(b)) => {
+                        assert_eq!(a, b, "{label}: lane transitions diverge at g{gen}");
                     }
-                    (a, b, c) => panic!("{label}: result mismatch at g{gen}: {a:?}/{b:?}/{c:?}"),
+                    (a, b) => panic!("{label}: result mismatch at g{gen}: {a:?}/{b:?}"),
                 }
                 assert_eq!(lanes, reference, "{label}: lane cells diverge at g{gen}");
-                assert_eq!(scalar, reference, "{label}: scalar cells diverge at g{gen}");
                 let mut decoded = vec![0u8; row_bits / 8];
-                for kernel in KERNELS {
-                    codec.set_kernel(kernel);
-                    decoded.fill(0);
-                    codec
-                        .decode_row_into(&lanes, &mut decoded, &mut scratch)
-                        .unwrap();
-                    assert_eq!(decoded, data, "{label}: {kernel:?} decode wrong at g{gen}");
-                }
-                assert_eq!(
-                    codec.decode_row(&reference).unwrap(),
-                    data,
-                    "{label}: reference decode wrong at g{gen}"
-                );
+                codec
+                    .decode_row_into(&lanes, &mut decoded, &mut scratch)
+                    .unwrap();
+                assert_eq!(decoded, data, "{label}: lane decode wrong at g{gen}");
+                decoded.fill(0);
+                codec
+                    .decode_row_reference(&reference, &mut decoded)
+                    .unwrap();
+                assert_eq!(decoded, data, "{label}: reference decode wrong at g{gen}");
             }
         }
     }
@@ -196,142 +177,24 @@ fn row_fast_path_matches_reference_across_generations() {
 
 /// Decode is total: arbitrary cell states — including non-codeword
 /// patterns no encode would ever produce — decode to the same bytes
-/// through the lane kernel, the scalar kernel, and the per-symbol
-/// reference.
+/// through the lane kernels and the per-symbol reference.
 #[test]
 fn non_codeword_decode_is_kernel_identical() {
     let mut rng = Rng::seed_from_u64(0xBAD_C0DE);
     for (label, code, row_bits) in code_matrix() {
-        let mut codec = BlockCodec::new(code, row_bits).unwrap();
+        let codec = BlockCodec::new(code, row_bits).unwrap();
         let mut scratch = RowScratch::new();
         for _ in 0..16 {
             let cells = random_cells(&mut rng, codec.encoded_bits());
             let mut reference = vec![0u8; row_bits / 8];
             codec.decode_row_reference(&cells, &mut reference).unwrap();
-            for kernel in KERNELS {
-                codec.set_kernel(kernel);
-                let mut out = vec![0xFFu8; row_bits / 8];
-                codec
-                    .decode_row_into(&cells, &mut out, &mut scratch)
-                    .unwrap();
-                assert_eq!(out, reference, "{label}: {kernel:?} non-codeword decode");
-            }
+            let mut out = vec![0xFFu8; row_bits / 8];
+            codec
+                .decode_row_into(&cells, &mut out, &mut scratch)
+                .unwrap();
+            assert_eq!(out, reference, "{label}: non-codeword decode");
         }
     }
-}
-
-/// Batch encode/decode match row-at-a-time calls bit-identically —
-/// same cells, same aggregate transitions, same round-tripped bytes —
-/// for every geometry, generation, and kernel.
-#[test]
-fn batch_api_matches_sequential_rows() {
-    let mut rng = Rng::seed_from_u64(0xB_A7C4);
-    for (label, code, row_bits) in code_matrix() {
-        let mut codec = BlockCodec::new(code, row_bits).unwrap();
-        let row_bytes = row_bits / 8;
-        for rows in [1usize, 4, 7] {
-            for kernel in KERNELS {
-                codec.set_kernel(kernel);
-                let mut scratch = RowScratch::new();
-                let mut batch: Vec<WitBuffer> = (0..rows).map(|_| codec.erased_buffer()).collect();
-                let mut sequential = batch.clone();
-                for gen in 0..codec.rewrite_limit() {
-                    let data: Vec<u8> = (0..row_bytes * rows)
-                        .map(|_| rng.next_u64() as u8)
-                        .collect();
-                    let t_batch = codec
-                        .encode_rows_into(gen, &data, &mut batch, &mut scratch)
-                        .unwrap();
-                    let mut sets = 0;
-                    let mut resets = 0;
-                    for (chunk, buf) in data.chunks_exact(row_bytes).zip(sequential.iter_mut()) {
-                        let t = codec
-                            .encode_row_into(gen, chunk, buf, &mut scratch)
-                            .unwrap();
-                        sets += t.sets;
-                        resets += t.resets;
-                    }
-                    assert_eq!(
-                        (t_batch.sets, t_batch.resets),
-                        (sets, resets),
-                        "{label}: batch transitions diverge ({kernel:?}, {rows} rows, g{gen})"
-                    );
-                    assert_eq!(
-                        batch, sequential,
-                        "{label}: batch cells diverge ({kernel:?}, {rows} rows, g{gen})"
-                    );
-                    let mut decoded = vec![0u8; row_bytes * rows];
-                    codec
-                        .decode_rows_into(&batch, &mut decoded, &mut scratch)
-                        .unwrap();
-                    assert_eq!(
-                        decoded, data,
-                        "{label}: batch decode wrong ({kernel:?}, {rows} rows, g{gen})"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Whole-batch atomicity: when any row of a batch fails (here an illegal
-/// transition in the *last* row), no row — including the rows staged
-/// before the failure — may be modified, and the error matches what the
-/// reference path reports for the offending row.
-#[test]
-fn batch_encode_failure_leaves_every_row_untouched() {
-    for kernel in KERNELS {
-        // Set-only rs23: from all-ones cells, writing a different value at
-        // generation 0 is an illegal transition.
-        let codec = BlockCodec::new(Rs23Code::new(), 64)
-            .unwrap()
-            .with_kernel(kernel);
-        let mut scratch = RowScratch::new();
-        let mut batch = vec![
-            codec.erased_buffer(),
-            codec.erased_buffer(),
-            WitBuffer::ones(codec.encoded_bits()),
-        ];
-        let snapshot = batch.clone();
-        let data = vec![0x55u8; 8 * 3];
-        let err = codec.encode_rows_into(0, &data, &mut batch, &mut scratch);
-        let mut ref_cells = WitBuffer::ones(codec.encoded_bits());
-        let reference = codec.encode_row_reference(0, &data[16..], &mut ref_cells);
-        match (&err, &reference) {
-            (
-                Err(WomCodeError::IllegalTransition { bit: a }),
-                Err(WomCodeError::IllegalTransition { bit: b }),
-            ) => assert_eq!(a, b, "{kernel:?}: batch reports the reference error"),
-            other => panic!("{kernel:?}: expected matching IllegalTransition, got {other:?}"),
-        }
-        assert_eq!(batch, snapshot, "{kernel:?}: failed batch modified a row");
-    }
-}
-
-/// Batch size validation: payload bytes must match `rows × data_bits/8`
-/// on both directions, and a wrong-sized member row errors too.
-#[test]
-fn batch_api_validates_sizes() {
-    let codec = BlockCodec::new(Inverted::new(Rs23Code::new()), 64).unwrap();
-    let mut scratch = RowScratch::new();
-    let mut batch = vec![codec.erased_buffer(), codec.erased_buffer()];
-    assert!(codec
-        .encode_rows_into(0, &[0u8; 15], &mut batch, &mut scratch)
-        .is_err());
-    let mut out = [0u8; 15];
-    assert!(codec
-        .decode_rows_into(&batch, &mut out, &mut scratch)
-        .is_err());
-    let mut ragged = vec![codec.erased_buffer(), WitBuffer::zeros(5)];
-    let snapshot = ragged.clone();
-    assert!(codec
-        .encode_rows_into(0, &[0u8; 16], &mut ragged, &mut scratch)
-        .is_err());
-    assert_eq!(ragged, snapshot, "failed batch modified a row");
-    let mut out = [0u8; 16];
-    assert!(codec
-        .decode_rows_into(&ragged, &mut out, &mut scratch)
-        .is_err());
 }
 
 /// Exhaustion: one generation past the rewrite limit, both paths return
@@ -375,32 +238,25 @@ fn row_fast_path_exhaustion_matches_reference() {
 /// through the fast path's cold fallback, with cells untouched.
 #[test]
 fn row_fast_path_reports_reference_errors_for_corrupt_state() {
-    for kernel in KERNELS {
-        // From all-ones cells, a set-only rs23 first write of a value other
-        // than the stored one is an illegal transition.
-        let codec = BlockCodec::new(Rs23Code::new(), 64)
-            .unwrap()
-            .with_kernel(kernel);
-        let mut cells = WitBuffer::ones(codec.encoded_bits());
-        let snapshot = cells.clone();
-        let mut scratch = RowScratch::new();
-        let data = vec![0x55u8; 8];
-        let fast = codec.encode_row_into(0, &data, &mut cells, &mut scratch);
-        let mut ref_cells = snapshot.clone();
-        let reference = codec.encode_row_reference(0, &data, &mut ref_cells);
-        match (&fast, &reference) {
-            (
-                Err(WomCodeError::IllegalTransition { bit: a }),
-                Err(WomCodeError::IllegalTransition { bit: b }),
-            ) => assert_eq!(a, b, "{kernel:?}: both paths name the same offending bit"),
-            other => panic!("{kernel:?}: expected matching IllegalTransition, got {other:?}"),
-        }
-        assert_eq!(
-            cells, snapshot,
-            "{kernel:?}: failed fast encode must not modify cells"
-        );
-        assert_eq!(ref_cells, snapshot);
+    // From all-ones cells, a set-only rs23 first write of a value other
+    // than the stored one is an illegal transition.
+    let codec = BlockCodec::new(Rs23Code::new(), 64).unwrap();
+    let mut cells = WitBuffer::ones(codec.encoded_bits());
+    let snapshot = cells.clone();
+    let mut scratch = RowScratch::new();
+    let data = vec![0x55u8; 8];
+    let fast = codec.encode_row_into(0, &data, &mut cells, &mut scratch);
+    let mut ref_cells = snapshot.clone();
+    let reference = codec.encode_row_reference(0, &data, &mut ref_cells);
+    match (&fast, &reference) {
+        (
+            Err(WomCodeError::IllegalTransition { bit: a }),
+            Err(WomCodeError::IllegalTransition { bit: b }),
+        ) => assert_eq!(a, b, "both paths name the same offending bit"),
+        other => panic!("expected matching IllegalTransition, got {other:?}"),
     }
+    assert_eq!(cells, snapshot, "failed fast encode must not modify cells");
+    assert_eq!(ref_cells, snapshot);
 }
 
 /// Length mismatches error identically through both entry points.

@@ -1,8 +1,7 @@
 #!/usr/bin/env sh
-# Local counterpart of CI: release build, the whole workspace's tests in
-# both codec kernel legs (DESIGN.md §7), the invariant lint (§9), the
-# warning-free rustdoc build, the bench-harness checks, and the perfbench
-# smoke runs. Tier-1 `cargo test -q` covers only the root package; this
+# Local counterpart of CI: release build, the whole workspace's tests,
+# the invariant lint (DESIGN.md §9), the warning-free rustdoc build, the
+# bench-harness checks, and the perfbench smoke runs. Tier-1 `cargo test -q` covers only the root package; this
 # covers everything CI does that decides correctness.
 #
 # The harness checks drive the bench runner end to end: the observed
@@ -24,7 +23,6 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --workspace
 cargo test --workspace
-cargo test --workspace --features wom-code/force-scalar
 cargo lint-invariants
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
