@@ -193,8 +193,14 @@ fn golden_womsnap_fixtures_stay_stable() {
              intentional, regenerate with GOLDEN_REGEN=1",
             path.display()
         );
-        // The committed container must still decode and resume.
+        // The committed container must still decode, save back to the
+        // same bytes, and resume.
         let mut resumed = Session::resume(cfg.clone(), &golden).expect("golden restores");
+        assert_eq!(
+            resumed.checkpoint().expect("checkpoints"),
+            golden,
+            "{name}: restoring and saving the fixture changed its bytes"
+        );
         if cfg.verify_data() {
             // A verified fixture pins the refresh rewrite only if refreshes
             // ran before the checkpoint.

@@ -196,19 +196,26 @@ impl AddressDecoder {
     /// Decodes a physical byte address. Addresses beyond the configured
     /// capacity wrap (traces captured on real machines span more DRAM than
     /// the simulated device; DRAMSim2 masks the same way).
+    ///
+    /// [`MemoryGeometry::validate`] makes every dimension a power of two,
+    /// so each field is a bit slice of the line index, taken with a mask
+    /// and a shift. The fields use exactly the index bits below capacity;
+    /// ignoring the bits above is what wraps an address.
     #[must_use]
     pub fn decode(&self, addr: u64) -> DecodedAddr {
         let g = &self.geometry;
-        let mut a = (addr % g.capacity_bytes()) / u64::from(g.access_bytes);
+        let line_bits = g.access_bytes.trailing_zeros();
+        let columns = g.row_bytes >> line_bits;
+        let mut a = addr >> line_bits;
         let mut take = |n: u32| -> u32 {
             let v = (a & (u64::from(n) - 1)) as u32;
-            a /= u64::from(n);
+            a >>= n.trailing_zeros();
             v
         };
         let (column, rank, bank, row);
         match self.mapping {
             AddressMapping::RowRankBankCol => {
-                column = take(g.columns_per_row());
+                column = take(columns);
                 bank = take(g.banks_per_rank);
                 rank = take(g.ranks);
                 row = take(g.rows_per_bank);
@@ -216,17 +223,17 @@ impl AddressDecoder {
             AddressMapping::RowColRankBank => {
                 bank = take(g.banks_per_rank);
                 rank = take(g.ranks);
-                column = take(g.columns_per_row());
+                column = take(columns);
                 row = take(g.rows_per_bank);
             }
             AddressMapping::RowBankRankCol => {
-                column = take(g.columns_per_row());
+                column = take(columns);
                 rank = take(g.ranks);
                 bank = take(g.banks_per_rank);
                 row = take(g.rows_per_bank);
             }
             AddressMapping::RankBankRowCol => {
-                column = take(g.columns_per_row());
+                column = take(columns);
                 row = take(g.rows_per_bank);
                 bank = take(g.banks_per_rank);
                 rank = take(g.ranks);
@@ -327,6 +334,10 @@ mod tests {
     #[test]
     fn decode_encode_round_trip_all_mappings() {
         let g = MemoryGeometry::tiny();
+        let capacity = g.capacity_bytes();
+        // Wrapped copies of every line, the last one as high as a u64
+        // reaches.
+        let wraps = [1, 2, 7, 1 << 40, u64::MAX / capacity];
         for mapping in [
             AddressMapping::RowRankBankCol,
             AddressMapping::RowColRankBank,
@@ -334,13 +345,28 @@ mod tests {
             AddressMapping::RankBankRowCol,
         ] {
             let dec = AddressDecoder::new(g, mapping).unwrap();
-            for addr in (0..g.capacity_bytes()).step_by(g.access_bytes as usize) {
+            for addr in (0..capacity).step_by(g.access_bytes as usize) {
                 let d = dec.decode(addr);
                 assert_eq!(
                     dec.encode(d).unwrap(),
                     addr,
                     "mapping {mapping:?} addr {addr:#x}"
                 );
+                for offset in 1..u64::from(g.access_bytes) {
+                    assert_eq!(
+                        dec.decode(addr + offset),
+                        d,
+                        "mapping {mapping:?} addr {addr:#x} + {offset}"
+                    );
+                }
+                for k in wraps {
+                    let wrapped = addr + k * capacity + u64::from(g.access_bytes - 1);
+                    assert_eq!(
+                        dec.decode(wrapped),
+                        d,
+                        "mapping {mapping:?} addr {wrapped:#x}"
+                    );
+                }
             }
         }
     }

@@ -10,6 +10,8 @@
 //! The simulator is *event-driven*: time advances directly to the next
 //! bank/bus event rather than ticking every cycle, which keeps multi-
 //! billion-cycle runs tractable while preserving cycle-accurate ordering.
+//! The events need no queue of their own: every one is a pending
+//! completion's finish or the single registered bus wake-up.
 
 use crate::address::{AddressDecoder, DecodedAddr};
 use crate::bank::BankState;
@@ -81,7 +83,12 @@ pub struct MemorySystem {
     now: Cycle,
     next_id: TransactionId,
     banks: Vec<BankState>,
+    /// The data bus carries its current burst until this cycle.
     bus_free_at: Cycle,
+    /// Whether the controller must wake at `bus_free_at`: a busy-bus scan
+    /// found an access that can issue once the bus frees. Set only while
+    /// `bus_free_at` is in the future, and cleared when time reaches it.
+    bus_wake: bool,
     read_q: VecDeque<Queued>,
     write_q: VecDeque<Queued>,
     refresh_q: VecDeque<RefreshBatch>,
@@ -93,8 +100,12 @@ pub struct MemorySystem {
     /// Emptied row buffers recycled from issued batches; `enqueue_rank_refresh`
     /// reuses them so steady-state refresh traffic stops allocating.
     spare_rows: Vec<Vec<(u32, u32)>>,
-    events: BTreeSet<Cycle>,
+    /// Every issued operation's completion, earliest finish on top,
+    /// preempted refresh rows included until their finish passes. With
+    /// `bus_wake` it is the whole event schedule (see `next_event`).
     pending: BinaryHeap<Reverse<Pending>>,
+    /// Ids of preempted refresh rows whose `pending` entry is still
+    /// queued; the entry is dropped instead of reported when it flushes.
     cancelled: BTreeSet<TransactionId>,
     /// Keyed by transaction id; `BTreeMap` so any future iteration stays
     /// deterministic (womlint: determinism/banned-type).
@@ -122,12 +133,12 @@ impl MemorySystem {
             next_id: 0,
             banks: vec![BankState::new(); total_banks],
             bus_free_at: 0,
+            bus_wake: false,
             read_q: VecDeque::with_capacity(config.read_queue_capacity),
             write_q: VecDeque::with_capacity(config.write_queue_capacity),
             refresh_q: VecDeque::new(),
             refresh_ids: VecDeque::new(),
             spare_rows: Vec::new(),
-            events: BTreeSet::new(),
             pending: BinaryHeap::new(),
             cancelled: BTreeSet::new(),
             refresh_addrs: BTreeMap::new(),
@@ -331,8 +342,7 @@ impl MemorySystem {
                 "refresh batch must list at least one row".into(),
             ));
         }
-        let mut seen = BTreeSet::new();
-        for &(bank, row) in rows {
+        for (k, &(bank, row)) in rows.iter().enumerate() {
             if bank >= g.banks_per_rank {
                 return Err(SimError::IndexOutOfRange {
                     what: "bank",
@@ -347,7 +357,9 @@ impl MemorySystem {
                     limit: u64::from(g.rows_per_bank),
                 });
             }
-            if !seen.insert(bank) {
+            // Pairwise, so the check allocates nothing: a batch that
+            // passes lists at most `banks_per_rank` rows.
+            if rows.iter().take(k).any(|&(seen, _)| seen == bank) {
                 // womlint::allow(hotpath/transitive, reason = "invalid-batch error path: allocates once, then the run aborts")
                 return Err(SimError::InvalidConfig(format!(
                     "refresh batch lists bank {bank} twice"
@@ -389,19 +401,8 @@ impl MemorySystem {
                 requested: cycle,
             });
         }
-        loop {
-            let next = self.events.iter().next().copied();
-            match next {
-                Some(e) if e <= cycle => {
-                    self.events.remove(&e);
-                    if e > self.now {
-                        self.now = e;
-                    }
-                    self.flush_completions();
-                    self.try_issue();
-                }
-                _ => break,
-            }
+        while let Some(e) = self.next_event().filter(|&e| e <= cycle) {
+            self.handle_event(e);
         }
         self.now = cycle;
         self.flush_completions();
@@ -412,33 +413,49 @@ impl MemorySystem {
     /// Runs until all queues are empty and all in-flight work completes,
     /// returning the completions.
     pub fn drain(&mut self) -> Vec<Completion> {
-        loop {
-            let work_left = !(self.read_q.is_empty()
-                && self.write_q.is_empty()
-                && self.refresh_q.is_empty()
-                && self.pending.is_empty());
-            if !work_left {
+        while !(self.read_q.is_empty()
+            && self.write_q.is_empty()
+            && self.refresh_q.is_empty()
+            && self.pending.is_empty())
+        {
+            // With no future event nothing can unblock the remaining work;
+            // only possible if a refresh batch waits on banks that a demand
+            // stream keeps occupied (impossible once queues are empty), so
+            // treat it as quiesced.
+            let Some(e) = self.next_event() else {
                 break;
-            }
-            match self.events.iter().next().copied() {
-                Some(e) => {
-                    self.events.remove(&e);
-                    if e > self.now {
-                        self.now = e;
-                    }
-                    self.flush_completions();
-                    self.try_issue();
-                }
-                None => {
-                    // No future event can unblock remaining work; only
-                    // possible if a refresh batch waits on banks that a
-                    // demand stream keeps occupied — impossible once queues
-                    // are empty — so treat as quiesced.
-                    break;
-                }
-            }
+            };
+            self.handle_event(e);
         }
         std::mem::take(&mut self.out)
+    }
+
+    /// The next cycle at which the controller has work: the earliest
+    /// pending finish, or the registered bus wake-up if that comes first.
+    ///
+    /// Every event is one of these. A finish gets its `pending` entry when
+    /// its operation starts, and `bus_free_at` moves only once its old
+    /// value has passed, so at most one wake-up is ever outstanding.
+    fn next_event(&self) -> Option<Cycle> {
+        let finish = self.pending.peek().map(|Reverse(Pending(c))| c.finish);
+        let wake = self.bus_wake.then_some(self.bus_free_at);
+        match (finish, wake) {
+            (Some(f), Some(w)) => Some(f.min(w)),
+            (f, w) => f.or(w),
+        }
+    }
+
+    /// Moves time to event cycle `e` and does what it enables: completes
+    /// what finished, drops a wake-up that is due, and issues.
+    fn handle_event(&mut self, e: Cycle) {
+        if e > self.now {
+            self.now = e;
+        }
+        if self.bus_free_at <= self.now {
+            self.bus_wake = false;
+        }
+        self.flush_completions();
+        self.try_issue();
     }
 
     fn flat_bank(&self, rank: u32, bank: u32) -> usize {
@@ -587,10 +604,12 @@ impl MemorySystem {
     /// scan has only two effects. Every access whose bank runs a
     /// preemptible refresh row preempts it, in scan order; and if any
     /// access found its bank free, or freed it, the controller must wake
-    /// at `bus_free_at`. Once that wake-up is due and no refresh row is
-    /// left to preempt, the rest of the queue cannot change anything.
+    /// at `bus_free_at` (`bus_wake`). Once that wake-up is due and no
+    /// refresh row is left to preempt, the rest of the queue cannot change
+    /// anything, so a scan that finds the wake-up already registered by an
+    /// earlier one and nothing to preempt ends at once.
     fn wait_for_bus(&mut self) {
-        let mut wake = false;
+        let mut wake = self.bus_wake;
         'scan: for (op, window) in self.scan_order() {
             for idx in 0..window {
                 // `refresh_addrs` holds exactly the refresh rows issued
@@ -605,9 +624,7 @@ impl MemorySystem {
                 wake |= self.claim_bank(self.flat_bank(at.rank, at.bank));
             }
         }
-        if wake {
-            self.events.insert(self.bus_free_at);
-        }
+        self.bus_wake = wake;
     }
 
     /// Whether bank `flat` can take a demand access now: it is free, or
@@ -649,8 +666,9 @@ impl MemorySystem {
         let start = self.now;
         let finish = start + service;
         self.banks[flat].begin(txn.id, txn.class, start, finish, at.row);
+        // The old `bus_free_at` has passed, so its wake-up was handled.
         self.bus_free_at = self.now + self.config.timing.burst_cycles();
-        self.events.insert(finish);
+        self.bus_wake = false;
         self.queued_per_rank[at.rank as usize] -= 1;
         self.pending.push(Reverse(Pending(Completion {
             id: txn.id,
@@ -715,7 +733,6 @@ impl MemorySystem {
                 preempted: false,
             })));
         }
-        self.events.insert(finish);
         // Recycle the emptied row buffer for the next enqueue.
         let mut rows = batch.rows;
         rows.clear();
@@ -727,12 +744,28 @@ impl MemorySystem {
     // Snapshot/restore
     // ------------------------------------------------------------------
 
+    /// The event list a snapshot stores: every pending finish plus `wake`,
+    /// the registered bus wake-up if there is one, ascending and each
+    /// cycle once.
+    fn event_list(&self, wake: Option<Cycle>) -> Vec<Cycle> {
+        let mut events: Vec<Cycle> = self
+            .pending
+            .iter()
+            .map(|Reverse(Pending(c))| c.finish)
+            .chain(wake)
+            .collect();
+        events.sort_unstable();
+        events.dedup();
+        events
+    }
+
     /// Serializes the complete mid-flight controller state (everything
     /// except the configuration, which the restorer must already hold).
     ///
     /// The pending-completion heap is written in `(finish, id)` order so
     /// identical states always produce identical bytes regardless of the
-    /// heap's internal array layout.
+    /// heap's internal array layout. The event list before it is derived
+    /// from the heap and the bus wake-up.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.put_u64(self.now);
         w.put_u64(self.next_id);
@@ -762,8 +795,9 @@ impl MemorySystem {
                 w.put_u64(first + k);
             }
         }
-        w.put_usize(self.events.len());
-        for &cycle in &self.events {
+        let events = self.event_list(self.bus_wake.then_some(self.bus_free_at));
+        w.put_usize(events.len());
+        for &cycle in &events {
             w.put_u64(cycle);
         }
         let mut pending: Vec<Completion> =
@@ -800,8 +834,10 @@ impl MemorySystem {
     ///
     /// # Errors
     ///
-    /// [`SnapError`] on truncation, bad enum tags, or per-geometry vector
-    /// lengths that contradict this system's configuration.
+    /// [`SnapError`] on truncation, bad enum tags, per-geometry vector
+    /// lengths that contradict this system's configuration, queued refresh
+    /// batches without a matching id run, or an event list other than the
+    /// one the pending completions and the bus wake-up imply.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.now = r.take_u64()?;
         self.next_id = r.take_u64()?;
@@ -846,12 +882,33 @@ impl MemorySystem {
             }
             self.refresh_ids.push_back((first, len as u32));
         }
-        self.events = r.take_sorted(8, |&cycle| cycle, SnapReader::take_u64)?;
+        // `try_issue_refresh` pops a batch and its id run together.
+        let runs_match = self.refresh_ids.len() == self.refresh_q.len()
+            && self
+                .refresh_q
+                .iter()
+                .zip(&self.refresh_ids)
+                .all(|(batch, &(_, count))| batch.rows.len() == count as usize);
+        if !runs_match {
+            return Err(SnapError::Corrupt(
+                "refresh id runs do not match the queued batches",
+            ));
+        }
+        let events: Vec<Cycle> = r.take_sorted(8, |&cycle| cycle, SnapReader::take_u64)?;
         let pending = r.take_len(8)?;
         self.pending.clear();
         for _ in 0..pending {
             self.pending
                 .push(Reverse(Pending(Completion::load_state(r)?)));
+        }
+        // The list is derived state: it carries only whether the bus
+        // wake-up was registered, and must agree with the heap.
+        let wake = events.binary_search(&self.bus_free_at).is_ok();
+        self.bus_wake = wake;
+        if events != self.event_list(wake.then_some(self.bus_free_at)) {
+            return Err(SnapError::Corrupt(
+                "event list differs from the pending finishes",
+            ));
         }
         self.cancelled = r.take_sorted(8, |&id| id, SnapReader::take_u64)?;
         self.refresh_addrs =
@@ -1313,6 +1370,62 @@ mod tests {
             .restore_state(&mut SnapReader::new(&tampered))
             .unwrap_err();
         assert_eq!(err, SnapError::Corrupt("non-consecutive refresh ids"));
+
+        // A batch is issued together with its id run, so restore must
+        // refuse a queued batch whose run is missing or of another length:
+        // replace the id-list section [count=1, run] with `section`.
+        let with_id_lists = |section: &[u64]| {
+            let mut tampered = bytes[..pos - 8].to_vec();
+            tampered.extend(section.iter().flat_map(|v| v.to_le_bytes()));
+            tampered.extend_from_slice(&bytes[pos + needle.len()..]);
+            MemorySystem::new(MemConfig::tiny())
+                .unwrap()
+                .restore_state(&mut SnapReader::new(&tampered))
+        };
+        let mismatch = Err(SnapError::Corrupt(
+            "refresh id runs do not match the queued batches",
+        ));
+        assert_eq!(with_id_lists(&[0]), mismatch, "emptied id-list section");
+        assert_eq!(with_id_lists(&[1, 1, first]), mismatch, "run too short");
+    }
+
+    #[test]
+    fn restore_rejects_an_event_list_the_pending_heap_does_not_imply() {
+        use crate::snap::{SnapError, SnapReader, SnapWriter};
+        // One write in flight and nothing queued: its finish is the only
+        // event (no access waits for the bus, so no wake-up is due).
+        let mut mem = tiny_system();
+        mem.enqueue(MemOp::Write, addr_of(&mem, 0, 0, 3, 0), ServiceClass::Write)
+            .unwrap();
+        let finish = mem.now() + TimingParams::paper_pcm().write_cycles();
+        let mut w = SnapWriter::new();
+        mem.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let list = |cycles: &[u64]| -> Vec<u8> {
+            std::iter::once(cycles.len() as u64)
+                .chain(cycles.iter().copied())
+                .flat_map(u64::to_le_bytes)
+                .collect()
+        };
+        let needle = list(&[finish]);
+        let pos = bytes
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .expect("event list present in payload");
+        let with_events = |cycles: &[u64]| {
+            let mut tampered = bytes[..pos].to_vec();
+            tampered.extend_from_slice(&list(cycles));
+            tampered.extend_from_slice(&bytes[pos + needle.len()..]);
+            MemorySystem::new(MemConfig::tiny())
+                .unwrap()
+                .restore_state(&mut SnapReader::new(&tampered))
+        };
+        assert_eq!(with_events(&[finish]), Ok(()), "the untampered list");
+        let corrupt = Err(SnapError::Corrupt(
+            "event list differs from the pending finishes",
+        ));
+        assert_eq!(with_events(&[finish, finish + 100]), corrupt, "extra cycle");
+        assert_eq!(with_events(&[]), corrupt, "missing pending finish");
     }
 
     #[test]
