@@ -4,7 +4,6 @@
 use crate::arch::{Architecture, Organization};
 use crate::config::SystemConfig;
 use crate::error::WomPcmError;
-use crate::observe::Observer;
 use crate::refresh::RefreshConfig;
 use crate::wom_state::{BudgetGranularity, ColdPolicy};
 use pcm_sim::{Cycle, MemConfig, SchedulerPolicy, TimingParams};
@@ -25,13 +24,9 @@ use pcm_sim::{Cycle, MemConfig, SchedulerPolicy, TimingParams};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SystemBuilder {
     config: SystemConfig,
-    /// Custom observer to attach at open time (overrides the epoch
-    /// recorder implied by `config.epoch_cycles`). Boxed trait objects
-    /// are not `Clone`, so neither is the builder.
-    observer: Option<Box<dyn Observer>>,
 }
 
 impl SystemBuilder {
@@ -40,7 +35,6 @@ impl SystemBuilder {
     pub fn new(arch: Architecture) -> Self {
         Self {
             config: SystemConfig::paper(arch),
-            observer: None,
         }
     }
 
@@ -49,7 +43,6 @@ impl SystemBuilder {
     pub fn tiny(arch: Architecture) -> Self {
         Self {
             config: SystemConfig::tiny(arch),
-            observer: None,
         }
     }
 
@@ -188,19 +181,9 @@ impl SystemBuilder {
     /// events into `width`-cycle epochs (see [`crate::observe`]),
     /// streamed with [`Session::poll_epochs`](crate::session::Session::poll_epochs)
     /// or taken with [`Session::into_epochs`](crate::session::Session::into_epochs).
-    /// A custom [`observer`](Self::observer) takes precedence.
     #[must_use]
     pub fn epoch_cycles(mut self, width: Cycle) -> Self {
         self.config.epoch_cycles = Some(width);
-        self
-    }
-
-    /// Attaches a custom [`Observer`] to the opened session, receiving
-    /// every instrumentation event (overrides
-    /// [`epoch_cycles`](Self::epoch_cycles)).
-    #[must_use]
-    pub fn observer(mut self, observer: Box<dyn Observer>) -> Self {
-        self.observer = Some(observer);
         self
     }
 
@@ -211,30 +194,21 @@ impl SystemBuilder {
     }
 
     /// Consumes the builder, returning the assembled configuration (for
-    /// sweep runners that open sessions themselves; a custom
-    /// [`observer`](Self::observer) cannot travel through a
-    /// `SystemConfig` and is dropped).
+    /// sweep runners that open sessions themselves).
     #[must_use]
     pub fn into_config(self) -> SystemConfig {
         self.config
     }
 
     /// Opens a [`Session`](crate::session::Session) over the assembled
-    /// configuration (see [`crate::session`]). A custom
-    /// [`observer`](Self::observer) is
-    /// attached to the session; such sessions cannot
-    /// [`checkpoint`](crate::session::Session::checkpoint).
+    /// configuration (see [`crate::session`]).
     ///
     /// # Errors
     ///
     /// Returns [`WomPcmError::InvalidConfig`] when the assembled
     /// configuration is inconsistent.
     pub fn open(self) -> Result<crate::session::Session, WomPcmError> {
-        let mut session = crate::session::Session::open(self.config)?;
-        if let Some(observer) = self.observer {
-            session.attach_observer(observer);
-        }
-        Ok(session)
+        crate::session::Session::open(self.config)
     }
 }
 
@@ -296,30 +270,6 @@ mod tests {
         assert_eq!(c.epoch_cycles, Some(25_000));
         let cfg = b.into_config();
         cfg.validate().unwrap();
-    }
-
-    #[test]
-    fn custom_observer_is_attached_at_open() {
-        use crate::observe::{Event, Observer};
-
-        #[derive(Debug, Default)]
-        struct Counting(u64);
-        impl Observer for Counting {
-            fn on_event(&mut self, _event: &Event) {
-                self.0 += 1;
-            }
-        }
-        let mut session = SystemBuilder::tiny(Architecture::Baseline)
-            .observer(Box::new(Counting::default()))
-            .open()
-            .unwrap();
-        session
-            .feed(&[pcm_trace::TraceRecord::new(0, 0, pcm_trace::TraceOp::Write)])
-            .unwrap();
-        session.finish().unwrap();
-        // The observer replaced the (absent) epoch recorder, so no
-        // series is available — the custom sink consumed the events.
-        assert!(session.into_epochs().is_none());
     }
 
     #[test]

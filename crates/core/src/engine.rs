@@ -6,21 +6,21 @@
 //! windows, victim-writeback and wear-leveling plumbing, the functional
 //! data checker, and [`RunMetrics`] accumulation. Everything
 //! architecture-*specific* — WOM budget tables, the PCM-refresh engine,
-//! the WOM-cache policy — lives behind the
-//! [`ArchPolicy`] trait and reaches the shared
-//! machinery through [`EngineCore`].
+//! the WOM-cache policy — lives in the closed [`Policy`] enum and
+//! reaches the shared machinery through [`EngineCore`].
 //!
-//! The split keeps the per-record hot path free of architecture
-//! dispatch: the engine never matches on
-//! [`Architecture`](crate::arch::Architecture); it only calls the policy
-//! hooks it was built with.
+//! The engine never matches on
+//! [`Architecture`](crate::arch::Architecture): a record costs one
+//! `match` on the policy variant per hook, and the main and WOM-cache
+//! arrays share one enqueue, completion and refresh path keyed by
+//! [`ArraySide`].
 
 use crate::config::SystemConfig;
 use crate::error::WomPcmError;
 use crate::functional::FunctionalMemory;
 use crate::metrics::RunMetrics;
-use crate::observe::{EpochRecorder, EpochSeries, Event, Observer, ObserverSink, WriteClass};
-use crate::policy::{self, ArchPolicy, ArraySide, ReadAction, WriteAction};
+use crate::observe::{EpochRecorder, EpochSeries, Event, ObserverSink, WriteClass};
+use crate::policy::{ArraySide, Policy, ReadAction, WriteAction};
 use crate::rowmap::RowMap;
 use crate::snapshot::SnapshotError;
 use crate::wear_leveling::StartGap;
@@ -107,12 +107,12 @@ impl DataCheck {
         let line = Self::line_of(addr);
         if let Some(expected) = self.expected.get(line) {
             if !self.mem.read_into(line, &mut self.line_buf) {
-                return Err(WomPcmError::InvalidConfig("written line vanished".into()));
+                return Err(WomPcmError::Internal("written line vanished".into()));
             }
             if &self.line_buf != expected {
                 // womlint::allow(hotpath/transitive, reason = "corruption error path: allocates once, then the run aborts")
-                return Err(WomPcmError::InvalidConfig(format!(
-                    "data corruption at line {line:#x}: cells decode differently from the                      last write"
+                return Err(WomPcmError::Internal(format!(
+                    "data corruption at line {line:#x}: cells decode differently from the last write"
                 )));
             }
             self.reads_verified += 1;
@@ -131,7 +131,7 @@ impl DataCheck {
 /// [`WriteAction`] values and the engine
 /// performs the (possibly stalling) enqueues.
 #[derive(Debug)]
-pub struct EngineCore {
+pub(crate) struct EngineCore {
     config: SystemConfig,
     main: MemorySystem,
     cache_mem: Option<MemorySystem>,
@@ -168,7 +168,6 @@ pub struct EngineCore {
 
 impl EngineCore {
     fn new(config: SystemConfig) -> Result<Self, WomPcmError> {
-        config.validate()?;
         let main = MemorySystem::new(config.mem.clone())?;
         let g = config.mem.geometry;
 
@@ -239,11 +238,6 @@ impl EngineCore {
         &self.metrics
     }
 
-    /// Mutable access to the accumulating metrics (for policy counters).
-    pub fn metrics_mut(&mut self) -> &mut RunMetrics {
-        &mut self.metrics
-    }
-
     /// Reports one instrumentation event to the attached observer. A
     /// single predicted branch and no work when observation is off;
     /// events are `Copy`, so emitting never allocates.
@@ -255,8 +249,8 @@ impl EngineCore {
     /// Records the outcome of one planned row refresh: updates the
     /// refresh counters *and* emits the [`Event::RefreshRow`] event in
     /// one step, so per-epoch series always reconcile with
-    /// [`RunMetrics`]. Policies call this from their refresh-completion
-    /// handlers instead of poking `metrics_mut()`.
+    /// [`RunMetrics`]. The refresh driver calls this for every settled
+    /// refresh.
     pub fn note_refresh_row(
         &mut self,
         side: ArraySide,
@@ -288,91 +282,47 @@ impl EngineCore {
         self.observer.on_event(&Event::HiddenPageAccess { cycle });
     }
 
-    /// Whether `rank` of main memory has no demand access queued.
-    #[must_use]
-    pub fn main_rank_idle(&self, rank: u32) -> bool {
-        self.main.rank_queue_empty(rank)
+    /// The memory arrays of `side` and their count of outstanding
+    /// operations.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WomPcmError::Internal`] for the cache side of an
+    /// architecture without a WOM-cache.
+    pub fn side_arrays(
+        &mut self,
+        side: ArraySide,
+    ) -> Result<(&mut MemorySystem, &mut u64), WomPcmError> {
+        match side {
+            ArraySide::Main => Ok((&mut self.main, &mut self.outstanding_main)),
+            ArraySide::Cache => match &mut self.cache_mem {
+                Some(cache) => Ok((cache, &mut self.outstanding_cache)),
+                None => Err(WomPcmError::Internal(
+                    "architecture has no cache array".into(),
+                )),
+            },
+        }
     }
 
-    /// Whether `(rank, bank)` of main memory has no in-flight operation.
-    #[must_use]
-    pub fn main_bank_free(&self, rank: u32, bank: u32) -> bool {
-        self.main.is_bank_free(rank, bank)
-    }
-
-    /// Whether `rank` of the WOM-cache arrays has no demand access queued.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the architecture has no cache array.
-    #[must_use]
-    pub fn cache_rank_idle(&self, rank: u32) -> bool {
-        self.cache_mem
-            .as_ref()
-            .expect("architecture has a cache array")
-            .rank_queue_empty(rank)
-    }
-
-    /// Whether the WOM-cache array of `rank` is free (its single bank).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the architecture has no cache array.
-    #[must_use]
-    pub fn cache_bank_free(&self, rank: u32, bank: u32) -> bool {
-        self.cache_mem
-            .as_ref()
-            .expect("architecture has a cache array")
-            .is_bank_free(rank, bank)
-    }
-
-    /// Enqueues a burst-mode rank refresh on main memory (does not stall:
-    /// refresh is planned only for idle ranks).
+    /// Enqueues a burst-mode rank refresh on the `side` arrays (does not
+    /// stall: refresh is planned only for idle ranks).
     ///
     /// # Errors
     ///
     /// Propagates simulator errors for out-of-range rows.
-    pub fn enqueue_main_rank_refresh(
+    pub fn enqueue_refresh_burst(
         &mut self,
+        side: ArraySide,
         rank: u32,
         rows: &[(u32, u32)],
     ) -> Result<TransactionId, WomPcmError> {
-        let first = self.main.enqueue_rank_refresh(rank, rows)?;
-        self.outstanding_main += rows.len() as u64;
+        let (arrays, outstanding) = self.side_arrays(side)?;
+        let first = arrays.enqueue_rank_refresh(rank, rows)?;
+        *outstanding += rows.len() as u64;
         let cycle = self.main.now();
         self.observer.on_event(&Event::RefreshBurst {
             cycle,
-            side: ArraySide::Main,
-            rank,
-            rows: rows.len() as u32,
-        });
-        Ok(first)
-    }
-
-    /// Enqueues a burst-mode rank refresh on the WOM-cache arrays.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors for out-of-range rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the architecture has no cache array.
-    pub fn enqueue_cache_rank_refresh(
-        &mut self,
-        rank: u32,
-        rows: &[(u32, u32)],
-    ) -> Result<TransactionId, WomPcmError> {
-        let first = self
-            .cache_mem
-            .as_mut()
-            .expect("architecture has a cache array")
-            .enqueue_rank_refresh(rank, rows)?;
-        self.outstanding_cache += rows.len() as u64;
-        let cycle = self.main.now();
-        self.observer.on_event(&Event::RefreshBurst {
-            cycle,
-            side: ArraySide::Cache,
+            side,
             rank,
             rows: rows.len() as u32,
         });
@@ -519,12 +469,7 @@ impl EngineCore {
     /// varies between two `submit` calls). Collections iterate in their
     /// deterministic (key) order, so the same state always produces the
     /// same bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WomPcmError::InvalidConfig`] when a caller-supplied
-    /// observer is attached (see [`ObserverSink::save_state`]).
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) -> Result<(), WomPcmError> {
+    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
         self.main.save_state(w);
         match &self.cache_mem {
             None => w.put_bool(false),
@@ -579,9 +524,8 @@ impl EngineCore {
         w.put_u64(self.outstanding_main);
         w.put_u64(self.outstanding_cache);
         self.metrics.save_state(w);
-        self.observer.save_state(w)?;
+        self.observer.save_state(w);
         w.put_u64(self.last_record_cycle);
-        Ok(())
     }
 
     /// Restores state written by [`save_state`](Self::save_state) into
@@ -705,46 +649,26 @@ impl EngineCore {
     }
 }
 
-/// A trace-driven simulation engine running one [`ArchPolicy`].
-///
-/// The engine is generic over the policy so monomorphized policies pay no
-/// dispatch cost; a [`Session`](crate::session::Session) drives an
-/// `Engine<Box<dyn ArchPolicy>>` built from a [`SystemConfig`].
+/// A trace-driven simulation engine running one [`Policy`]; a
+/// [`Session`](crate::session::Session) drives it.
 #[derive(Debug)]
-pub struct Engine<P> {
+pub(crate) struct Engine {
     core: EngineCore,
-    policy: P,
-    /// Cached `policy.wants_ticks()`: checked on every time advance.
-    ticks: bool,
+    policy: Policy,
 }
 
-impl Engine<Box<dyn ArchPolicy>> {
+impl Engine {
     /// Builds an engine with the policy matching `config.arch`.
     ///
     /// # Errors
     ///
     /// Returns [`WomPcmError::InvalidConfig`] for inconsistent parameters.
-    pub fn from_config(config: SystemConfig) -> Result<Self, WomPcmError> {
+    pub fn new(config: SystemConfig) -> Result<Self, WomPcmError> {
         config.validate()?;
-        let policy = policy::build(&config)?;
-        Self::with_policy(config, policy)
-    }
-}
-
-impl<P: ArchPolicy> Engine<P> {
-    /// Builds an engine running a caller-supplied policy (the extension
-    /// point for architectures beyond the paper's four; see `DESIGN.md`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WomPcmError::InvalidConfig`] for inconsistent parameters.
-    pub fn with_policy(config: SystemConfig, policy: P) -> Result<Self, WomPcmError> {
-        let core = EngineCore::new(config)?;
-        let ticks = policy.wants_ticks();
+        let policy = Policy::new(&config)?;
         Ok(Self {
-            core,
+            core: EngineCore::new(config)?,
             policy,
-            ticks,
         })
     }
 
@@ -767,12 +691,6 @@ impl<P: ArchPolicy> Engine<P> {
         self.core.metrics()
     }
 
-    /// Attaches a custom [`Observer`], replacing any epoch recorder
-    /// configured via `SystemConfig::epoch_cycles`.
-    pub fn set_observer(&mut self, observer: Box<dyn Observer>) {
-        self.core.observer = ObserverSink::Custom(observer);
-    }
-
     /// The epoch series recorded so far, when epoch observation is
     /// enabled (`SystemConfig::epoch_cycles`).
     #[must_use]
@@ -793,16 +711,9 @@ impl<P: ArchPolicy> Engine<P> {
     /// straight into a `WOMSNAP` container.
     ///
     /// [`Session::checkpoint`]: crate::session::Session::checkpoint
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WomPcmError::InvalidConfig`] when a caller-supplied
-    /// observer is attached — arbitrary observers cannot be serialized;
-    /// detach the observer first.
-    pub fn save_state(&self, w: &mut SnapWriter) -> Result<(), WomPcmError> {
-        self.core.save_state(w)?;
+    pub fn save_state(&self, w: &mut SnapWriter) {
+        self.core.save_state(w);
         self.policy.save_state(w);
-        Ok(())
     }
 
     /// Restores state written by [`save_state`](Self::save_state) into
@@ -870,7 +781,7 @@ impl<P: ArchPolicy> Engine<P> {
         // Take the accumulated metrics, finalize in place, and store one
         // clone back — no policy's `finish` reads `core.metrics`.
         let mut result = std::mem::take(&mut self.core.metrics);
-        self.policy.finish(&self.core, &mut result);
+        self.policy.finish(&mut result);
         result.energy = self.core.main.stats().energy;
         result.wear_main = self.core.main.wear().summary();
         if let Some(check) = &self.core.data_check {
@@ -889,14 +800,14 @@ impl<P: ArchPolicy> Engine<P> {
     // ------------------------------------------------------------------
 
     /// Advances to `cycle`, running the policy's periodic tick on the way
-    /// when it wants one.
+    /// when the architecture refreshes.
     ///
     /// As in DRAMSim2, the refresh period is per rank and checks are
     /// staggered: with a 4000 ns period and 16 ranks, a check fires every
     /// 250 ns, each visiting the next rank in round-robin order, so every
     /// rank is considered once per period.
     fn advance(&mut self, cycle: Cycle) -> Result<(), WomPcmError> {
-        if self.ticks {
+        if self.core.config.arch.uses_refresh() {
             let period = self.core.config.mem.timing.refresh_period_cycles();
             let stagger = (period / Cycle::from(self.core.config.mem.geometry.ranks)).max(1);
             while self.core.next_refresh_at <= cycle {
@@ -912,17 +823,15 @@ impl<P: ArchPolicy> Engine<P> {
     /// Advances both memory systems in lockstep, handling completions.
     fn advance_all_to(&mut self, cycle: Cycle) -> Result<(), WomPcmError> {
         let mut done = std::mem::take(&mut self.core.completions);
-        if cycle > self.core.main.now() {
-            done.extend(self.core.main.advance_to(cycle)?);
-            for c in done.drain(..) {
-                self.handle_main_completion(&c)?;
+        for side in [ArraySide::Main, ArraySide::Cache] {
+            if side == ArraySide::Cache && self.core.cache_mem.is_none() {
+                break;
             }
-        }
-        if let Some(cm) = &mut self.core.cache_mem {
-            if cycle > cm.now() {
-                done.extend(cm.advance_to(cycle)?);
+            let (arrays, _) = self.core.side_arrays(side)?;
+            if cycle > arrays.now() {
+                done.extend(arrays.advance_to(cycle)?);
                 for c in done.drain(..) {
-                    self.handle_cache_completion(&c)?;
+                    self.handle_completion(side, &c)?;
                 }
             }
         }
@@ -931,31 +840,23 @@ impl<P: ArchPolicy> Engine<P> {
         Ok(())
     }
 
-    fn handle_main_completion(&mut self, c: &Completion) -> Result<(), WomPcmError> {
-        self.core.outstanding_main -= 1;
+    /// Settles one completion from the `side` arrays. Victim writebacks
+    /// and wear-leveling copies only ever go to main memory.
+    fn handle_completion(&mut self, side: ArraySide, c: &Completion) -> Result<(), WomPcmError> {
+        let (_, outstanding) = self.core.side_arrays(side)?;
+        *outstanding -= 1;
         if c.class == ServiceClass::RankRefresh {
-            return self
-                .policy
-                .on_completion(&mut self.core, ArraySide::Main, c);
+            return self.policy.on_completion(&mut self.core, side, c);
         }
-        if self.core.victim_ids.remove(&c.id) {
-            self.core.metrics.victim_writebacks += 1;
-            self.core.emit(Event::VictimWriteback { cycle: c.finish });
-            return Ok(());
-        }
-        if self.core.leveling_ids.remove(&c.id) {
-            return Ok(()); // internal wear-leveling row copy
-        }
-        self.core.record_demand(c);
-        Ok(())
-    }
-
-    fn handle_cache_completion(&mut self, c: &Completion) -> Result<(), WomPcmError> {
-        self.core.outstanding_cache -= 1;
-        if c.class == ServiceClass::RankRefresh {
-            return self
-                .policy
-                .on_completion(&mut self.core, ArraySide::Cache, c);
+        if side == ArraySide::Main {
+            if self.core.victim_ids.remove(&c.id) {
+                self.core.metrics.victim_writebacks += 1;
+                self.core.emit(Event::VictimWriteback { cycle: c.finish });
+                return Ok(());
+            }
+            if self.core.leveling_ids.remove(&c.id) {
+                return Ok(()); // internal wear-leveling row copy
+            }
         }
         self.core.record_demand(c);
         Ok(())
@@ -970,15 +871,21 @@ impl<P: ArchPolicy> Engine<P> {
         self.core.emit(Event::ReadIssued { cycle, addr });
         match self.policy.on_read(&mut self.core, addr)? {
             ReadAction::Main { addr, companion } => {
-                self.enqueue_main(MemOp::Read, addr, ServiceClass::Read)?;
+                self.enqueue_stalling(ArraySide::Main, MemOp::Read, addr, ServiceClass::Read)?;
                 if let Some(companion) = companion {
-                    self.enqueue_main_internal(MemOp::Read, companion, ServiceClass::Read)?;
+                    self.enqueue_internal(MemOp::Read, companion, ServiceClass::Read)?;
                 }
                 Ok(())
             }
             ReadAction::Cache { rank, row } => {
                 let cache_addr = self.core.cache_addr(rank, row)?;
-                self.enqueue_cache(MemOp::Read, cache_addr, ServiceClass::Read)
+                self.enqueue_stalling(
+                    ArraySide::Cache,
+                    MemOp::Read,
+                    cache_addr,
+                    ServiceClass::Read,
+                )?;
+                Ok(())
             }
         }
     }
@@ -994,11 +901,11 @@ impl<P: ArchPolicy> Engine<P> {
                 row_key,
                 companion,
             } => {
-                self.enqueue_main(MemOp::Write, addr, class)?;
+                self.enqueue_stalling(ArraySide::Main, MemOp::Write, addr, class)?;
                 self.core.open_merge_window(false, row_key, class);
                 self.account_leveling_write(addr)?;
                 if let Some(companion) = companion {
-                    self.enqueue_main_internal(MemOp::Write, companion, class)?;
+                    self.enqueue_internal(MemOp::Write, companion, class)?;
                 }
                 Ok(())
             }
@@ -1009,7 +916,7 @@ impl<P: ArchPolicy> Engine<P> {
                 merge_key,
             } => {
                 let cache_addr = self.core.cache_addr(rank, row)?;
-                self.enqueue_cache(MemOp::Write, cache_addr, class)?;
+                self.enqueue_stalling(ArraySide::Cache, MemOp::Write, cache_addr, class)?;
                 self.core.open_merge_window(true, merge_key, class);
                 Ok(())
             }
@@ -1046,26 +953,29 @@ impl<P: ArchPolicy> Engine<P> {
             ..d
         })?;
         // The copy is one row read plus one full row write.
-        self.enqueue_main_internal(MemOp::Read, from_addr, ServiceClass::Read)?;
-        self.enqueue_main_internal(MemOp::Write, to_addr, ServiceClass::Write)?;
+        self.enqueue_internal(MemOp::Read, from_addr, ServiceClass::Read)?;
+        self.enqueue_internal(MemOp::Write, to_addr, ServiceClass::Write)?;
         // The destination physical row was erased and rewritten once.
         let to_d = self.core.main.decoder().decode(to_addr);
         self.policy.on_wear_level_copy(&mut self.core, to_d);
         Ok(())
     }
 
-    /// Enqueues on main memory, stalling (advancing time) on back-pressure.
-    fn enqueue_main(
+    /// Enqueues on the `side` arrays, stalling (advancing time) on
+    /// back-pressure.
+    fn enqueue_stalling(
         &mut self,
+        side: ArraySide,
         op: MemOp,
         addr: u64,
         class: ServiceClass,
-    ) -> Result<(), WomPcmError> {
+    ) -> Result<TransactionId, WomPcmError> {
         loop {
-            match self.core.main.enqueue(op, addr, class) {
-                Ok(_) => {
-                    self.core.outstanding_main += 1;
-                    return Ok(());
+            let (arrays, outstanding) = self.core.side_arrays(side)?;
+            match arrays.enqueue(op, addr, class) {
+                Ok(id) => {
+                    *outstanding += 1;
+                    return Ok(id);
                 }
                 Err(SimError::QueueFull { .. }) => {
                     let next = self.now() + STALL_QUANTUM;
@@ -1077,69 +987,62 @@ impl<P: ArchPolicy> Engine<P> {
     }
 
     /// Enqueues internal (non-demand) main-memory traffic, stalling on
-    /// back-pressure.
-    fn enqueue_main_internal(
+    /// back-pressure; its completion is not recorded as demand.
+    fn enqueue_internal(
         &mut self,
         op: MemOp,
         addr: u64,
         class: ServiceClass,
     ) -> Result<(), WomPcmError> {
-        loop {
-            match self.core.main.enqueue(op, addr, class) {
-                Ok(id) => {
-                    self.core.leveling_ids.insert(id);
-                    self.core.outstanding_main += 1;
-                    return Ok(());
-                }
-                Err(SimError::QueueFull { .. }) => {
-                    let next = self.now() + STALL_QUANTUM;
-                    self.advance(next)?;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    /// Enqueues on the WOM-cache arrays, stalling on back-pressure.
-    fn enqueue_cache(
-        &mut self,
-        op: MemOp,
-        addr: u64,
-        class: ServiceClass,
-    ) -> Result<(), WomPcmError> {
-        loop {
-            let result = self
-                .core
-                .cache_mem
-                .as_mut()
-                .expect("architecture has a cache array")
-                .enqueue(op, addr, class);
-            match result {
-                Ok(_) => {
-                    self.core.outstanding_cache += 1;
-                    return Ok(());
-                }
-                Err(SimError::QueueFull { .. }) => {
-                    let next = self.now() + STALL_QUANTUM;
-                    self.advance(next)?;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
+        let id = self.enqueue_stalling(ArraySide::Main, op, addr, class)?;
+        self.core.leveling_ids.insert(id);
+        Ok(())
     }
 }
 
 impl EngineCore {
-    fn cache_addr(&self, rank: u32, row: u32) -> Result<u64, WomPcmError> {
-        let cm = self
-            .cache_mem
-            .as_ref()
-            .expect("architecture has a cache array");
-        Ok(cm.decoder().encode(DecodedAddr {
+    fn cache_addr(&mut self, rank: u32, row: u32) -> Result<u64, WomPcmError> {
+        let (cache, _) = self.side_arrays(ArraySide::Cache)?;
+        Ok(cache.decoder().encode(DecodedAddr {
             rank,
             bank: 0,
             row,
             column: 0,
         })?)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn data_check_failures_are_internal_errors() {
+        let mut check = DataCheck::new();
+        check.on_write(0x40).expect("writes through the codec");
+        check.on_read(0x40).expect("cells decode to the last write");
+
+        let line = DataCheck::line_of(0x40);
+        let mut tampered = *check.expected.get(line).expect("line was written");
+        tampered[0] ^= 1;
+        check.expected.insert(line, tampered);
+        let err = check
+            .on_read(0x40)
+            .expect_err("reference no longer matches");
+        assert!(matches!(err, WomPcmError::Internal(_)), "{err:?}");
+        assert_eq!(
+            err.to_string(),
+            "internal invariant violated: data corruption at line 0x1: \
+             cells decode differently from the last write"
+        );
+
+        // A reference for a line whose cells were never written.
+        check.expected.insert(7, [0u8; CHECK_LINE_BYTES]);
+        let err = check.on_read(7 * 64).expect_err("no cells to decode");
+        assert!(matches!(err, WomPcmError::Internal(_)), "{err:?}");
+        assert_eq!(
+            err.to_string(),
+            "internal invariant violated: written line vanished"
+        );
     }
 }

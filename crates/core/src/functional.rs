@@ -1,6 +1,6 @@
 //! A data-bearing WOM-code PCM model: real encode/decode, not just timing.
 //!
-//! The simulation engine ([`crate::engine`]) tracks only
+//! A simulation [`Session`](crate::session::Session) tracks only
 //! *latency-relevant* state (write generations) so that 16 GiB devices
 //! simulate fast. This module complements it with a functional model
 //! that stores actual wit patterns through [`wom_code::BlockCodec`],

@@ -12,11 +12,8 @@
 //!   [`session::SessionSpec`] or a [`builder::SystemBuilder`]. It runs
 //!   any of the four architectures of the paper's evaluation:
 //!   conventional PCM, WOM-code PCM, WOM-code PCM with PCM-refresh, and
-//!   WCPCM.
-//! * [`engine::Engine`] — the architecture-agnostic simulation core a
-//!   session drives, running one [`policy::ArchPolicy`] — the trait
-//!   behind which each architecture's state and decisions live (and the
-//!   extension point for architectures beyond the paper's four).
+//!   WCPCM. The simulation engine and the per-architecture policies
+//!   behind it are crate-private.
 //! * [`wom_state`] — per-row rewrite-budget tracking (α-write detection).
 //! * [`wide_column`] / [`hidden_page`] — the two §3.1 memory organizations
 //!   that provision the code's extra bits.
@@ -59,13 +56,13 @@
 pub mod arch;
 pub mod builder;
 pub mod config;
-pub mod engine;
+mod engine;
 pub mod error;
 pub mod functional;
 pub mod hidden_page;
 pub mod metrics;
 pub mod observe;
-pub mod policy;
+mod policy;
 pub mod refresh;
 pub mod rowmap;
 pub mod session;
@@ -79,13 +76,12 @@ pub mod wom_state;
 pub use arch::{Architecture, Organization};
 pub use builder::SystemBuilder;
 pub use config::SystemConfig;
-pub use engine::{Engine, EngineCore};
 pub use error::WomPcmError;
 pub use functional::FunctionalMemory;
 pub use hidden_page::HiddenPageTable;
 pub use metrics::RunMetrics;
-pub use observe::{EpochCounters, EpochRecorder, EpochSeries, Event, NullObserver, Observer};
-pub use policy::ArchPolicy;
+pub use observe::{EpochCounters, EpochRecorder, EpochSeries, Event};
+pub use policy::ArraySide;
 pub use refresh::{RefreshConfig, RefreshEngine, RefreshPlan};
 pub use rowmap::RowMap;
 pub use session::{EpochDelta, Session, SessionSpec, SessionState};

@@ -339,8 +339,8 @@ impl EpochSeries {
     }
 }
 
-/// An [`Observer`](super::Observer) folding events into an
-/// [`EpochSeries`] as they arrive.
+/// The epoch observer: folds events into an [`EpochSeries`] as they
+/// arrive.
 ///
 /// Events need not arrive in cycle order (the main-memory and WOM-cache
 /// completion drains interleave): the recorder indexes epochs by

@@ -4,12 +4,13 @@
 //! [`Event`]s — demand issue/completion with latency class, refresh
 //! bursts and per-row refresh outcomes, WOM-cache hits/misses/victim
 //! writebacks, wear-leveling gap moves, rewrite-budget exhaustion —
-//! into an [`Observer`]. Observation is off by default and costs one
-//! predictable branch per event when disabled: events are `Copy` values
-//! built inline, so the hot path stays allocation-free (enforced by the
-//! womlint `hotpath/alloc` regions over the dispatch sites).
+//! into the engine's observer sink. Observation is off by default and
+//! costs one predictable branch per event when disabled: events are
+//! `Copy` values built inline, so the hot path stays allocation-free
+//! (enforced by the womlint `hotpath/alloc` regions over the dispatch
+//! sites).
 //!
-//! The built-in observer is the [`EpochRecorder`], which folds the
+//! When on, the sink is an [`EpochRecorder`], which folds the
 //! stream into a fixed-width [`EpochSeries`] (configure it with
 //! [`SystemConfig::epoch_cycles`](crate::SystemConfig) or
 //! [`SystemBuilder::epoch_cycles`](crate::SystemBuilder)); export a
@@ -42,47 +43,10 @@ pub use epoch::{EpochCounters, EpochRecorder, EpochSeries};
 pub use event::{Event, WriteClass};
 pub use export::{push_epoch_jsonl, write_csv, write_jsonl};
 
-use crate::error::WomPcmError;
 use pcm_sim::{Cycle, SnapError, SnapReader, SnapWriter};
 
-/// A sink for instrumentation [`Event`]s.
-///
-/// Implementations must be cheap: `on_event` runs inside the engine's
-/// per-record hot path. The engine guarantees events within one array's
-/// completion drain arrive in cycle order, but streams from the main and
-/// cache arrays may interleave non-monotonically — fold by the event's
-/// own [`Event::cycle`], as [`EpochRecorder`] does.
-pub trait Observer: std::fmt::Debug {
-    /// Receives one event.
-    fn on_event(&mut self, event: &Event);
-
-    /// Called once when the run drains, with the final simulated cycle.
-    fn on_finish(&mut self, now: Cycle) {
-        let _ = now;
-    }
-}
-
-impl Observer for EpochRecorder {
-    fn on_event(&mut self, event: &Event) {
-        EpochRecorder::on_event(self, event);
-    }
-
-    fn on_finish(&mut self, now: Cycle) {
-        EpochRecorder::on_finish(self, now);
-    }
-}
-
-/// An [`Observer`] that drops every event (the disabled default).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullObserver;
-
-impl Observer for NullObserver {
-    #[inline]
-    fn on_event(&mut self, _event: &Event) {}
-}
-
 /// The engine's observer slot: off by default, an epoch recorder when
-/// `SystemConfig::epoch_cycles` is set, or a caller-supplied observer.
+/// `SystemConfig::epoch_cycles` is set.
 ///
 /// Dispatch is a single match; the `Off` arm is the first pattern so the
 /// disabled path is one predicted branch and provably allocation-free.
@@ -93,8 +57,6 @@ pub(crate) enum ObserverSink {
     Off,
     /// The built-in epoch time-series recorder.
     Epochs(EpochRecorder),
-    /// A caller-supplied observer.
-    Custom(Box<dyn Observer>),
 }
 
 impl ObserverSink {
@@ -102,8 +64,7 @@ impl ObserverSink {
     pub(crate) fn on_event(&mut self, event: &Event) {
         match self {
             Self::Off => {}
-            Self::Epochs(r) => r.on_event(event),
-            Self::Custom(o) => o.on_event(event),
+            Self::Epochs(r) => EpochRecorder::on_event(r, event),
         }
     }
 
@@ -111,15 +72,14 @@ impl ObserverSink {
         match self {
             Self::Off => {}
             Self::Epochs(r) => EpochRecorder::on_finish(r, now),
-            Self::Custom(o) => o.on_finish(now),
         }
     }
 
     /// The recorded epoch series, when the built-in recorder is attached.
     pub(crate) fn epochs(&self) -> Option<&EpochSeries> {
         match self {
+            Self::Off => None,
             Self::Epochs(r) => Some(r.series()),
-            _ => None,
         }
     }
 
@@ -127,35 +87,19 @@ impl ObserverSink {
     /// `Off`), when the built-in recorder is attached.
     pub(crate) fn take_epochs(&mut self) -> Option<EpochSeries> {
         match std::mem::take(self) {
+            Self::Off => None,
             Self::Epochs(r) => Some(r.into_series()),
-            other => {
-                *self = other;
-                None
-            }
         }
     }
 
     /// Serializes the sink for snapshot/restore.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WomPcmError::InvalidConfig`] for a caller-supplied
-    /// [`Observer`]: arbitrary observers carry state the snapshot codec
-    /// cannot represent, so snapshotting is limited to `Off`/epochs.
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) -> Result<(), WomPcmError> {
+    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
         match self {
-            Self::Off => {
-                w.put_u8(0);
-                Ok(())
-            }
+            Self::Off => w.put_u8(0),
             Self::Epochs(r) => {
                 w.put_u8(1);
                 r.save_state(w);
-                Ok(())
             }
-            Self::Custom(_) => Err(WomPcmError::InvalidConfig(
-                "custom observers cannot be snapshotted; detach the observer first".into(),
-            )),
         }
     }
 
@@ -196,37 +140,5 @@ mod tests {
         let series = sink.take_epochs().unwrap();
         assert_eq!(series.end_cycle(), 10);
         assert!(matches!(sink, ObserverSink::Off));
-    }
-
-    #[test]
-    fn custom_observer_sees_events_and_finish() {
-        #[derive(Debug, Default)]
-        struct Counting {
-            events: u64,
-            finished_at: Cycle,
-        }
-        impl Observer for Counting {
-            fn on_event(&mut self, _event: &Event) {
-                self.events += 1;
-            }
-            fn on_finish(&mut self, now: Cycle) {
-                self.finished_at = now;
-            }
-        }
-        let mut sink = ObserverSink::Custom(Box::new(Counting::default()));
-        sink.on_event(&Event::VictimWriteback { cycle: 5 });
-        sink.on_event(&Event::HiddenPageAccess { cycle: 6 });
-        sink.on_finish(42);
-        assert!(sink.take_epochs().is_none(), "custom sink is preserved");
-        match sink {
-            ObserverSink::Custom(o) => {
-                let s = format!("{o:?}");
-                assert!(
-                    s.contains("events: 2") && s.contains("finished_at: 42"),
-                    "{s}"
-                );
-            }
-            _ => unreachable!("custom sink survived take_epochs"),
-        }
     }
 }

@@ -1,33 +1,28 @@
 //! The architecture-policy layer: per-architecture behaviour behind one
-//! trait.
+//! closed enum.
 //!
-//! Each of the paper's four architectures is one [`ArchPolicy`]
-//! implementation owning its architecture-specific state:
+//! Each of the paper's four architectures maps to one [`Policy`]
+//! variant owning its architecture-specific state:
 //!
-//! * [`BaselinePolicy`] — stateless; every write is a full PCM write.
-//! * [`WomCodePolicy`] — per-row WOM rewrite budgets (and, optionally,
-//!   the hidden-page companion table).
-//! * [`WomCodeRefreshPolicy`] — WOM budgets plus the §3.2 PCM-refresh
-//!   engine re-initializing exhausted rows during idle periods.
-//! * [`WcpcmPolicy`] — the §4 per-rank WOM-cache with victim writebacks
-//!   and cache refresh.
+//! * `Baseline` — stateless; every write is a full PCM write.
+//! * `WomCode` — per-row WOM rewrite budgets (and, optionally, the
+//!   hidden-page companion table); under `WomCodeRefresh` also the §3.2
+//!   PCM-refresh driver re-initializing exhausted rows during idle
+//!   periods.
+//! * `Wcpcm` — the §4 per-rank WOM-cache with victim writebacks and
+//!   cache refresh.
 //!
 //! The shared [`Engine`](crate::engine::Engine) drives the clock, the
-//! memory arrays, and the metrics; policies decide *what* each demand
-//! access does by returning a [`ReadAction`] / [`WriteAction`], and react
-//! to refresh ticks and refresh completions. Adding a fifth architecture
-//! means implementing this trait in a new file — the engine does not
-//! change (see `DESIGN.md`, "Policy layer").
+//! memory arrays, and the metrics; the policy decides *what* each demand
+//! access does by returning a [`ReadAction`] / [`WriteAction`], and
+//! reacts to refresh ticks and refresh completions. A fifth architecture
+//! is one more variant plus its arms in the `match`es below (see
+//! `DESIGN.md`, "Policy layer").
 
 mod baseline;
 mod refresh;
 mod wcpcm;
 mod wom_code;
-
-pub use baseline::BaselinePolicy;
-pub use refresh::WomCodeRefreshPolicy;
-pub use wcpcm::WcpcmPolicy;
-pub use wom_code::WomCodePolicy;
 
 use crate::arch::Architecture;
 use crate::config::SystemConfig;
@@ -35,8 +30,11 @@ use crate::engine::EngineCore;
 use crate::error::WomPcmError;
 use crate::metrics::RunMetrics;
 use pcm_sim::{Completion, DecodedAddr, ServiceClass, SnapReader, SnapWriter};
+use refresh::RefreshDriver;
+use wcpcm::WcpcmPolicy;
+use wom_code::WomCodePolicy;
 
-/// Which memory array a completion came from.
+/// Which memory arrays an operation or event belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArraySide {
     /// The PCM main-memory arrays.
@@ -47,7 +45,7 @@ pub enum ArraySide {
 
 /// What a demand read should do, as decided by the policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadAction {
+pub(crate) enum ReadAction {
     /// Read main memory.
     Main {
         /// Physical (post-remap) address to read.
@@ -66,7 +64,7 @@ pub enum ReadAction {
 
 /// What a demand write should do, as decided by the policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteAction {
+pub(crate) enum WriteAction {
     /// Absorbed into an open coalescing window; the policy has already
     /// recorded the merged write's metrics via
     /// [`EngineCore::try_coalesce`].
@@ -95,19 +93,46 @@ pub enum WriteAction {
     },
 }
 
-/// Architecture-specific behaviour plugged into the shared engine.
+/// Architecture-specific behaviour plugged into the shared engine, one
+/// variant per policy.
 ///
 /// Hooks receive `&mut EngineCore` for the shared machinery (clock,
 /// address decoding, coalescing, victim queue, metrics); the policy's own
-/// state (WOM budgets, refresh tables, cache tags) lives in `self`.
+/// state (WOM budgets, refresh tables, cache tags) lives in the variant.
 /// Demand enqueues — which may stall and re-enter [`Self::on_tick`] /
 /// [`Self::on_completion`] through time advancement — are performed by
-/// the engine from the returned actions, never by the policy.
-pub trait ArchPolicy: std::fmt::Debug {
-    /// Whether the engine should run [`Self::on_tick`] on the staggered
-    /// per-rank refresh schedule.
-    fn wants_ticks(&self) -> bool {
-        false
+/// the engine from the returned actions, never by the policy. The two
+/// stateful variants are boxed: unboxed, every `Policy` would be as
+/// large as the largest policy state (hundreds of bytes).
+#[derive(Debug)]
+pub(crate) enum Policy {
+    /// Conventional PCM: no architecture state.
+    Baseline,
+    /// WOM-code PCM, with the refresh driver under `WomCodeRefresh`.
+    WomCode(Box<WomCodePolicy>),
+    /// The per-rank WOM-cache.
+    Wcpcm(Box<WcpcmPolicy>),
+}
+
+impl Policy {
+    /// Builds the policy matching `config.arch` — the one place the
+    /// architecture is matched on.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WomPcmError::InvalidConfig`] for inconsistent parameters.
+    pub(crate) fn new(config: &SystemConfig) -> Result<Self, WomPcmError> {
+        let g = config.mem.geometry;
+        Ok(match config.arch {
+            Architecture::Baseline => Self::Baseline,
+            Architecture::WomCode => Self::WomCode(Box::new(WomCodePolicy::new(config, None)?)),
+            Architecture::WomCodeRefresh => {
+                let driver =
+                    RefreshDriver::new(ArraySide::Main, config.refresh, g.ranks, g.banks_per_rank)?;
+                Self::WomCode(Box::new(WomCodePolicy::new(config, Some(driver))?))
+            }
+            Architecture::Wcpcm => Self::Wcpcm(Box::new(WcpcmPolicy::new(config)?)),
+        })
     }
 
     /// Decides where a demand read goes.
@@ -115,7 +140,17 @@ pub trait ArchPolicy: std::fmt::Debug {
     /// # Errors
     ///
     /// Propagates address-decoding and data-verification errors.
-    fn on_read(&mut self, core: &mut EngineCore, addr: u64) -> Result<ReadAction, WomPcmError>;
+    pub(crate) fn on_read(
+        &mut self,
+        core: &mut EngineCore,
+        addr: u64,
+    ) -> Result<ReadAction, WomPcmError> {
+        match self {
+            Self::Baseline => baseline::on_read(core, addr),
+            Self::WomCode(p) => p.on_read(core, addr),
+            Self::Wcpcm(p) => p.on_read(core, addr),
+        }
+    }
 
     /// Decides what a demand write does (and updates write-state such as
     /// WOM budgets or cache tags).
@@ -123,17 +158,30 @@ pub trait ArchPolicy: std::fmt::Debug {
     /// # Errors
     ///
     /// Propagates address-decoding and data-verification errors.
-    fn on_write(&mut self, core: &mut EngineCore, addr: u64) -> Result<WriteAction, WomPcmError>;
+    pub(crate) fn on_write(
+        &mut self,
+        core: &mut EngineCore,
+        addr: u64,
+    ) -> Result<WriteAction, WomPcmError> {
+        match self {
+            Self::Baseline => baseline::on_write(core, addr),
+            Self::WomCode(p) => p.on_write(core, addr),
+            Self::Wcpcm(p) => p.on_write(core, addr),
+        }
+    }
 
-    /// Periodic refresh opportunity (only called when
-    /// [`Self::wants_ticks`] is true).
+    /// Periodic refresh opportunity, on the staggered per-rank schedule
+    /// the engine runs for architectures that refresh.
     ///
     /// # Errors
     ///
     /// Propagates simulator errors from refresh enqueues.
-    fn on_tick(&mut self, core: &mut EngineCore) -> Result<(), WomPcmError> {
-        let _ = core;
-        Ok(())
+    pub(crate) fn on_tick(&mut self, core: &mut EngineCore) -> Result<(), WomPcmError> {
+        match self {
+            Self::Baseline => Ok(()),
+            Self::WomCode(p) => p.tick(core),
+            Self::Wcpcm(p) => p.tick(core),
+        }
     }
 
     /// Reacts to a rank-refresh completion (or preemption) on `side`.
@@ -144,101 +192,61 @@ pub trait ArchPolicy: std::fmt::Debug {
     /// match a planned refresh (a scheduling bug), and propagates
     /// address-decoding or data-verification errors from the policy's
     /// post-refresh bookkeeping.
-    fn on_completion(
-        &mut self,
-        core: &mut EngineCore,
-        side: ArraySide,
-        c: &Completion,
-    ) -> Result<(), WomPcmError>;
-
-    /// Reacts to a wear-leveling row copy: the destination physical row
-    /// `dest` was erased and rewritten once.
-    fn on_wear_level_copy(&mut self, core: &mut EngineCore, dest: DecodedAddr) {
-        let _ = (core, dest);
-    }
-
-    /// Contributes policy-owned statistics to the finalized metrics.
-    fn finish(&mut self, core: &EngineCore, result: &mut RunMetrics) {
-        let _ = (core, result);
-    }
-
-    /// Serializes the policy's architecture-specific state for
-    /// snapshot/restore. Stateless policies write nothing.
-    fn save_state(&self, w: &mut SnapWriter) {
-        let _ = w;
-    }
-
-    /// Restores state written by [`Self::save_state`] into this policy
-    /// (freshly built from the same configuration). Stateless policies
-    /// read nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WomPcmError::Snapshot`] for truncated or corrupt
-    /// payloads.
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), WomPcmError> {
-        let _ = r;
-        Ok(())
-    }
-}
-
-impl ArchPolicy for Box<dyn ArchPolicy> {
-    fn wants_ticks(&self) -> bool {
-        (**self).wants_ticks()
-    }
-
-    fn on_read(&mut self, core: &mut EngineCore, addr: u64) -> Result<ReadAction, WomPcmError> {
-        (**self).on_read(core, addr)
-    }
-
-    fn on_write(&mut self, core: &mut EngineCore, addr: u64) -> Result<WriteAction, WomPcmError> {
-        (**self).on_write(core, addr)
-    }
-
-    fn on_tick(&mut self, core: &mut EngineCore) -> Result<(), WomPcmError> {
-        (**self).on_tick(core)
-    }
-
-    fn on_completion(
+    pub(crate) fn on_completion(
         &mut self,
         core: &mut EngineCore,
         side: ArraySide,
         c: &Completion,
     ) -> Result<(), WomPcmError> {
-        (**self).on_completion(core, side, c)
+        match self {
+            Self::Baseline => Err(WomPcmError::Internal(
+                "the baseline never schedules rank refreshes".into(),
+            )),
+            Self::WomCode(p) => p.on_completion(core, side, c),
+            Self::Wcpcm(p) => p.on_completion(core, side, c),
+        }
     }
 
-    fn on_wear_level_copy(&mut self, core: &mut EngineCore, dest: DecodedAddr) {
-        (**self).on_wear_level_copy(core, dest);
+    /// Reacts to a wear-leveling row copy: the destination physical row
+    /// `dest` was erased and rewritten once.
+    pub(crate) fn on_wear_level_copy(&mut self, core: &mut EngineCore, dest: DecodedAddr) {
+        if let Self::WomCode(p) = self {
+            p.on_wear_level_copy(core, dest);
+        }
     }
 
-    fn finish(&mut self, core: &EngineCore, result: &mut RunMetrics) {
-        (**self).finish(core, result);
+    /// Contributes policy-owned statistics to the finalized metrics.
+    pub(crate) fn finish(&self, result: &mut RunMetrics) {
+        if let Self::Wcpcm(p) = self {
+            p.finish(result);
+        }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
-        (**self).save_state(w);
+    /// Serializes the policy's architecture-specific state for
+    /// snapshot/restore. The baseline writes nothing.
+    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
+        match self {
+            Self::Baseline => {}
+            Self::WomCode(p) => p.save_state(w),
+            Self::Wcpcm(p) => p.save_state(w),
+        }
     }
 
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), WomPcmError> {
-        (**self).load_state(r)
+    /// Restores state written by [`Self::save_state`] into this policy
+    /// (freshly built from the same configuration). The baseline reads
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WomPcmError::Snapshot`] for truncated or corrupt
+    /// payloads.
+    pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), WomPcmError> {
+        match self {
+            Self::Baseline => Ok(()),
+            Self::WomCode(p) => p.load_state(r),
+            Self::Wcpcm(p) => p.load_state(r),
+        }
     }
-}
-
-/// Builds the policy matching `config.arch` — the only place the
-/// architecture is dispatched on; the engine's per-record paths are
-/// architecture-free.
-///
-/// # Errors
-///
-/// Returns [`WomPcmError::InvalidConfig`] for inconsistent parameters.
-pub fn build(config: &SystemConfig) -> Result<Box<dyn ArchPolicy>, WomPcmError> {
-    Ok(match config.arch {
-        Architecture::Baseline => Box::new(BaselinePolicy::new()),
-        Architecture::WomCode => Box::new(WomCodePolicy::new(config)?),
-        Architecture::WomCodeRefresh => Box::new(WomCodeRefreshPolicy::new(config)?),
-        Architecture::Wcpcm => Box::new(WcpcmPolicy::new(config)?),
-    })
 }
 
 /// The WOM rewrite-budget column index of a decoded address under the

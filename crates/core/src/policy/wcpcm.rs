@@ -1,31 +1,25 @@
 //! WCPCM (§4): a per-rank WOM-cache absorbs writes; misses write victims
 //! back to conventional main memory; the cache itself is refreshed.
 
-use super::{ArchPolicy, ArraySide, ReadAction, WriteAction};
+use super::refresh::RefreshDriver;
+use super::{ArraySide, ReadAction, WriteAction};
 use crate::config::SystemConfig;
 use crate::engine::EngineCore;
 use crate::error::WomPcmError;
 use crate::metrics::RunMetrics;
 use crate::observe::Event;
-use crate::refresh::RefreshEngine;
 use crate::wcpcm::{CacheWriteOutcome, WomCache};
 use crate::wom_state::BudgetGranularity;
-use pcm_sim::{Completion, DecodedAddr, ServiceClass, SnapReader, SnapWriter, TransactionId};
-use std::collections::BTreeMap;
+use pcm_sim::{Completion, DecodedAddr, ServiceClass, SnapReader, SnapWriter};
 
 /// Main memory stays conventional; a WOM-coded cache array per rank
 /// absorbs the write stream. Owns the [`WomCache`] (tags, budgets,
-/// victims) and the [`RefreshEngine`] that flushes exhausted cache rows.
+/// victims) and the cache-side [`RefreshDriver`] that flushes exhausted
+/// cache rows.
 #[derive(Debug)]
-pub struct WcpcmPolicy {
+pub(crate) struct WcpcmPolicy {
     cache: WomCache,
-    engine: RefreshEngine,
-    // Ordered map (determinism invariant; see `EngineCore`).
-    planned: BTreeMap<TransactionId, (u32, u32)>,
-    // Tick-time scratch, reused so the no-plan steady state of every
-    // tick is allocation-free.
-    idle_scratch: Vec<u32>,
-    rows_scratch: Vec<(u32, u32)>,
+    refresh: RefreshDriver,
 }
 
 impl WcpcmPolicy {
@@ -34,7 +28,7 @@ impl WcpcmPolicy {
     /// # Errors
     ///
     /// Returns [`WomPcmError::InvalidConfig`] for inconsistent parameters.
-    pub fn new(config: &SystemConfig) -> Result<Self, WomPcmError> {
+    pub(super) fn new(config: &SystemConfig) -> Result<Self, WomPcmError> {
         let g = config.mem.geometry;
         let budget_columns = match config.budget_granularity {
             BudgetGranularity::Row => 1,
@@ -48,23 +42,15 @@ impl WcpcmPolicy {
             config.rewrite_limit,
         );
         // One WOM-cache array (bank) per rank.
-        let engine = RefreshEngine::new(config.refresh, g.ranks, 1)?;
-        Ok(Self {
-            cache,
-            engine,
-            planned: BTreeMap::new(),
-            idle_scratch: Vec::new(),
-            rows_scratch: Vec::new(),
-        })
-    }
-}
-
-impl ArchPolicy for WcpcmPolicy {
-    fn wants_ticks(&self) -> bool {
-        true
+        let refresh = RefreshDriver::new(ArraySide::Cache, config.refresh, g.ranks, 1)?;
+        Ok(Self { cache, refresh })
     }
 
-    fn on_read(&mut self, core: &mut EngineCore, addr: u64) -> Result<ReadAction, WomPcmError> {
+    pub(super) fn on_read(
+        &mut self,
+        core: &mut EngineCore,
+        addr: u64,
+    ) -> Result<ReadAction, WomPcmError> {
         // §4's read protocol: cache and main memory are accessed in
         // parallel and the right side forwards the data, costing only
         // the one-to-two-cycle tag comparison. The tags (6 bits per
@@ -95,7 +81,11 @@ impl ArchPolicy for WcpcmPolicy {
         })
     }
 
-    fn on_write(&mut self, core: &mut EngineCore, addr: u64) -> Result<WriteAction, WomPcmError> {
+    pub(super) fn on_write(
+        &mut self,
+        core: &mut EngineCore,
+        addr: u64,
+    ) -> Result<WriteAction, WomPcmError> {
         core.check_write(addr)?;
         let d = core.decoder().decode(addr);
         let cache_key = (u64::from(d.rank) << 32) | u64::from(d.row);
@@ -112,7 +102,7 @@ impl ArchPolicy for WcpcmPolicy {
             hit: matches!(outcome, CacheWriteOutcome::Hit { .. }),
         });
         if self.cache.row_at_limit(d.rank, d.row) {
-            self.engine.record_exhausted(d.rank, 0, d.row);
+            self.refresh.record_exhausted(d.rank, 0, d.row);
             core.emit(Event::BudgetExhausted {
                 cycle: core.now(),
                 side: ArraySide::Cache,
@@ -148,104 +138,55 @@ impl ArchPolicy for WcpcmPolicy {
         })
     }
 
-    /// One staggered refresh opportunity on the cache arrays (see
-    /// `RefreshDriver::tick` for the rank/bank qualification rules).
-    fn on_tick(&mut self, core: &mut EngineCore) -> Result<(), WomPcmError> {
-        if !self.engine.has_work() {
-            return Ok(());
-        }
-        let ranks = core.config().mem.geometry.ranks;
-        self.idle_scratch.clear();
-        self.idle_scratch
-            .extend((0..ranks).filter(|&r| core.cache_rank_idle(r)));
-        if let Some(rank) = self
-            .engine
-            .plan_into(&self.idle_scratch, &mut self.rows_scratch)
-        {
-            self.rows_scratch
-                .retain(|&(bank, _)| core.cache_bank_free(rank, bank));
-            if self.rows_scratch.is_empty() {
-                return Ok(());
-            }
-            let first = core.enqueue_cache_rank_refresh(rank, &self.rows_scratch)?;
-            for (k, &(_, row)) in self.rows_scratch.iter().enumerate() {
-                self.planned.insert(first + k as u64, (rank, row));
-            }
-        }
-        Ok(())
+    /// One staggered refresh opportunity on the cache arrays.
+    pub(super) fn tick(&mut self, core: &mut EngineCore) -> Result<(), WomPcmError> {
+        self.refresh.tick(core)
     }
 
-    fn on_completion(
+    /// Settles a cache refresh; a completed one flushes the row.
+    pub(super) fn on_completion(
         &mut self,
         core: &mut EngineCore,
         side: ArraySide,
         c: &Completion,
     ) -> Result<(), WomPcmError> {
-        if side != ArraySide::Cache {
-            return Err(WomPcmError::Internal(
-                "WCPCM refreshes only its cache".into(),
-            ));
-        }
-        let (rank, row) = self.planned.remove(&c.id).ok_or_else(|| {
-            // womlint::allow(hotpath/transitive, reason = "internal-error path: an unplanned completion is a policy bug and aborts the run")
-            WomPcmError::Internal(format!(
-                "cache refresh completion {:?} was never planned",
-                c.id
-            ))
-        })?;
-        core.note_refresh_row(ArraySide::Cache, rank, 0, row, c);
-        if c.preempted {
-            self.engine.row_preempted(rank, 0, row);
-        } else {
-            self.engine.row_refreshed(rank, 0, row);
-            // The WOM-cache refreshes by flushing: the entry's data
-            // is written back to main memory and the row erased to
-            // the full-budget state (a write cache may evict; main
-            // memory rows must instead preserve data, §3.2).
-            if let Some(victim_bank) = self.cache.flush(rank, row) {
-                let victim = DecodedAddr {
-                    rank,
-                    bank: victim_bank,
-                    row,
-                    column: 0,
-                };
-                let addr = core.decoder().encode(victim)?;
-                let physical = core.remap_main(addr)?;
-                core.push_victim(physical);
-                // The flushed entry's lines land in main memory as
-                // first-pattern writes; the functional checker rewrites
-                // each of them (see `EngineCore::check_refresh_row`).
-                core.check_refresh_row(rank, victim_bank, row)?;
-            }
+        let Some((rank, _, row)) = self.refresh.on_refresh_completion(core, side, c)? else {
+            return Ok(());
+        };
+        // The WOM-cache refreshes by flushing: the entry's data is
+        // written back to main memory and the row erased to the
+        // full-budget state (a write cache may evict; main memory rows
+        // must instead preserve data, §3.2).
+        if let Some(victim_bank) = self.cache.flush(rank, row) {
+            let victim = DecodedAddr {
+                rank,
+                bank: victim_bank,
+                row,
+                column: 0,
+            };
+            let addr = core.decoder().encode(victim)?;
+            let physical = core.remap_main(addr)?;
+            core.push_victim(physical);
+            // The flushed entry's lines land in main memory as
+            // first-pattern writes; the functional checker rewrites each
+            // of them (see `EngineCore::check_refresh_row`).
+            core.check_refresh_row(rank, victim_bank, row)?;
         }
         Ok(())
     }
 
-    fn finish(&mut self, _core: &EngineCore, result: &mut RunMetrics) {
+    pub(super) fn finish(&self, result: &mut RunMetrics) {
         result.cache = Some(*self.cache.stats());
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
+    pub(super) fn save_state(&self, w: &mut SnapWriter) {
         self.cache.save_state(w);
-        self.engine.save_state(w);
-        w.put_usize(self.planned.len());
-        for (&id, &(rank, row)) in &self.planned {
-            w.put_u64(id);
-            w.put_u32(rank);
-            w.put_u32(row);
-        }
+        self.refresh.save_state(w);
     }
 
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), WomPcmError> {
+    pub(super) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), WomPcmError> {
         self.cache = WomCache::load_state(r)?;
-        self.engine = RefreshEngine::load_state(r)?;
-        self.planned = r.take_sorted(
-            16,
-            |&(id, _)| id,
-            |r| Ok((r.take_u64()?, (r.take_u32()?, r.take_u32()?))),
-        )?;
-        self.idle_scratch.clear();
-        self.rows_scratch.clear();
+        self.refresh.load_state(r)?;
         Ok(())
     }
 }

@@ -1,7 +1,7 @@
 //! WOM-code PCM: per-row rewrite budgets decide RESET-only vs α-writes.
 
 use super::refresh::RefreshDriver;
-use super::{ArchPolicy, ArraySide, ReadAction, WriteAction};
+use super::{ArraySide, ReadAction, WriteAction};
 use crate::config::SystemConfig;
 use crate::engine::EngineCore;
 use crate::error::WomPcmError;
@@ -14,10 +14,10 @@ use pcm_sim::{Completion, DecodedAddr, MemOp, ServiceClass, SnapReader, SnapWrit
 /// Main memory is WOM-coded: each write within a row's rewrite budget is
 /// a RESET-only write; the α-write past the budget pays the full SET
 /// latency. Owns the [`WomStateTable`] tracking budgets, the optional
-/// hidden-page companion table, and — when wrapped by
-/// [`super::WomCodeRefreshPolicy`] — the PCM-refresh driver.
+/// hidden-page companion table, and — under `WomCodeRefresh` — the
+/// main-side PCM-refresh driver.
 #[derive(Debug)]
-pub struct WomCodePolicy {
+pub(crate) struct WomCodePolicy {
     wom: WomStateTable,
     /// Hidden-page table, when companion traffic is charged.
     hidden: Option<HiddenPageTable>,
@@ -26,18 +26,13 @@ pub struct WomCodePolicy {
 }
 
 impl WomCodePolicy {
-    /// Builds the policy for plain WOM-code PCM (no refresh engine).
+    /// Builds the policy, with the refresh driver of `WomCodeRefresh`
+    /// or without one for plain WOM-code PCM.
     ///
     /// # Errors
     ///
     /// Returns [`WomPcmError::InvalidConfig`] for inconsistent parameters.
-    pub fn new(config: &SystemConfig) -> Result<Self, WomPcmError> {
-        Self::with_driver(config, None)
-    }
-
-    /// Builds the policy with an optional refresh driver (used by
-    /// [`super::WomCodeRefreshPolicy`]).
-    pub(super) fn with_driver(
+    pub(super) fn new(
         config: &SystemConfig,
         refresh: Option<RefreshDriver>,
     ) -> Result<Self, WomPcmError> {
@@ -103,10 +98,12 @@ impl WomCodePolicy {
         core.note_hidden_page_access();
         Ok(Some(companion))
     }
-}
 
-impl ArchPolicy for WomCodePolicy {
-    fn on_read(&mut self, core: &mut EngineCore, addr: u64) -> Result<ReadAction, WomPcmError> {
+    pub(super) fn on_read(
+        &mut self,
+        core: &mut EngineCore,
+        addr: u64,
+    ) -> Result<ReadAction, WomPcmError> {
         let physical = core.remap_main(addr)?;
         core.check_read(physical)?;
         let companion = self.hidden_companion(core, MemOp::Read, physical)?;
@@ -116,7 +113,11 @@ impl ArchPolicy for WomCodePolicy {
         })
     }
 
-    fn on_write(&mut self, core: &mut EngineCore, addr: u64) -> Result<WriteAction, WomPcmError> {
+    pub(super) fn on_write(
+        &mut self,
+        core: &mut EngineCore,
+        addr: u64,
+    ) -> Result<WriteAction, WomPcmError> {
         let addr = core.remap_main(addr)?;
         core.check_write(addr)?;
         let d = core.decoder().decode(addr);
@@ -154,21 +155,19 @@ impl ArchPolicy for WomCodePolicy {
         })
     }
 
-    fn on_completion(
+    /// Settles a main-memory refresh; a completed one rewrites the row's
+    /// data and consumes one generation of its budget.
+    pub(super) fn on_completion(
         &mut self,
         core: &mut EngineCore,
         side: ArraySide,
         c: &Completion,
     ) -> Result<(), WomPcmError> {
-        if side != ArraySide::Main {
-            return Err(WomPcmError::Internal(
-                "WOM-code PCM has no cache array".into(),
-            ));
-        }
         let driver = self.refresh.as_mut().ok_or_else(|| {
             WomPcmError::Internal("refresh completion without a refresh driver".into())
         })?;
-        if let Some((rank, bank, row)) = driver.on_refresh_completion(core, c)? {
+        if let Some((rank, bank, row)) = driver.on_refresh_completion(core, side, c)? {
+            core.check_refresh_row(rank, bank, row)?;
             // §3.2: the refresh writes the data back in the first-write
             // pattern, consuming one generation.
             let d = DecodedAddr {
@@ -183,7 +182,7 @@ impl ArchPolicy for WomCodePolicy {
         Ok(())
     }
 
-    fn on_wear_level_copy(&mut self, core: &mut EngineCore, dest: DecodedAddr) {
+    pub(super) fn on_wear_level_copy(&mut self, core: &mut EngineCore, dest: DecodedAddr) {
         let row_id = dest.flat_row(&core.config().mem.geometry);
         self.wom.mark_copied(row_id);
         if let Some(driver) = &mut self.refresh {
@@ -191,7 +190,7 @@ impl ArchPolicy for WomCodePolicy {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
+    pub(super) fn save_state(&self, w: &mut SnapWriter) {
         self.wom.save_state(w);
         match &self.hidden {
             None => w.put_bool(false),
@@ -209,7 +208,7 @@ impl ArchPolicy for WomCodePolicy {
         }
     }
 
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), WomPcmError> {
+    pub(super) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), WomPcmError> {
         self.wom = WomStateTable::load_state(r)?;
         let has_hidden = r.take_bool()?;
         match (&mut self.hidden, has_hidden) {

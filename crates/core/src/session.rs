@@ -54,7 +54,6 @@ use crate::engine::Engine;
 use crate::error::WomPcmError;
 use crate::metrics::RunMetrics;
 use crate::observe::{EpochCounters, EpochSeries};
-use crate::policy::ArchPolicy;
 use crate::snapshot::{self, SnapshotError};
 use pcm_sim::{Cycle, SnapReader};
 use pcm_trace::stream::TraceSource;
@@ -189,7 +188,7 @@ impl<'a> EpochDelta<'a> {
 /// observer, and snapshot state behind one object.
 #[derive(Debug)]
 pub struct Session {
-    engine: Engine<Box<dyn ArchPolicy>>,
+    engine: Engine,
     state: SessionState,
     /// Records accepted so far — written into checkpoint containers so a
     /// resuming feeder knows how far the trace had advanced.
@@ -211,7 +210,7 @@ impl Session {
     pub fn open(spec: impl Into<SessionSpec>) -> Result<Self, WomPcmError> {
         let spec = spec.into();
         Ok(Self {
-            engine: Engine::from_config(spec.config)?,
+            engine: Engine::new(spec.config)?,
             state: SessionState::Open,
             records_fed: 0,
             epochs_polled: 0,
@@ -398,20 +397,18 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// * [`WomPcmError::SessionState`] unless the session is open.
-    /// * [`WomPcmError::InvalidConfig`] when a caller-supplied observer
-    ///   is attached (arbitrary observers cannot be serialized).
+    /// [`WomPcmError::SessionState`] unless the session is open.
     pub fn checkpoint(&self) -> Result<Vec<u8>, WomPcmError> {
         self.ensure_open("checkpoint")?;
-        snapshot::encode_container(
+        Ok(snapshot::encode_container(
             self.engine.config().arch,
             self.fingerprint,
             self.records_fed,
             |w| {
                 w.put_u64(self.epochs_polled as u64);
-                self.engine.save_state(w)
+                self.engine.save_state(w);
             },
-        )
+        ))
     }
 
     /// Completes all outstanding work and returns the final metrics;
@@ -437,13 +434,6 @@ impl Session {
     pub fn into_epochs(self) -> Option<EpochSeries> {
         let mut engine = self.engine;
         engine.take_epochs()
-    }
-
-    /// Attaches a custom observer (see
-    /// [`SystemBuilder::observer`]). Sessions with a custom observer
-    /// cannot [`checkpoint`](Self::checkpoint).
-    pub(crate) fn attach_observer(&mut self, observer: Box<dyn crate::observe::Observer>) {
-        self.engine.set_observer(observer);
     }
 }
 

@@ -6,8 +6,8 @@
 //! tables, wear counters, and functional state are all per-rank (or
 //! per-bank). Slicing the rank space therefore partitions *all*
 //! architectural state: a [`ShardPlan`] carves the configured geometry
-//! into `shards` contiguous rank ranges, each backed by a private
-//! [`EngineCore`](crate::engine::EngineCore) over a sub-geometry with
+//! into `shards` contiguous rank ranges, each simulated by its own
+//! [`Session`](crate::session::Session) over a sub-geometry with
 //! `ranks / shards` ranks, and a [`ShardSource`] filters the shared trace
 //! down to each slice's records (re-encoded into the sub-geometry's
 //! address space).

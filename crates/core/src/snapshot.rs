@@ -175,16 +175,13 @@ fn arch_from_tag(tag: u8) -> Result<Architecture, SnapshotError> {
 /// straight into the container buffer: the header goes first with a
 /// placeholder length, which is patched once the payload is complete,
 /// and the footer follows. The payload is never copied.
-///
-/// # Errors
-///
-/// Whatever `write_payload` returns; the partial container is dropped.
-pub fn encode_container<E>(
+#[must_use]
+pub fn encode_container(
     arch: Architecture,
     fingerprint: u64,
     records_consumed: u64,
-    write_payload: impl FnOnce(&mut SnapWriter) -> Result<(), E>,
-) -> Result<Vec<u8>, E> {
+    write_payload: impl FnOnce(&mut SnapWriter),
+) -> Vec<u8> {
     let mut w = SnapWriter::new();
     w.put_bytes(MAGIC);
     w.put_u8(VERSION);
@@ -192,7 +189,7 @@ pub fn encode_container<E>(
     w.put_u64(fingerprint);
     w.put_u64(records_consumed);
     w.put_u64(0);
-    write_payload(&mut w)?;
+    write_payload(&mut w);
     let mut out = w.into_bytes();
     let (header, payload) = out.split_at_mut(HEADER_BYTES);
     let len = (payload.len() as u64).to_le_bytes();
@@ -206,7 +203,7 @@ pub fn encode_container<E>(
     // slack (a shrink is usually in place) rather than hold up to twice
     // the container's size.
     out.shrink_to_fit();
-    Ok(out)
+    out
 }
 
 fn take_le_u64(bytes: &[u8], offset: usize) -> Result<u64, SnapshotError> {
@@ -291,11 +288,9 @@ mod tests {
     use super::*;
 
     fn sample() -> Vec<u8> {
-        let Ok(container) = encode_container(Architecture::WomCodeRefresh, 0xDEAD_BEEF, 42, |w| {
+        encode_container(Architecture::WomCodeRefresh, 0xDEAD_BEEF, 42, |w| {
             w.put_bytes(b"payload");
-            Ok::<_, core::convert::Infallible>(())
-        });
-        container
+        })
     }
 
     #[test]

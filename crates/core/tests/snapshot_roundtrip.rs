@@ -150,17 +150,27 @@ fn fixture_path(name: &str) -> PathBuf {
         .join(format!("{name}.womsnap"))
 }
 
-/// Every golden checkpoint as `(fixture name, config)`: each architecture,
-/// plus the two refresh architectures with the data checker on, whose
-/// checkpoints hold the functional cells each refresh rewrote.
-fn golden_inputs() -> Vec<(String, SystemConfig)> {
-    let mut inputs: Vec<(String, SystemConfig)> = Architecture::all_paper()
+/// Every golden checkpoint as `(fixture name, config, split)`: each
+/// architecture at [`SPLIT`], plus the two refresh architectures with the
+/// data checker on, whose checkpoints hold the functional cells each
+/// refresh rewrote. The `-inflight` pair checkpoints while refreshes are
+/// planned but not settled (3 main rows; 1 cache row), so they pin the
+/// refresh-plan entries: 20 bytes with the bank on main memory, 16
+/// without it on the WOM-cache. At [`SPLIT`] every plan is empty.
+fn golden_inputs() -> Vec<(String, SystemConfig, usize)> {
+    let mut inputs: Vec<(String, SystemConfig, usize)> = Architecture::all_paper()
         .into_iter()
-        .map(|arch| (arch.slug().to_string(), config(arch)))
+        .map(|arch| (arch.slug().to_string(), config(arch), SPLIT))
         .collect();
     for arch in [Architecture::WomCodeRefresh, Architecture::Wcpcm] {
         let cfg = SystemBuilder::tiny(arch).verify_data(true).into_config();
-        inputs.push((format!("{}-verified", arch.slug()), cfg));
+        inputs.push((format!("{}-verified", arch.slug()), cfg, SPLIT));
+    }
+    for (arch, split) in [
+        (Architecture::WomCodeRefresh, 2_100),
+        (Architecture::Wcpcm, 2_290),
+    ] {
+        inputs.push((format!("{}-inflight", arch.slug()), config(arch), split));
     }
     inputs
 }
@@ -168,8 +178,8 @@ fn golden_inputs() -> Vec<(String, SystemConfig)> {
 #[test]
 fn golden_womsnap_fixtures_stay_stable() {
     let records = trace();
-    for (name, cfg) in golden_inputs() {
-        let container = checkpoint_at(&cfg, &records, SPLIT);
+    for (name, cfg, split) in golden_inputs() {
+        let container = checkpoint_at(&cfg, &records, split);
         let path = fixture_path(&name);
         // GOLDEN_REGEN gates regeneration of the checked-in files; it
         // never affects a verifying run, so the env ban does not apply.
@@ -207,6 +217,13 @@ fn golden_womsnap_fixtures_stay_stable() {
             assert!(
                 resumed.metrics().refreshes_completed > 0,
                 "{name}: no refresh completed before the checkpoint"
+            );
+        }
+        if name.ends_with("-inflight") {
+            let t = resumed.epochs().expect("epochs enabled").totals();
+            assert!(
+                t.refresh_rows_planned > t.refreshes_completed + t.refreshes_preempted,
+                "{name}: no refresh in flight at the checkpoint"
             );
         }
         let consumed = resumed.records_fed();

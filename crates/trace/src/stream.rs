@@ -17,10 +17,9 @@
 //!   datacenter generators), keeping a pristine copy for reset;
 //! * [`BinaryStreamSource`] — chunked reader for the binary container,
 //!   validating the version-2 record-count footer up front so truncation
-//!   is reported before the first record is consumed;
-//! * [`StreamingBinarySource`] — the same container over a non-seekable
-//!   stream (pipe, socket, stdin): the footer is verified when the
-//!   stream ends instead of up front, and reset is unsupported.
+//!   is reported before the first record is consumed. Bytes that arrive
+//!   without a seekable file (a socket, a service frame) are decoded a
+//!   chunk at a time with [`binary::decode_records_into`] instead.
 //!
 //! [`TraceSpec`] is the `Clone + Send` *description* of a source; the
 //! parallel runners clone a spec per worker and [`open`](TraceSpec::open)
@@ -391,158 +390,6 @@ impl<R: Read + Seek> TraceSource for BinaryStreamSource<R> {
     }
 }
 
-/// Chunked reader for the binary trace container over a plain
-/// [`Read`] stream — a pipe, a socket, process stdin — where
-/// [`BinaryStreamSource`]'s up-front footer validation is impossible
-/// because the stream cannot seek.
-///
-/// The header is validated at construction; records stream through a
-/// reused chunk buffer; and for version-2 containers the record-count
-/// footer is verified when the stream ends (the reader holds back the
-/// trailing footer-sized window, so a chopped-off tail surfaces as
-/// [`BinaryTraceError::Truncated`] at the end rather than as silently
-/// missing records). [`TraceSource::reset`] is unsupported — the bytes
-/// are gone once consumed.
-#[derive(Debug)]
-pub struct StreamingBinarySource<R> {
-    reader: R,
-    version: u8,
-    /// Bytes read but not yet decoded (tail may be the footer).
-    carry: Vec<u8>,
-    records: Vec<TraceRecord>,
-    /// Records handed out so far (also the error-reporting index base).
-    pos: u64,
-    chunk: usize,
-    eof: bool,
-    finished: bool,
-}
-
-impl<R: Read> StreamingBinarySource<R> {
-    /// Wraps `reader` with the default chunk size, validating the
-    /// container header (the footer, if any, is checked at end of
-    /// stream).
-    ///
-    /// # Errors
-    ///
-    /// [`TraceStreamError::Binary`] with
-    /// [`BinaryTraceError::BadMagic`] when the stream does not start
-    /// with a known container version; [`TraceStreamError::Io`] for
-    /// read failures.
-    pub fn new(reader: R) -> Result<Self, TraceStreamError> {
-        Self::with_chunk_records(reader, DEFAULT_CHUNK_RECORDS)
-    }
-
-    /// Wraps `reader`, yielding at most `chunk` records per call.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::new`].
-    pub fn with_chunk_records(mut reader: R, chunk: usize) -> Result<Self, TraceStreamError> {
-        let chunk = chunk.max(1);
-        let mut magic = [0u8; 8];
-        reader
-            .read_exact(&mut magic)
-            .map_err(|_| BinaryTraceError::BadMagic)?;
-        let version = binary::parse_magic(&magic)?;
-        Ok(Self {
-            reader,
-            version,
-            carry: Vec::with_capacity(chunk * RECORD_BYTES + FOOTER_BYTES),
-            records: Vec::with_capacity(chunk),
-            pos: 0,
-            chunk,
-            eof: false,
-            finished: false,
-        })
-    }
-
-    /// Records handed out so far.
-    #[must_use]
-    pub fn records_read(&self) -> u64 {
-        self.pos
-    }
-
-    fn truncated(&self, extra: u64) -> TraceStreamError {
-        BinaryTraceError::Truncated {
-            records_read: self.pos + extra,
-            byte_offset: HEADER_BYTES + (self.pos + extra) * RECORD_BYTES as u64,
-        }
-        .into()
-    }
-}
-
-impl<R: Read> TraceSource for StreamingBinarySource<R> {
-    fn next_chunk(&mut self) -> Result<Option<&[TraceRecord]>, TraceStreamError> {
-        if self.finished {
-            return Ok(None);
-        }
-        // Bytes that can never be part of a version-2 footer (anything
-        // followed by at least a footer's worth of data).
-        let reserve = if self.version >= 2 { FOOTER_BYTES } else { 0 };
-        let target = self.chunk * RECORD_BYTES + reserve;
-        while !self.eof && self.carry.len() < target {
-            let want = (target - self.carry.len()) as u64;
-            let got = std::io::Read::take(&mut self.reader, want).read_to_end(&mut self.carry)?;
-            if got == 0 {
-                self.eof = true;
-            }
-        }
-        let n = if self.eof {
-            self.finished = true;
-            let payload = self
-                .carry
-                .len()
-                .checked_sub(reserve)
-                .ok_or_else(|| self.truncated(0))?;
-            let n = payload / RECORD_BYTES;
-            if payload % RECORD_BYTES != 0 {
-                return Err(self.truncated(n as u64));
-            }
-            if self.version >= 2 {
-                let declared = self
-                    .carry
-                    .get(n * RECORD_BYTES..)
-                    .and_then(binary::parse_footer)
-                    .ok_or_else(|| self.truncated(n as u64))?;
-                if declared != self.pos + n as u64 {
-                    return Err(self.truncated(n as u64));
-                }
-            }
-            n
-        } else {
-            // At least one whole record is on hand: target covers a full
-            // chunk plus the held-back footer window.
-            self.carry.len().saturating_sub(reserve) / RECORD_BYTES
-        };
-        if n == 0 {
-            return Ok(None);
-        }
-        self.records.clear();
-        let decodable = self
-            .carry
-            .get(..n * RECORD_BYTES)
-            .ok_or_else(|| self.truncated(0))?;
-        for (i, raw) in decodable.chunks_exact(RECORD_BYTES).enumerate() {
-            self.records
-                .push(binary::decode_record(raw, self.pos + i as u64)?);
-        }
-        self.carry.drain(..n * RECORD_BYTES);
-        self.pos += n as u64;
-        Ok(Some(&self.records))
-    }
-
-    fn reset(&mut self) -> Result<(), TraceStreamError> {
-        Err(TraceStreamError::Io(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "StreamingBinarySource cannot rewind a non-seekable stream",
-        )))
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        None
-    }
-}
-
 /// A workload profile from either catalog: the paper's SPEC / MiBench /
 /// SPLASH-2 suites or the datacenter generators.
 #[derive(Debug, Clone, PartialEq)]
@@ -831,100 +678,6 @@ mod tests {
         let mut a = from_vec.open().unwrap();
         let mut b = from_profile.open().unwrap();
         assert_eq!(drain(&mut a), drain(&mut b));
-    }
-
-    /// A reader that hands out at most `cap` bytes per `read` call, so
-    /// streaming tests exercise short reads and mid-record boundaries.
-    struct Dribble<R> {
-        inner: R,
-        cap: usize,
-    }
-    impl<R: Read> Read for Dribble<R> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            let n = buf.len().min(self.cap);
-            self.inner.read(&mut buf[..n])
-        }
-    }
-
-    #[test]
-    fn streaming_source_matches_seekable_reader() {
-        let records = benchmarks::by_name("qsort").unwrap().generate(3, 3000);
-        let mut bytes = Vec::new();
-        write_binary(&mut bytes, records.iter().copied()).unwrap();
-        // Short reads (5 bytes at a time) across chunk boundaries.
-        let dribble = Dribble {
-            inner: bytes.as_slice(),
-            cap: 5,
-        };
-        let mut s = StreamingBinarySource::with_chunk_records(dribble, 100).expect("valid header");
-        assert_eq!(s.len_hint(), None);
-        assert_eq!(drain(&mut s), records);
-        assert_eq!(s.records_read(), 3000);
-        assert!(s.reset().is_err(), "non-seekable streams cannot rewind");
-    }
-
-    #[test]
-    fn streaming_source_reads_v1_containers() {
-        let records = benchmarks::by_name("mad").unwrap().generate(7, 77);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"WOMTRC\x00\x01");
-        crate::binary::encode_records_into(&records, &mut bytes);
-        let mut s = StreamingBinarySource::new(bytes.as_slice()).unwrap();
-        assert_eq!(drain(&mut s), records);
-    }
-
-    #[test]
-    fn streaming_source_detects_truncation_at_end() {
-        let records = benchmarks::by_name("qsort").unwrap().generate(1, 50);
-        let mut bytes = Vec::new();
-        write_binary(&mut bytes, records.iter().copied()).unwrap();
-        bytes.truncate(bytes.len() - 40); // chop through footer + records
-        let mut s = StreamingBinarySource::new(bytes.as_slice()).unwrap();
-        let mut result = Ok(());
-        loop {
-            match s.next_chunk() {
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        match result {
-            Err(TraceStreamError::Binary(BinaryTraceError::Truncated { .. })) => {}
-            other => panic!("expected end-of-stream truncation, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn streaming_source_rejects_wrong_footer_count() {
-        let records = benchmarks::by_name("qsort").unwrap().generate(1, 10);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"WOMTRC\x00\x02");
-        crate::binary::encode_records_into(&records, &mut bytes);
-        // Footer claims 9 records; the stream holds 10.
-        bytes.extend_from_slice(&9u64.to_le_bytes());
-        bytes.extend_from_slice(b"WOMEND\x00\x02");
-        let mut s = StreamingBinarySource::new(bytes.as_slice()).unwrap();
-        let mut err = None;
-        loop {
-            match s.next_chunk() {
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
-            }
-        }
-        assert!(
-            matches!(
-                err,
-                Some(TraceStreamError::Binary(BinaryTraceError::Truncated { .. }))
-            ),
-            "footer/count mismatch must be a truncation error"
-        );
     }
 
     #[test]

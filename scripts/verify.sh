@@ -24,7 +24,7 @@ cd "$(dirname "$0")/.."
 cargo build --release --workspace
 cargo test --workspace
 cargo lint-invariants
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --document-private-items
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
