@@ -26,7 +26,7 @@ use crate::snapshot::SnapshotError;
 use crate::wear_leveling::StartGap;
 use pcm_sim::{
     AddressDecoder, Completion, Cycle, DecodedAddr, MemOp, MemorySystem, ServiceClass, SimError,
-    SnapReader, SnapWriter, TransactionId,
+    SnapError, SnapReader, SnapWriter, TransactionId,
 };
 use pcm_trace::{TraceOp, TraceRecord};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -39,14 +39,28 @@ const STALL_QUANTUM: Cycle = 32;
 /// Line size of the functional data checker.
 const CHECK_LINE_BYTES: usize = 64;
 
+/// [`DataCheck::payload`]'s line multiplier (the 64-bit golden ratio).
+const PAYLOAD_LINE_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+/// [`DataCheck::payload`]'s mixing multiplier, and its inverse modulo
+/// 2^64, which [`DataCheck::seq_of`] uses to undo it.
+const PAYLOAD_MIX_MUL: u64 = 0xBF58_476D_1CE4_E5B9;
+const PAYLOAD_MIX_MUL_INV: u64 = 0x96DE_1B17_3F11_9089;
+
 /// Functional shadow of main memory: real WOM-encoded cells per 64-byte
-/// line, plus the reference of the last data written to each line.
+/// line, plus a reference for the last data written to each line.
+///
+/// The reference is that write's sequence number, 8 bytes per line: the
+/// data is [`payload`](Self::payload)`(line, seq)`, rebuilt whenever a
+/// read check, a refresh rewrite or a checkpoint needs it. Checkpoints
+/// carry the 64-byte payload, and restore inverts it back to the
+/// sequence number, rejecting any reference that no write produced.
 #[derive(Debug)]
 struct DataCheck {
     mem: FunctionalMemory<Inverted<Rs23Code>>,
-    /// Reference of the last data written per line, in the page-grained
+    /// Sequence number of the last write per line, in the page-grained
     /// store (line ids are dense and clustered).
-    expected: RowMap<[u8; CHECK_LINE_BYTES]>,
+    expected: RowMap<u64>,
+    /// Writes so far: the sequence number of the latest one.
     seq: u64,
     reads_verified: u64,
     /// Reused decode target so verified reads don't allocate.
@@ -72,32 +86,47 @@ impl DataCheck {
     /// Deterministic per-write payload: unique per (line, sequence).
     fn payload(line: u64, seq: u64) -> [u8; CHECK_LINE_BYTES] {
         let mut data = [0u8; CHECK_LINE_BYTES];
-        let mut z = line.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(seq);
+        let mut z = line.wrapping_mul(PAYLOAD_LINE_MUL).wrapping_add(seq);
         for chunk in data.chunks_mut(8) {
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 30)).wrapping_mul(PAYLOAD_MIX_MUL);
             chunk.copy_from_slice(&z.to_le_bytes()[..chunk.len()]);
         }
         data
+    }
+
+    /// Inverts [`payload`](Self::payload): the sequence number of the
+    /// write whose payload for `line` is `bytes`, or `None` when no write
+    /// (they count from 1) produced them. Each mixing step is a
+    /// bijection, so the first word alone fixes the sequence number; its
+    /// rebuilt payload must then match every byte.
+    fn seq_of(line: u64, bytes: &[u8]) -> Option<u64> {
+        let first: [u8; 8] = bytes.get(..8)?.try_into().ok()?;
+        let y = u64::from_le_bytes(first).wrapping_mul(PAYLOAD_MIX_MUL_INV);
+        let z = y ^ (y >> 30) ^ (y >> 60);
+        let seq = z.wrapping_sub(line.wrapping_mul(PAYLOAD_LINE_MUL));
+        (seq != 0 && Self::payload(line, seq) == bytes).then_some(seq)
     }
 
     /// Writes fresh data through the real codec.
     fn on_write(&mut self, addr: u64) -> Result<(), WomPcmError> {
         let line = Self::line_of(addr);
         self.seq += 1;
-        let data = Self::payload(line, self.seq);
-        self.mem.write(line, &data)?;
-        self.expected.insert(line, data);
+        self.mem.write(line, &Self::payload(line, self.seq))?;
+        self.expected.insert(line, self.seq);
         Ok(())
     }
 
     /// Refreshes one line (§3.2): its data is read out (from the
     /// reference) and rewritten as the first write of freshly erased
     /// cells. Never-written lines have no data to preserve and are
-    /// skipped.
+    /// skipped. So are lines written once since their last erase: their
+    /// cells already hold the first-write encode of the reference, which
+    /// is exactly what the rewrite would leave.
     fn refresh_line(&mut self, line: u64) -> Result<(), WomPcmError> {
-        let Self { mem, expected, .. } = self;
-        if let Some(data) = expected.get(line) {
-            mem.rewrite(line, data)?;
+        if let Some(&seq) = self.expected.get(line) {
+            if self.mem.writes_done(line) != 1 {
+                self.mem.rewrite(line, &Self::payload(line, seq))?;
+            }
         }
         Ok(())
     }
@@ -105,11 +134,11 @@ impl DataCheck {
     /// Decodes the cells and checks them against the reference.
     fn on_read(&mut self, addr: u64) -> Result<(), WomPcmError> {
         let line = Self::line_of(addr);
-        if let Some(expected) = self.expected.get(line) {
+        if let Some(&seq) = self.expected.get(line) {
             if !self.mem.read_into(line, &mut self.line_buf) {
                 return Err(WomPcmError::Internal("written line vanished".into()));
             }
-            if &self.line_buf != expected {
+            if self.line_buf != Self::payload(line, seq) {
                 // womlint::allow(hotpath/transitive, reason = "corruption error path: allocates once, then the run aborts")
                 return Err(WomPcmError::Internal(format!(
                     "data corruption at line {line:#x}: cells decode differently from the last write"
@@ -117,6 +146,49 @@ impl DataCheck {
             }
             self.reads_verified += 1;
         }
+        Ok(())
+    }
+
+    /// Serializes the cells, then each reference as its line and 64-byte
+    /// payload in ascending line order, then the write and read counters.
+    fn save_state(&self, w: &mut SnapWriter) {
+        self.mem.save_state(w);
+        w.put_usize(self.expected.len());
+        for (line, &seq) in self.expected.iter() {
+            w.put_u64(line);
+            w.put_bytes(&Self::payload(line, seq));
+        }
+        w.put_u64(self.seq);
+        w.put_u64(self.reads_verified);
+    }
+
+    /// Restores state written by [`save_state`](Self::save_state).
+    ///
+    /// # Errors
+    ///
+    /// Propagates payload truncation; [`SnapError::Corrupt`] when a
+    /// reference is no write's payload for its line, or is newer than
+    /// the saved write counter.
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.mem.load_state(r)?;
+        let lines = r.take_len(8 + CHECK_LINE_BYTES)?;
+        self.expected = RowMap::new();
+        let mut newest = 0;
+        for _ in 0..lines {
+            let line = r.take_u64()?;
+            let seq = Self::seq_of(line, r.take_bytes(CHECK_LINE_BYTES)?).ok_or(
+                SnapError::Corrupt("data-check reference is no write's payload for its line"),
+            )?;
+            newest = newest.max(seq);
+            self.expected.insert(line, seq);
+        }
+        self.seq = r.take_u64()?;
+        if newest > self.seq {
+            return Err(SnapError::Corrupt(
+                "data-check reference is newer than the write counter",
+            ));
+        }
+        self.reads_verified = r.take_u64()?;
         Ok(())
     }
 }
@@ -378,8 +450,9 @@ impl EngineCore {
     }
 
     /// Re-initializes every line of a refreshed main-memory row in the
-    /// functional checker, one [`FunctionalMemory::rewrite`] per line
-    /// (no-op when verification is off).
+    /// functional checker: one [`FunctionalMemory::rewrite`] per written
+    /// line that is not already in its first-write pattern (no-op when
+    /// verification is off).
     ///
     /// # Errors
     ///
@@ -501,14 +574,7 @@ impl EngineCore {
             None => w.put_bool(false),
             Some(check) => {
                 w.put_bool(true);
-                check.mem.save_state(w);
-                w.put_usize(check.expected.len());
-                for (line, data) in check.expected.iter() {
-                    w.put_u64(line);
-                    w.put_bytes(data);
-                }
-                w.put_u64(check.seq);
-                w.put_u64(check.reads_verified);
+                check.save_state(w);
             }
         }
         w.put_usize(self.pending_victims.len());
@@ -578,21 +644,7 @@ impl EngineCore {
         }
         let has_check = r.take_bool()?;
         match (&mut self.data_check, has_check) {
-            (Some(check), true) => {
-                check.mem.load_state(r)?;
-                let lines = r.take_len(8 + CHECK_LINE_BYTES)?;
-                check.expected = RowMap::new();
-                for _ in 0..lines {
-                    let line = r.take_u64()?;
-                    let bytes = r.take_bytes(CHECK_LINE_BYTES)?;
-                    let mut data = [0u8; CHECK_LINE_BYTES];
-                    data.copy_from_slice(bytes);
-                    check.expected.insert(line, data);
-                }
-                check.seq = r.take_u64()?;
-                check.reads_verified = r.take_u64()?;
-                check.line_buf = [0u8; CHECK_LINE_BYTES];
-            }
+            (Some(check), true) => check.load_state(r)?,
             (None, false) => {}
             _ => {
                 return Err(SnapshotError::Corrupt(
@@ -1023,9 +1075,8 @@ mod tests {
         check.on_read(0x40).expect("cells decode to the last write");
 
         let line = DataCheck::line_of(0x40);
-        let mut tampered = *check.expected.get(line).expect("line was written");
-        tampered[0] ^= 1;
-        check.expected.insert(line, tampered);
+        let seq = *check.expected.get(line).expect("line was written");
+        check.expected.insert(line, seq + 1);
         let err = check
             .on_read(0x40)
             .expect_err("reference no longer matches");
@@ -1037,12 +1088,122 @@ mod tests {
         );
 
         // A reference for a line whose cells were never written.
-        check.expected.insert(7, [0u8; CHECK_LINE_BYTES]);
+        check.expected.insert(7, 1);
         let err = check.on_read(7 * 64).expect_err("no cells to decode");
         assert!(matches!(err, WomPcmError::Internal(_)), "{err:?}");
         assert_eq!(
             err.to_string(),
             "internal invariant violated: written line vanished"
         );
+    }
+
+    fn cell_bytes(mem: &FunctionalMemory<Inverted<Rs23Code>>) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        mem.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn refresh_skips_exactly_the_lines_a_rewrite_would_leave_unchanged() {
+        let mut check = DataCheck::new();
+        check.on_write(0x40).expect("line 1 at generation 1");
+        check.on_write(0x80).expect("line 2 at generation 1");
+        check.on_write(0x80).expect("line 2 at generation 2");
+        for _ in 0..3 {
+            check
+                .on_write(0xC0)
+                .expect("line 3 at generation 1 after an alpha-write");
+        }
+        let untouched = cell_bytes(&check.mem);
+        let mut forced = check.mem.clone();
+        for line in [1, 2, 3] {
+            let seq = *check.expected.get(line).expect("line was written");
+            forced
+                .rewrite(line, &DataCheck::payload(line, seq))
+                .expect("rewrites");
+        }
+
+        for line in [1, 3] {
+            check.refresh_line(line).expect("refreshes");
+            assert_eq!(check.mem.writes_done(line), 1);
+        }
+        assert_eq!(
+            cell_bytes(&check.mem),
+            untouched,
+            "a generation-1 line already holds its first-write cells"
+        );
+        assert_eq!(check.mem.writes_done(2), 2);
+        check.refresh_line(2).expect("refreshes");
+        assert_eq!(check.mem.writes_done(2), 1, "rewritten to generation 1");
+        assert_eq!(
+            cell_bytes(&check.mem),
+            cell_bytes(&forced),
+            "same cells and generations as rewriting both lines"
+        );
+        for addr in [0x40, 0x80, 0xC0] {
+            check.on_read(addr).expect("the line verifies");
+        }
+        assert_eq!(check.reads_verified, 3);
+    }
+
+    /// A checker with three written lines, saved.
+    fn saved_check() -> Vec<u8> {
+        let mut check = DataCheck::new();
+        for addr in [0x40, 0x80, 0x40, 0x1000] {
+            check.on_write(addr).expect("writes through the codec");
+        }
+        let mut w = SnapWriter::new();
+        check.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    fn restore(bytes: &[u8]) -> Result<DataCheck, WomPcmError> {
+        let mut check = DataCheck::new();
+        let mut r = SnapReader::new(bytes);
+        check.load_state(&mut r)?;
+        r.finish()?;
+        Ok(check)
+    }
+
+    #[test]
+    fn data_check_restore_rebuilds_and_validates_references() {
+        let bytes = saved_check();
+        let restored = restore(&bytes).expect("restores");
+        let references: Vec<(u64, u64)> = restored
+            .expected
+            .iter()
+            .map(|(line, &seq)| (line, seq))
+            .collect();
+        assert_eq!(references, vec![(1, 3), (2, 2), (64, 4)]);
+        assert_eq!(restored.seq, 4);
+
+        // Every byte of a saved payload is checked, the first word (which
+        // fixes the sequence number) and the rest alike.
+        let payload = DataCheck::payload(2, 2);
+        let at = bytes
+            .windows(CHECK_LINE_BYTES)
+            .position(|w| w == payload)
+            .expect("the payload is saved");
+        for byte in [0, 7, 8, 63] {
+            let mut tampered = bytes.clone();
+            tampered[at + byte] ^= 0x04;
+            let err = restore(&tampered).expect_err("altered payload");
+            assert!(
+                matches!(err, WomPcmError::Snapshot(SnapshotError::Corrupt(_))),
+                "byte {byte}: {err:?}"
+            );
+        }
+
+        // A valid payload of a write the saved counter has not reached,
+        // or of write 0, which no write has.
+        for seq in [5, 0] {
+            let mut tampered = bytes.clone();
+            tampered[at..at + CHECK_LINE_BYTES].copy_from_slice(&DataCheck::payload(2, seq));
+            let err = restore(&tampered).expect_err("reference out of range");
+            assert!(
+                matches!(err, WomPcmError::Snapshot(SnapshotError::Corrupt(_))),
+                "seq {seq}: {err:?}"
+            );
+        }
     }
 }

@@ -169,7 +169,8 @@ impl WcpcmPolicy {
             core.push_victim(physical);
             // The flushed entry's lines land in main memory as
             // first-pattern writes; the functional checker rewrites each
-            // of them (see `EngineCore::check_refresh_row`).
+            // one not already in that pattern (see
+            // `EngineCore::check_refresh_row`).
             core.check_refresh_row(rank, victim_bank, row)?;
         }
         Ok(())

@@ -299,12 +299,15 @@ impl WomStateTable {
     }
 
     /// Marks a whole `row` as freshly copied: a full-row write after an
-    /// erase (wear-leveling row relocation), leaving every column with one
-    /// absorbed write.
+    /// erase (a PCM-refresh rewrite or a wear-leveling row relocation),
+    /// leaving every column with one absorbed write. A tracked row is
+    /// reset in place.
     pub fn mark_copied(&mut self, row: u64) {
         let cols = self.columns as usize;
-        // womlint::allow(hotpath/transitive, reason = "one allocation per wear-leveling row relocation, which is rare by design")
-        self.rows.insert(row, vec![1; cols].into_boxed_slice());
+        self.rows
+            // womlint::allow(hotpath/transitive, reason = "first copy of an untracked row only: one allocation per row lifetime, then every later copy resets it in place")
+            .get_or_insert_with(row, || vec![1; cols].into_boxed_slice())
+            .fill(1);
     }
 
     /// Rows currently tracked (touched since construction, or explicitly
@@ -540,6 +543,20 @@ mod tests {
 #[cfg(test)]
 mod copy_tests {
     use super::*;
+
+    #[test]
+    fn copying_a_tracked_row_resets_it_in_place() {
+        let mut t = WomStateTable::new(2, 4);
+        t.mark_copied(9);
+        for col in [0, 2, 2] {
+            t.classify_write(9, col);
+        }
+        let counts = t.rows.get(9).expect("tracked").as_ptr();
+        t.mark_copied(9);
+        let row = t.rows.get(9).expect("tracked");
+        assert_eq!(row.as_ptr(), counts, "the row keeps its allocation");
+        assert_eq!(&row[..], &[1, 1, 1, 1]);
+    }
 
     #[test]
     fn copied_rows_hold_one_write_per_column() {

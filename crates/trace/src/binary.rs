@@ -7,14 +7,13 @@
 //! magic header with a format version.
 //!
 //! Version 2 (the current writer output) appends a 16-byte footer — the
-//! record count followed by an end marker — so a seekable reader can
-//! detect truncation *before* handing out a single record (see
-//! [`crate::stream::BinaryStreamSource`]), and a sequential reader can
-//! distinguish a clean end of stream from a chopped-off tail. Version 1
-//! files (no footer) remain fully readable.
+//! record count followed by an end marker — so the reader,
+//! [`crate::stream::BinaryStreamSource`], detects truncation *before*
+//! handing out a single record. Version 1 files (no footer) remain fully
+//! readable.
 
 use crate::record::{TraceOp, TraceRecord};
-use std::io::{Read, Write};
+use std::io::Write;
 
 /// File magic prefix: `WOMTRC` + NUL; the 8th byte is the format version.
 const MAGIC_PREFIX: &[u8; 7] = b"WOMTRC\x00";
@@ -278,73 +277,22 @@ pub fn write_binary<W: Write, I: IntoIterator<Item = TraceRecord>>(
     out.finish()
 }
 
-/// Reads a whole binary trace from `reader` (either container version).
-/// A `&mut` reference may be passed as the reader.
-///
-/// # Errors
-///
-/// See [`BinaryTraceError`].
-pub fn read_binary<R: Read>(mut reader: R) -> Result<Vec<TraceRecord>, BinaryTraceError> {
-    let mut magic = [0u8; 8];
-    reader
-        .read_exact(&mut magic)
-        .map_err(|_| BinaryTraceError::BadMagic)?;
-    let version = parse_magic(&magic)?;
-    let mut out = Vec::new();
-    let mut buf = [0u8; RECORD_BYTES];
-    loop {
-        let filled = read_record(&mut reader, &mut buf)?;
-        let records_read = out.len() as u64;
-        let byte_offset = HEADER_BYTES + records_read * RECORD_BYTES as u64 + filled as u64;
-        if filled < RECORD_BYTES {
-            // End of stream mid-record. For a version-2 container the
-            // last 16 bytes must be the footer; anything else is a
-            // truncated capture.
-            if version >= 2 {
-                match buf.get(0..filled).and_then(parse_footer) {
-                    Some(count) if count == records_read => break,
-                    _ => {
-                        return Err(BinaryTraceError::Truncated {
-                            records_read,
-                            byte_offset,
-                        })
-                    }
-                }
-            }
-            if filled == 0 {
-                break; // clean version-1 end of stream
-            }
-            return Err(BinaryTraceError::Truncated {
-                records_read,
-                byte_offset,
-            });
-        }
-        out.push(decode_record(&buf, records_read)?);
-    }
-    Ok(out)
-}
-
-/// Reads up to one record's worth of bytes into `buf`, returning how many
-/// were filled (fewer than [`RECORD_BYTES`] only at end of stream).
-fn read_record<R: Read>(reader: &mut R, buf: &mut [u8; RECORD_BYTES]) -> std::io::Result<usize> {
-    let mut filled = 0;
-    while filled < RECORD_BYTES {
-        let Some(rest) = buf.get_mut(filled..) else {
-            break;
-        };
-        let n = reader.read(rest)?;
-        if n == 0 {
-            break;
-        }
-        filled += n;
-    }
-    Ok(filled)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::{BinaryStreamSource, TraceSource, TraceStreamError};
     use crate::synth::benchmarks;
+    use std::io::Cursor;
+
+    /// Decodes a whole container through the streaming reader.
+    fn read_all(bytes: &[u8]) -> Result<Vec<TraceRecord>, TraceStreamError> {
+        let mut source = BinaryStreamSource::new(Cursor::new(bytes))?;
+        let mut out = Vec::new();
+        while let Some(chunk) = source.next_chunk()? {
+            out.extend_from_slice(chunk);
+        }
+        Ok(out)
+    }
 
     #[test]
     fn round_trip_preserves_records() {
@@ -353,7 +301,7 @@ mod tests {
         let n = write_binary(&mut bytes, records.iter().copied()).unwrap();
         assert_eq!(n, 4_000);
         assert_eq!(bytes.len(), 8 + 4_000 * RECORD_BYTES + FOOTER_BYTES);
-        assert_eq!(read_binary(bytes.as_slice()).unwrap(), records);
+        assert_eq!(read_all(&bytes).unwrap(), records);
     }
 
     #[test]
@@ -381,7 +329,7 @@ mod tests {
             encode_record(r, &mut buf);
             bytes.extend_from_slice(&buf);
         }
-        assert_eq!(read_binary(bytes.as_slice()).unwrap(), records);
+        assert_eq!(read_all(&bytes).unwrap(), records);
     }
 
     #[test]
@@ -405,22 +353,22 @@ mod tests {
     fn empty_trace_round_trips() {
         let mut bytes = Vec::new();
         write_binary(&mut bytes, std::iter::empty()).unwrap();
-        assert_eq!(read_binary(bytes.as_slice()).unwrap(), Vec::new());
+        assert_eq!(read_all(&bytes).unwrap(), Vec::new());
     }
 
     #[test]
     fn bad_magic_is_rejected() {
         assert!(matches!(
-            read_binary(&b"NOTATRACE"[..]),
-            Err(BinaryTraceError::BadMagic)
+            read_all(&b"NOTATRACE"[..]),
+            Err(TraceStreamError::Binary(BinaryTraceError::BadMagic))
         ));
         assert!(matches!(
-            read_binary(&b"WO"[..]),
-            Err(BinaryTraceError::BadMagic)
+            read_all(&b"WO"[..]),
+            Err(TraceStreamError::Binary(BinaryTraceError::BadMagic))
         ));
         assert!(matches!(
-            read_binary(&b"WOMTRC\x00\x09"[..]),
-            Err(BinaryTraceError::BadMagic)
+            read_all(&b"WOMTRC\x00\x09"[..]),
+            Err(TraceStreamError::Binary(BinaryTraceError::BadMagic))
         ));
     }
 
@@ -430,11 +378,11 @@ mod tests {
         let mut bytes = Vec::new();
         write_binary(&mut bytes, records.iter().copied()).unwrap();
         bytes.truncate(8 + 5 * RECORD_BYTES + 3); // mid-record
-        match read_binary(bytes.as_slice()) {
-            Err(BinaryTraceError::Truncated {
+        match read_all(&bytes) {
+            Err(TraceStreamError::Binary(BinaryTraceError::Truncated {
                 records_read,
                 byte_offset,
-            }) => {
+            })) => {
                 assert_eq!(records_read, 5);
                 assert_eq!(byte_offset, 8 + 5 * RECORD_BYTES as u64 + 3);
             }
@@ -450,11 +398,11 @@ mod tests {
         let mut bytes = Vec::new();
         write_binary(&mut bytes, records.iter().copied()).unwrap();
         bytes.truncate(8 + 7 * RECORD_BYTES);
-        match read_binary(bytes.as_slice()) {
-            Err(BinaryTraceError::Truncated {
+        match read_all(&bytes) {
+            Err(TraceStreamError::Binary(BinaryTraceError::Truncated {
                 records_read,
                 byte_offset,
-            }) => {
+            })) => {
                 assert_eq!(records_read, 7);
                 assert_eq!(byte_offset, 8 + 7 * RECORD_BYTES as u64);
             }
@@ -467,8 +415,8 @@ mod tests {
         let mut bytes = Vec::new();
         write_binary(&mut bytes, vec![TraceRecord::new(1, 64, TraceOp::Read)]).unwrap();
         bytes[8 + RECORD_BYTES - 1] = 7;
-        match read_binary(bytes.as_slice()) {
-            Err(BinaryTraceError::BadOp { value: 7, index: 0 }) => {}
+        match read_all(&bytes) {
+            Err(TraceStreamError::Binary(BinaryTraceError::BadOp { value: 7, index: 0 })) => {}
             other => panic!("expected bad op, got {other:?}"),
         }
     }

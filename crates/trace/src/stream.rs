@@ -645,7 +645,7 @@ mod tests {
     }
 
     #[test]
-    fn binary_stream_source_matches_read_binary() {
+    fn binary_stream_source_round_trips_and_resets() {
         let records = benchmarks::by_name("mad").unwrap().generate(5, 3000);
         let mut bytes = Vec::new();
         write_binary(&mut bytes, records.iter().copied()).unwrap();

@@ -5,8 +5,9 @@
 //! seeded cases through the parser, so failures reproduce exactly.
 
 use pcm_rng::Rng;
-use pcm_trace::binary::read_binary;
 use pcm_trace::format::{parse_line, TraceReader};
+use pcm_trace::stream::{BinaryStreamSource, TraceSource};
+use std::io::Cursor;
 
 const CASES: u64 = 512;
 
@@ -51,13 +52,16 @@ fn text_reader_never_panics() {
     }
 }
 
-/// Arbitrary byte streams never panic the binary reader.
+/// Arbitrary byte streams never panic the binary reader: each fails to
+/// open, fails mid-stream, or streams to its end.
 #[test]
 fn binary_reader_never_panics() {
     let mut rng = Rng::seed_from_u64(0xB10B);
     for _ in 0..CASES {
         let bytes = fuzz_bytes(&mut rng, 512);
-        let _ = read_binary(bytes.as_slice());
+        if let Ok(mut source) = BinaryStreamSource::new(Cursor::new(&bytes[..])) {
+            while let Ok(Some(_)) = source.next_chunk() {}
+        }
     }
 }
 

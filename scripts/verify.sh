@@ -7,7 +7,8 @@
 # The harness checks drive the bench runner end to end: the observed
 # `sim_throughput` epoch series must equal its committed fixture byte for
 # byte, and a `womsim run` interrupted after a snapshot and then resumed
-# must print the same report as a straight run.
+# must print the same report as a straight run: a PCM-refresh run, and
+# PCM-refresh and WCPCM runs under the functional data checker.
 #
 # The smoke runs are 1%-size runs of every BENCHMARK.json workload. Each
 # exits 1 when a run's RunMetrics digest differs from perfbench/golden.txt,
@@ -37,6 +38,13 @@ $womsim run refresh qsort:3000 --resume "$tmp/run.womsnap" --snapshot-every 1000
 test -s "$tmp/run.womsnap"
 $womsim run refresh qsort:6000 --resume "$tmp/run.womsnap" > "$tmp/resumed.txt"
 diff -u "$tmp/straight.txt" "$tmp/resumed.txt"
+for arch in refresh wcpcm; do
+    $womsim run "$arch" kv_zipf:6000 --verify > "$tmp/straight-$arch.txt"
+    $womsim run "$arch" kv_zipf:3000 --verify --resume "$tmp/$arch.womsnap" --snapshot-every 1000 > /dev/null
+    test -s "$tmp/$arch.womsnap"
+    $womsim run "$arch" kv_zipf:6000 --verify --resume "$tmp/$arch.womsnap" > "$tmp/resumed-$arch.txt"
+    diff -u "$tmp/straight-$arch.txt" "$tmp/resumed-$arch.txt"
+done
 
 cargo test --manifest-path perfbench/Cargo.toml
 for workload in paper_mix verified_kv dc_saturated service_churn; do
