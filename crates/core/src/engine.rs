@@ -24,9 +24,10 @@ use crate::policy::{ArraySide, Policy, ReadAction, WriteAction};
 use crate::rowmap::RowMap;
 use crate::snapshot::SnapshotError;
 use crate::wear_leveling::StartGap;
+use pcm_sim::snap::{SnapError, SnapReader, SnapWriter};
 use pcm_sim::{
     AddressDecoder, Completion, Cycle, DecodedAddr, MemOp, MemorySystem, ServiceClass, SimError,
-    SnapError, SnapReader, SnapWriter, TransactionId,
+    TransactionId,
 };
 use pcm_trace::{TraceOp, TraceRecord};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -153,13 +154,10 @@ impl DataCheck {
     /// payload in ascending line order, then the write and read counters.
     fn save_state(&self, w: &mut SnapWriter) {
         self.mem.save_state(w);
-        w.put_usize(self.expected.len());
-        for (line, &seq) in self.expected.iter() {
-            w.put_u64(line);
-            w.put_bytes(&Self::payload(line, seq));
-        }
-        w.put_u64(self.seq);
-        w.put_u64(self.reads_verified);
+        self.expected
+            .save_with(w, |w, line, &seq| w.put_bytes(&Self::payload(line, seq)));
+        w.put(&self.seq);
+        w.put(&self.reads_verified);
     }
 
     /// Restores state written by [`save_state`](Self::save_state).
@@ -171,24 +169,21 @@ impl DataCheck {
     /// the saved write counter.
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.mem.load_state(r)?;
-        let lines = r.take_len(8 + CHECK_LINE_BYTES)?;
-        self.expected = RowMap::new();
         let mut newest = 0;
-        for _ in 0..lines {
-            let line = r.take_u64()?;
+        self.expected = RowMap::load_with(r, CHECK_LINE_BYTES, |r, line| {
             let seq = Self::seq_of(line, r.take_bytes(CHECK_LINE_BYTES)?).ok_or(
                 SnapError::Corrupt("data-check reference is no write's payload for its line"),
             )?;
             newest = newest.max(seq);
-            self.expected.insert(line, seq);
-        }
-        self.seq = r.take_u64()?;
+            Ok(seq)
+        })?;
+        self.seq = r.take()?;
         if newest > self.seq {
             return Err(SnapError::Corrupt(
                 "data-check reference is newer than the write counter",
             ));
         }
-        self.reads_verified = r.take_u64()?;
+        self.reads_verified = r.take()?;
         Ok(())
     }
 }
@@ -544,54 +539,19 @@ impl EngineCore {
     /// same bytes.
     pub(crate) fn save_state(&self, w: &mut SnapWriter) {
         self.main.save_state(w);
-        match &self.cache_mem {
-            None => w.put_bool(false),
-            Some(cm) => {
-                w.put_bool(true);
-                cm.save_state(w);
-            }
-        }
-        w.put_u64(self.next_refresh_at);
-        w.put_usize(self.victim_ids.len());
-        for &id in &self.victim_ids {
-            w.put_u64(id);
-        }
-        w.put_usize(self.leveling_ids.len());
-        for &id in &self.leveling_ids {
-            w.put_u64(id);
-        }
-        match &self.start_gaps {
-            None => w.put_bool(false),
-            Some(sgs) => {
-                w.put_bool(true);
-                w.put_usize(sgs.len());
-                for sg in sgs {
-                    sg.save_state(w);
-                }
-            }
-        }
-        match &self.data_check {
-            None => w.put_bool(false),
-            Some(check) => {
-                w.put_bool(true);
-                check.save_state(w);
-            }
-        }
-        w.put_usize(self.pending_victims.len());
-        for &addr in &self.pending_victims {
-            w.put_u64(addr);
-        }
-        w.put_usize(self.merge_windows.len());
-        for (&(is_cache, key), &until) in &self.merge_windows {
-            w.put_bool(is_cache);
-            w.put_u64(key);
-            w.put_u64(until);
-        }
-        w.put_u64(self.outstanding_main);
-        w.put_u64(self.outstanding_cache);
-        self.metrics.save_state(w);
-        self.observer.save_state(w);
-        w.put_u64(self.last_record_cycle);
+        w.put_presence(self.cache_mem.as_ref(), MemorySystem::save_state);
+        w.put(&self.next_refresh_at);
+        w.put(&self.victim_ids);
+        w.put(&self.leveling_ids);
+        w.put(&self.start_gaps);
+        w.put_presence(self.data_check.as_deref(), DataCheck::save_state);
+        w.put(&self.pending_victims);
+        w.put(&self.merge_windows);
+        w.put(&self.outstanding_main);
+        w.put(&self.outstanding_cache);
+        w.put(&self.metrics);
+        w.put(&self.observer);
+        w.put(&self.last_record_cycle);
     }
 
     /// Restores state written by [`save_state`](Self::save_state) into
@@ -606,68 +566,44 @@ impl EngineCore {
     /// configuration.
     pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), WomPcmError> {
         self.main.restore_state(r)?;
-        let has_cache = r.take_bool()?;
-        match (&mut self.cache_mem, has_cache) {
-            (Some(cm), true) => cm.restore_state(r)?,
-            (None, false) => {}
-            _ => {
-                return Err(SnapshotError::Corrupt(
-                    "cache-array presence disagrees with the configuration",
-                )
-                .into())
-            }
-        }
-        self.next_refresh_at = r.take_u64()?;
-        self.victim_ids = r.take_sorted(8, |&id| id, SnapReader::take_u64)?;
-        self.leveling_ids = r.take_sorted(8, |&id| id, SnapReader::take_u64)?;
-        let has_gaps = r.take_bool()?;
-        match (&mut self.start_gaps, has_gaps) {
-            (Some(sgs), true) => {
-                let n = r.take_len(8)?;
-                if n != sgs.len() {
-                    return Err(SnapshotError::Corrupt(
-                        "Start-Gap bank count disagrees with the geometry",
-                    )
-                    .into());
-                }
-                for sg in sgs.iter_mut() {
-                    *sg = StartGap::load_state(r)?;
-                }
-            }
-            (None, false) => {}
-            _ => {
-                return Err(SnapshotError::Corrupt(
-                    "wear-leveling presence disagrees with the configuration",
-                )
-                .into())
-            }
-        }
-        let has_check = r.take_bool()?;
-        match (&mut self.data_check, has_check) {
-            (Some(check), true) => check.load_state(r)?,
-            (None, false) => {}
-            _ => {
-                return Err(SnapshotError::Corrupt(
-                    "data-check presence disagrees with the configuration",
-                )
-                .into())
-            }
-        }
-        let victims = r.take_len(8)?;
-        self.pending_victims = VecDeque::new();
-        for _ in 0..victims {
-            self.pending_victims.push_back(r.take_u64()?);
-        }
-        self.merge_windows = r.take_sorted(
-            17,
-            |&(window, _)| window,
-            |r| Ok(((r.take_bool()?, r.take_u64()?), r.take_u64()?)),
+        r.take_presence(
+            self.cache_mem.is_some(),
+            "cache-array presence disagrees with the configuration",
         )?;
-        self.outstanding_main = r.take_u64()?;
-        self.outstanding_cache = r.take_u64()?;
-        self.metrics = RunMetrics::load_state(r)?;
-        self.observer = ObserverSink::load_state(r)?;
-        self.last_record_cycle = r.take_u64()?;
+        if let Some(cm) = &mut self.cache_mem {
+            cm.restore_state(r)?;
+        }
+        self.next_refresh_at = r.take()?;
+        self.victim_ids = r.take()?;
+        self.leveling_ids = r.take()?;
+        r.take_presence(
+            self.start_gaps.is_some(),
+            "wear-leveling presence disagrees with the configuration",
+        )?;
+        if let Some(sgs) = &mut self.start_gaps {
+            let saved: Vec<StartGap> = r.take()?;
+            if saved.len() != sgs.len() {
+                return Err(SnapshotError::Corrupt(
+                    "Start-Gap bank count disagrees with the geometry",
+                )
+                .into());
+            }
+            *sgs = saved;
+        }
+        r.take_presence(
+            self.data_check.is_some(),
+            "data-check presence disagrees with the configuration",
+        )?;
+        if let Some(check) = &mut self.data_check {
+            check.load_state(r)?;
+        }
+        self.pending_victims = r.take()?;
+        self.merge_windows = r.take()?;
+        self.outstanding_main = r.take()?;
+        self.outstanding_cache = r.take()?;
+        self.metrics = r.take()?;
+        self.observer = r.take()?;
+        self.last_record_cycle = r.take()?;
         Ok(())
     }
 

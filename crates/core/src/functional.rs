@@ -11,7 +11,7 @@
 use crate::error::WomPcmError;
 use crate::rowmap::RowMap;
 use crate::wom_state::WriteKind;
-use pcm_sim::{SnapError, SnapReader, SnapWriter};
+use pcm_sim::snap::{SnapError, SnapReader, SnapWriter};
 use wom_code::{BlockCodec, RowScratch, Transitions, WitBuffer, WomCode, WomCodeError};
 
 /// Outcome of one functional row write.
@@ -225,18 +225,16 @@ impl<C: WomCode> FunctionalMemory<C> {
 
     /// Serializes the materialized rows for snapshot/restore. The codec,
     /// scratch, and erased template are reconstructed state and are not
-    /// written; rows go out in ascending key order as 64-bit wit chunks.
+    /// written; rows go out in ascending key order as their generation
+    /// and then 64-bit wit chunks.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_usize(self.rows.len());
-        for (key, (cells, gen)) in self.rows.iter() {
-            w.put_u64(key);
-            w.put_u32(*gen);
+        self.rows.save_with(w, |w, _, (cells, gen)| {
+            w.put(gen);
             let bits = cells.len();
             for offset in (0..bits).step_by(64) {
-                let width = 64.min(bits - offset);
-                w.put_u64(cells.chunk(offset, width));
+                w.put(&cells.chunk(offset, 64.min(bits - offset)));
             }
-        }
+        });
     }
 
     /// Loads rows written by [`save_state`](Self::save_state) into this
@@ -245,25 +243,23 @@ impl<C: WomCode> FunctionalMemory<C> {
     /// # Errors
     ///
     /// Propagates payload truncation; [`SnapError::Corrupt`] when a wit
-    /// chunk has bits beyond the row's cell count.
+    /// chunk has bits beyond the row's cell count or keys repeat or
+    /// descend.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let bits = self.erased.len();
-        let len = r.take_len(12 + bits.div_ceil(64) * 8)?;
-        self.rows = RowMap::new();
-        for _ in 0..len {
-            let key = r.take_u64()?;
-            let gen = r.take_u32()?;
+        self.rows = RowMap::load_with(r, 4 + bits.div_ceil(64) * 8, |r, _| {
+            let gen: u32 = r.take()?;
             let mut cells = WitBuffer::zeros(bits);
             for offset in (0..bits).step_by(64) {
                 let width = 64.min(bits - offset);
-                let value = r.take_u64()?;
+                let value: u64 = r.take()?;
                 if width < 64 && value >= (1u64 << width) {
                     return Err(SnapError::Corrupt("wit chunk overflows the row"));
                 }
                 cells.set_chunk(offset, width, value);
             }
-            self.rows.insert(key, (cells, gen));
-        }
+            Ok((cells, gen))
+        })?;
         Ok(())
     }
 }

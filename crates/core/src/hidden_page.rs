@@ -10,7 +10,8 @@
 
 use crate::error::WomPcmError;
 use crate::rowmap::RowMap;
-use pcm_sim::{MemoryGeometry, SnapError, SnapReader, SnapWriter};
+use pcm_sim::snap::{SnapError, SnapReader, SnapWriter};
+use pcm_sim::MemoryGeometry;
 use wom_code::WomCode;
 
 /// Packs a `(bank, row)` pair into one [`RowMap`] key. Rows of one bank
@@ -235,33 +236,17 @@ impl HiddenPageTable {
 
     /// Serializes the manager for snapshot/restore. The geometry itself
     /// is not written — [`load_state`](Self::load_state) receives it from
-    /// the restored configuration and validates consistency.
+    /// the restored configuration and validates consistency. The free
+    /// lists and partial rows are one per bank, with no count.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_f64(self.expansion);
-        w.put_usize(self.page_table.len());
-        for (key, &hidden) in self.page_table.iter() {
-            w.put_u64(key);
-            w.put_u32(hidden);
-        }
-        w.put_usize(self.slot_usage.len());
-        for (key, &used) in self.slot_usage.iter() {
-            w.put_u64(key);
-            w.put_u32(used);
-        }
+        w.put(&self.expansion);
+        w.put(&self.page_table);
+        w.put(&self.slot_usage);
         for bank_free in &self.free {
-            w.put_usize(bank_free.len());
-            for &row in bank_free {
-                w.put_u32(row);
-            }
+            w.put(bank_free);
         }
         for p in &self.partial {
-            match p {
-                None => w.put_bool(false),
-                Some(row) => {
-                    w.put_bool(true);
-                    w.put_u32(*row);
-                }
-            }
+            w.put(p);
         }
     }
 
@@ -271,47 +256,26 @@ impl HiddenPageTable {
     /// # Errors
     ///
     /// Propagates payload truncation; [`SnapError::Corrupt`] when the
-    /// stored expansion cannot host this geometry or rows are out of
-    /// range.
+    /// stored expansion cannot host this geometry, rows are out of range,
+    /// or keys repeat or descend.
     pub fn load_state(geometry: MemoryGeometry, r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let expansion = r.take_f64()?;
+        let expansion: f64 = r.take()?;
         let mut table = Self::new(geometry, expansion)
             .map_err(|_| SnapError::Corrupt("hidden page reservation parameters"))?;
         let rows_per_bank = geometry.rows_per_bank;
-        let mapped = r.take_len(12)?;
-        table.page_table = RowMap::new();
-        for _ in 0..mapped {
-            let key = r.take_u64()?;
-            let hidden = r.take_u32()?;
-            if hidden >= rows_per_bank {
-                return Err(SnapError::Corrupt("hidden row out of range"));
-            }
-            table.page_table.insert(key, hidden);
+        table.page_table = r.take()?;
+        if table.page_table.values().any(|&h| h >= rows_per_bank) {
+            return Err(SnapError::Corrupt("hidden row out of range"));
         }
-        let used_rows = r.take_len(12)?;
-        table.slot_usage = RowMap::new();
-        for _ in 0..used_rows {
-            let key = r.take_u64()?;
-            let used = r.take_u32()?;
-            table.slot_usage.insert(key, used);
-        }
+        table.slot_usage = r.take()?;
         for bank_free in table.free.iter_mut() {
-            let len = r.take_len(4)?;
-            bank_free.clear();
-            for _ in 0..len {
-                let row = r.take_u32()?;
-                if row >= rows_per_bank {
-                    return Err(SnapError::Corrupt("free hidden row out of range"));
-                }
-                bank_free.push(row);
+            *bank_free = r.take()?;
+            if bank_free.iter().any(|&row| row >= rows_per_bank) {
+                return Err(SnapError::Corrupt("free hidden row out of range"));
             }
         }
         for p in table.partial.iter_mut() {
-            *p = if r.take_bool()? {
-                Some(r.take_u32()?)
-            } else {
-                None
-            };
+            *p = r.take()?;
         }
         Ok(table)
     }

@@ -2,10 +2,7 @@
 
 use crate::wcpcm::CacheStats;
 use core::fmt;
-use pcm_sim::{
-    EnergyTally, Histogram, LatencyHistogram, LatencySummary, MemOp, SnapError, SnapReader,
-    SnapWriter, WearSummary,
-};
+use pcm_sim::{EnergyTally, Histogram, LatencyHistogram, LatencySummary, MemOp, WearSummary};
 
 /// Results of driving one trace through one architecture.
 #[derive(Debug, Clone, Default)]
@@ -175,77 +172,28 @@ impl RunMetrics {
             self.clock_ns = other.clock_ns;
         }
     }
-
-    /// Serializes the metrics for snapshot/restore (exact `f64` bits).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.reads.save_state(w);
-        self.writes.save_state(w);
-        self.read_hist.save_state(w);
-        self.write_hist.save_state(w);
-        w.put_u64(self.fast_writes);
-        w.put_u64(self.slow_writes);
-        w.put_u64(self.coalesced_writes);
-        w.put_u64(self.victim_writebacks);
-        w.put_u64(self.refreshes_completed);
-        w.put_u64(self.refreshes_preempted);
-        w.put_u64(self.leveling_copies);
-        w.put_u64(self.hidden_page_accesses);
-        w.put_u64(self.data_reads_verified);
-        match &self.cache {
-            None => w.put_bool(false),
-            Some(c) => {
-                w.put_bool(true);
-                c.save_state(w);
-            }
-        }
-        self.energy.save_state(w);
-        self.wear_main.save_state(w);
-        match &self.wear_cache {
-            None => w.put_bool(false),
-            Some(s) => {
-                w.put_bool(true);
-                s.save_state(w);
-            }
-        }
-        w.put_f64(self.clock_ns);
-    }
-
-    /// Decodes metrics written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates payload truncation.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Self {
-            reads: LatencySummary::load_state(r)?,
-            writes: LatencySummary::load_state(r)?,
-            read_hist: LatencyHistogram::load_state(r)?,
-            write_hist: LatencyHistogram::load_state(r)?,
-            fast_writes: r.take_u64()?,
-            slow_writes: r.take_u64()?,
-            coalesced_writes: r.take_u64()?,
-            victim_writebacks: r.take_u64()?,
-            refreshes_completed: r.take_u64()?,
-            refreshes_preempted: r.take_u64()?,
-            leveling_copies: r.take_u64()?,
-            hidden_page_accesses: r.take_u64()?,
-            data_reads_verified: r.take_u64()?,
-            cache: if r.take_bool()? {
-                Some(CacheStats::load_state(r)?)
-            } else {
-                None
-            },
-            energy: EnergyTally::load_state(r)?,
-            wear_main: WearSummary::load_state(r)?,
-            wear_cache: if r.take_bool()? {
-                Some(WearSummary::load_state(r)?)
-            } else {
-                None
-            },
-            clock_ns: r.take_f64()?,
-        })
-    }
 }
+
+pcm_sim::snap_fields!(RunMetrics {
+    reads: LatencySummary,
+    writes: LatencySummary,
+    read_hist: LatencyHistogram,
+    write_hist: LatencyHistogram,
+    fast_writes: u64,
+    slow_writes: u64,
+    coalesced_writes: u64,
+    victim_writebacks: u64,
+    refreshes_completed: u64,
+    refreshes_preempted: u64,
+    leveling_copies: u64,
+    hidden_page_accesses: u64,
+    data_reads_verified: u64,
+    cache: Option<CacheStats>,
+    energy: EnergyTally,
+    wear_main: WearSummary,
+    wear_cache: Option<WearSummary>,
+    clock_ns: f64,
+});
 
 impl fmt::Display for RunMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -2,7 +2,8 @@
 
 use super::event::{Event, WriteClass};
 use crate::error::WomPcmError;
-use pcm_sim::{Cycle, Histogram, SnapError, SnapReader, SnapWriter};
+use pcm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use pcm_sim::{Cycle, Histogram};
 
 /// Everything counted within one epoch.
 ///
@@ -141,67 +142,33 @@ impl EpochCounters {
         self.read_hist.merge(&other.read_hist);
         self.write_hist.merge(&other.write_hist);
     }
-
-    /// Serializes the counters for snapshot/restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.reads_issued);
-        w.put_u64(self.writes_issued);
-        w.put_u64(self.reads_completed);
-        w.put_u64(self.writes_completed);
-        w.put_u128(self.read_cycles);
-        w.put_u128(self.write_cycles);
-        w.put_u64(self.fast_writes);
-        w.put_u64(self.slow_writes);
-        w.put_u64(self.coalesced_writes);
-        w.put_u64(self.refresh_bursts);
-        w.put_u64(self.refresh_rows_planned);
-        w.put_u64(self.refreshes_completed);
-        w.put_u64(self.refreshes_preempted);
-        w.put_u64(self.cache_read_hits);
-        w.put_u64(self.cache_read_misses);
-        w.put_u64(self.cache_write_hits);
-        w.put_u64(self.cache_write_misses);
-        w.put_u64(self.victim_writebacks);
-        w.put_u64(self.gap_moves);
-        w.put_u64(self.budgets_exhausted);
-        w.put_u64(self.hidden_page_accesses);
-        self.read_hist.save_state(w);
-        self.write_hist.save_state(w);
-    }
-
-    /// Decodes counters written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates payload truncation.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Self {
-            reads_issued: r.take_u64()?,
-            writes_issued: r.take_u64()?,
-            reads_completed: r.take_u64()?,
-            writes_completed: r.take_u64()?,
-            read_cycles: r.take_u128()?,
-            write_cycles: r.take_u128()?,
-            fast_writes: r.take_u64()?,
-            slow_writes: r.take_u64()?,
-            coalesced_writes: r.take_u64()?,
-            refresh_bursts: r.take_u64()?,
-            refresh_rows_planned: r.take_u64()?,
-            refreshes_completed: r.take_u64()?,
-            refreshes_preempted: r.take_u64()?,
-            cache_read_hits: r.take_u64()?,
-            cache_read_misses: r.take_u64()?,
-            cache_write_hits: r.take_u64()?,
-            cache_write_misses: r.take_u64()?,
-            victim_writebacks: r.take_u64()?,
-            gap_moves: r.take_u64()?,
-            budgets_exhausted: r.take_u64()?,
-            hidden_page_accesses: r.take_u64()?,
-            read_hist: Histogram::load_state(r)?,
-            write_hist: Histogram::load_state(r)?,
-        })
-    }
 }
+
+pcm_sim::snap_fields!(EpochCounters {
+    reads_issued: u64,
+    writes_issued: u64,
+    reads_completed: u64,
+    writes_completed: u64,
+    read_cycles: u128,
+    write_cycles: u128,
+    fast_writes: u64,
+    slow_writes: u64,
+    coalesced_writes: u64,
+    refresh_bursts: u64,
+    refresh_rows_planned: u64,
+    refreshes_completed: u64,
+    refreshes_preempted: u64,
+    cache_read_hits: u64,
+    cache_read_misses: u64,
+    cache_write_hits: u64,
+    cache_write_misses: u64,
+    victim_writebacks: u64,
+    gap_moves: u64,
+    budgets_exhausted: u64,
+    hidden_page_accesses: u64,
+    read_hist: Histogram,
+    write_hist: Histogram,
+});
 
 /// A completed fixed-width epoch time-series: one [`EpochCounters`] per
 /// `epoch_cycles`-wide window, indexed from cycle 0.
@@ -303,38 +270,27 @@ impl EpochSeries {
         }
         Ok(())
     }
+}
 
-    /// Serializes the series for snapshot/restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.epoch_cycles);
-        w.put_u64(self.end_cycle);
-        w.put_usize(self.epochs.len());
-        for e in &self.epochs {
-            e.save_state(w);
-        }
+/// Rejects a zero epoch width.
+impl Snap for EpochSeries {
+    const MIN_BYTES: usize = 2 * u64::MIN_BYTES + <Vec<EpochCounters>>::MIN_BYTES;
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        w.put(&self.epoch_cycles);
+        w.put(&self.end_cycle);
+        w.put(&self.epochs);
     }
 
-    /// Decodes a series written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates payload truncation; [`SnapError::Corrupt`] for a zero
-    /// epoch width.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let epoch_cycles = r.take_u64()?;
+    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let epoch_cycles: Cycle = r.take()?;
         if epoch_cycles == 0 {
             return Err(SnapError::Corrupt("zero epoch width"));
         }
-        let end_cycle = r.take_u64()?;
-        let len = r.take_len(21 * 8)?;
-        let mut epochs = Vec::with_capacity(len);
-        for _ in 0..len {
-            epochs.push(EpochCounters::load_state(r)?);
-        }
         Ok(Self {
             epoch_cycles,
-            end_cycle,
-            epochs,
+            end_cycle: r.take()?,
+            epochs: r.take()?,
         })
     }
 }
@@ -408,23 +364,11 @@ impl EpochRecorder {
     pub fn into_series(self) -> EpochSeries {
         self.series
     }
-
-    /// Serializes the recorder for snapshot/restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.series.save_state(w);
-    }
-
-    /// Decodes a recorder written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates payload truncation and corrupt series parameters.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Self {
-            series: EpochSeries::load_state(r)?,
-        })
-    }
 }
+
+pcm_sim::snap_fields!(EpochRecorder {
+    series: EpochSeries,
+});
 
 #[cfg(test)]
 mod tests {

@@ -43,7 +43,8 @@ pub use epoch::{EpochCounters, EpochRecorder, EpochSeries};
 pub use event::{Event, WriteClass};
 pub use export::{push_epoch_jsonl, write_csv, write_jsonl};
 
-use pcm_sim::{Cycle, SnapError, SnapReader, SnapWriter};
+use pcm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use pcm_sim::Cycle;
 
 /// The engine's observer slot: off by default, an epoch recorder when
 /// `SystemConfig::epoch_cycles` is set.
@@ -91,30 +92,22 @@ impl ObserverSink {
             Self::Epochs(r) => Some(r.into_series()),
         }
     }
+}
 
-    /// Serializes the sink for snapshot/restore.
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-        match self {
-            Self::Off => w.put_u8(0),
-            Self::Epochs(r) => {
-                w.put_u8(1);
-                r.save_state(w);
-            }
-        }
+/// The `Option` layout: a flag, then the recorder when one is attached.
+impl Snap for ObserverSink {
+    const MIN_BYTES: usize = <Option<EpochRecorder>>::MIN_BYTES;
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        let recorder = match self {
+            Self::Off => None,
+            Self::Epochs(r) => Some(r),
+        };
+        w.put_presence(recorder, EpochRecorder::save_state);
     }
 
-    /// Decodes a sink written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates payload truncation; [`SnapError::Corrupt`] for an
-    /// unknown tag.
-    pub(crate) fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.take_u8()? {
-            0 => Ok(Self::Off),
-            1 => Ok(Self::Epochs(EpochRecorder::load_state(r)?)),
-            _ => Err(SnapError::Corrupt("ObserverSink tag")),
-        }
+    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(r.take::<Option<_>>()?.map_or(Self::Off, Self::Epochs))
     }
 }
 

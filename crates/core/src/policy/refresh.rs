@@ -6,7 +6,8 @@ use super::ArraySide;
 use crate::engine::EngineCore;
 use crate::error::WomPcmError;
 use crate::refresh::{RefreshConfig, RefreshEngine};
-use pcm_sim::{Completion, SnapError, SnapReader, SnapWriter, TransactionId};
+use pcm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use pcm_sim::{Completion, TransactionId};
 use std::collections::BTreeMap;
 
 /// The refresh machinery of one array side: the [`RefreshEngine`] (row
@@ -123,15 +124,15 @@ impl RefreshDriver {
     /// bytes per main-side entry, 16 per cache-side entry (no bank). The
     /// tick-time scratch vectors are transient and not written.
     pub(super) fn save_state(&self, w: &mut SnapWriter) {
-        self.engine.save_state(w);
-        w.put_usize(self.planned.len());
-        for (&id, &(rank, bank, row)) in &self.planned {
-            w.put_u64(id);
-            w.put_u32(rank);
+        w.put(&self.engine);
+        w.put(&self.planned.len());
+        for (id, &(rank, bank, row)) in &self.planned {
+            w.put(id);
+            w.put(&rank);
             if self.side == ArraySide::Main {
-                w.put_u32(bank);
+                w.put(&bank);
             }
-            w.put_u32(row);
+            w.put(&row);
         }
     }
 
@@ -141,16 +142,17 @@ impl RefreshDriver {
     ///
     /// Propagates payload truncation and structural corruption.
     pub(super) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.engine = RefreshEngine::load_state(r)?;
+        self.engine = r.take()?;
         let main = self.side == ArraySide::Main;
+        let banks = if main { u32::MIN_BYTES } else { 0 };
         self.planned = r.take_sorted(
-            if main { 20 } else { 16 },
-            |&(id, _)| id,
+            TransactionId::MIN_BYTES + 2 * u32::MIN_BYTES + banks,
+            |(id, _)| id,
             |r| {
-                let id = r.take_u64()?;
-                let rank = r.take_u32()?;
-                let bank = if main { r.take_u32()? } else { 0 };
-                Ok((id, (rank, bank, r.take_u32()?)))
+                let id: TransactionId = r.take()?;
+                let rank = r.take()?;
+                let bank = if main { r.take()? } else { 0 };
+                Ok((id, (rank, bank, r.take()?)))
             },
         )?;
         self.idle_scratch.clear();

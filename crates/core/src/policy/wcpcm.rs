@@ -181,12 +181,12 @@ impl WcpcmPolicy {
     }
 
     pub(super) fn save_state(&self, w: &mut SnapWriter) {
-        self.cache.save_state(w);
+        w.put(&self.cache);
         self.refresh.save_state(w);
     }
 
     pub(super) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), WomPcmError> {
-        self.cache = WomCache::load_state(r)?;
+        self.cache = r.take()?;
         self.refresh.load_state(r)?;
         Ok(())
     }

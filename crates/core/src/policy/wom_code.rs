@@ -7,7 +7,6 @@ use crate::engine::EngineCore;
 use crate::error::WomPcmError;
 use crate::hidden_page::HiddenPageTable;
 use crate::observe::Event;
-use crate::snapshot::SnapshotError;
 use crate::wom_state::{BudgetGranularity, WomStateTable};
 use pcm_sim::{Completion, DecodedAddr, MemOp, ServiceClass, SnapReader, SnapWriter};
 
@@ -191,44 +190,26 @@ impl WomCodePolicy {
     }
 
     pub(super) fn save_state(&self, w: &mut SnapWriter) {
-        self.wom.save_state(w);
-        match &self.hidden {
-            None => w.put_bool(false),
-            Some(h) => {
-                w.put_bool(true);
-                h.save_state(w);
-            }
-        }
-        match &self.refresh {
-            None => w.put_bool(false),
-            Some(d) => {
-                w.put_bool(true);
-                d.save_state(w);
-            }
-        }
+        w.put(&self.wom);
+        w.put_presence(self.hidden.as_ref(), HiddenPageTable::save_state);
+        w.put_presence(self.refresh.as_ref(), RefreshDriver::save_state);
     }
 
     pub(super) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), WomPcmError> {
-        self.wom = WomStateTable::load_state(r)?;
-        let has_hidden = r.take_bool()?;
-        match (&mut self.hidden, has_hidden) {
-            (Some(h), true) => *h = HiddenPageTable::load_state(h.geometry(), r)?,
-            (None, false) => {}
-            _ => {
-                return Err(WomPcmError::Snapshot(SnapshotError::Corrupt(
-                    "hidden-page presence disagrees with the configuration",
-                )))
-            }
+        self.wom = r.take()?;
+        r.take_presence(
+            self.hidden.is_some(),
+            "hidden-page presence disagrees with the configuration",
+        )?;
+        if let Some(h) = &mut self.hidden {
+            *h = HiddenPageTable::load_state(h.geometry(), r)?;
         }
-        let has_refresh = r.take_bool()?;
-        match (&mut self.refresh, has_refresh) {
-            (Some(d), true) => d.load_state(r)?,
-            (None, false) => {}
-            _ => {
-                return Err(WomPcmError::Snapshot(SnapshotError::Corrupt(
-                    "refresh-driver presence disagrees with the configuration",
-                )))
-            }
+        r.take_presence(
+            self.refresh.is_some(),
+            "refresh-driver presence disagrees with the configuration",
+        )?;
+        if let Some(d) = &mut self.refresh {
+            d.load_state(r)?;
         }
         Ok(())
     }

@@ -11,7 +11,7 @@
 //! ongoing refresh.
 
 use crate::error::WomPcmError;
-use pcm_sim::{SnapError, SnapReader, SnapWriter};
+use pcm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::VecDeque;
 
 /// Tuning parameters of the PCM-refresh engine.
@@ -309,39 +309,36 @@ impl RefreshEngine {
         }
         None
     }
+}
 
-    /// Serializes the engine for snapshot/restore. The derived
-    /// `pending_banks` / `pending_total` counters are *not* written —
-    /// [`load_state`](Self::load_state) recomputes them from the tables.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_usize(self.config.table_depth);
-        w.put_u8(self.config.threshold_pct);
-        w.put_u32(self.ranks);
-        w.put_u32(self.banks_per_rank);
-        w.put_u32(self.cursor);
+/// The configuration, the dimensions and the cursor, then each bank's
+/// row address table (one per bank, with no count). The derived
+/// `pending_banks` / `pending_total` counters are *not* written:
+/// `load_state` recomputes them from the tables.
+impl Snap for RefreshEngine {
+    const MIN_BYTES: usize = usize::MIN_BYTES + u8::MIN_BYTES + 3 * u32::MIN_BYTES;
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        w.put(&self.config.table_depth);
+        w.put(&self.config.threshold_pct);
+        w.put(&self.ranks);
+        w.put(&self.banks_per_rank);
+        w.put(&self.cursor);
         for table in &self.tables {
-            w.put_usize(table.rows.len());
-            for &row in &table.rows {
-                w.put_u32(row);
-            }
+            w.put(&table.rows);
         }
     }
 
-    /// Decodes an engine written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates payload truncation; [`SnapError::Corrupt`] for
-    /// parameters a fresh engine would reject or more bank tables than
-    /// the payload can hold.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+    /// Rejects parameters a fresh engine would reject, and more bank
+    /// tables than the payload can hold.
+    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let config = RefreshConfig {
-            table_depth: u64_to_usize(r.take_u64()?)?,
-            threshold_pct: r.take_u8()?,
+            table_depth: r.take()?,
+            threshold_pct: r.take()?,
         };
-        let ranks = r.take_u32()?;
-        let banks_per_rank = r.take_u32()?;
-        let cursor = r.take_u32()?;
+        let ranks: u32 = r.take()?;
+        let banks_per_rank: u32 = r.take()?;
+        let cursor: u32 = r.take()?;
         if config.validate().is_err() || ranks == 0 || banks_per_rank == 0 || cursor >= ranks {
             return Err(SnapError::Corrupt("refresh engine parameters"));
         }
@@ -350,19 +347,15 @@ impl RefreshEngine {
         // sized from them (`ranks <= bank_count` bounds `pending_banks`).
         let bank_count = (ranks as usize)
             .checked_mul(banks_per_rank as usize)
-            .filter(|&n| n <= r.remaining() / 8)
+            .filter(|&n| n <= r.remaining() / <VecDeque<u32>>::MIN_BYTES)
             .ok_or(SnapError::Corrupt("refresh tables exceed the payload"))?;
         let mut tables = Vec::with_capacity(bank_count);
         let mut pending_banks = vec![0u32; ranks as usize];
         let mut pending_total = 0u32;
         for flat in 0..bank_count {
-            let len = r.take_len(4)?;
-            if len > config.table_depth {
+            let rows: VecDeque<u32> = r.take()?;
+            if rows.len() > config.table_depth {
                 return Err(SnapError::Corrupt("row address table overflows depth"));
-            }
-            let mut rows = VecDeque::with_capacity(len);
-            for _ in 0..len {
-                rows.push_back(r.take_u32()?);
             }
             if !rows.is_empty() {
                 let rank = flat / banks_per_rank as usize;
@@ -385,12 +378,6 @@ impl RefreshEngine {
     }
 }
 
-/// Converts a stored `u64` length back to `usize`, rejecting values that
-/// do not fit the platform (corrupt on 32-bit targets only).
-fn u64_to_usize(v: u64) -> Result<usize, SnapError> {
-    usize::try_from(v).map_err(|_| SnapError::Corrupt("length overflows usize"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,11 +390,11 @@ mod tests {
     fn load_state_bounds_the_table_count_by_the_payload() {
         let config = RefreshConfig::paper();
         let mut w = SnapWriter::new();
-        w.put_usize(config.table_depth);
-        w.put_u8(config.threshold_pct);
-        w.put_u32(u32::MAX); // ranks
-        w.put_u32(u32::MAX); // banks_per_rank
-        w.put_u32(0); // cursor
+        w.put(&config.table_depth);
+        w.put(&config.threshold_pct);
+        w.put(&u32::MAX); // ranks
+        w.put(&u32::MAX); // banks_per_rank
+        w.put(&0u32); // cursor
         let bytes = w.into_bytes();
         assert_eq!(bytes.len(), 21);
         let mut r = SnapReader::new(&bytes);

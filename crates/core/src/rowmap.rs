@@ -31,6 +31,7 @@
 //! worst case — a plain map is the better fit for such cold-path,
 //! structureless key sets.
 
+use pcm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
@@ -340,6 +341,57 @@ impl<T> RowMap<T> {
     pub fn values(&self) -> impl Iterator<Item = &T> + '_ {
         self.iter().map(|(_, v)| v)
     }
+
+    /// Writes the entry count, then each key in ascending order followed
+    /// by what `value` writes for its value.
+    pub fn save_with(&self, w: &mut SnapWriter, mut value: impl FnMut(&mut SnapWriter, u64, &T)) {
+        w.put(&self.len);
+        for (key, v) in self.iter() {
+            w.put(&key);
+            value(w, key, v);
+        }
+    }
+
+    /// Decodes a map written by [`save_with`](Self::save_with), with
+    /// `value` decoding each key's value; the count is bounded by
+    /// `min_value_bytes` plus the key before any page is built.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the reader or `value` returns, and [`SnapError::Corrupt`]
+    /// for a key not above the one before it (a saved map is ascending).
+    pub fn load_with(
+        r: &mut SnapReader<'_>,
+        min_value_bytes: usize,
+        mut value: impl FnMut(&mut SnapReader<'_>, u64) -> Result<T, SnapError>,
+    ) -> Result<Self, SnapError> {
+        let len = r.take_len(u64::MIN_BYTES + min_value_bytes)?;
+        let mut map = Self::new();
+        let mut prev = None;
+        for _ in 0..len {
+            let key: u64 = r.take()?;
+            if prev.is_some_and(|p| p >= key) {
+                return Err(SnapError::Corrupt("row keys not strictly ascending"));
+            }
+            prev = Some(key);
+            let v = value(r, key)?;
+            map.insert(key, v);
+        }
+        Ok(map)
+    }
+}
+
+/// Entries in ascending key order (see [`RowMap::save_with`]).
+impl<T: Snap> Snap for RowMap<T> {
+    const MIN_BYTES: usize = usize::MIN_BYTES;
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        self.save_with(w, |w, _, v| w.put(v));
+    }
+
+    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Self::load_with(r, T::MIN_BYTES, |r, _| r.take())
+    }
 }
 
 #[cfg(test)]
@@ -478,6 +530,43 @@ mod tests {
             }
         }
         assert!(!map.is_empty(), "the sequence leaves entries to check");
+    }
+
+    #[test]
+    fn snapshots_round_trip_in_key_order() {
+        let mut map = RowMap::new();
+        for k in [5000u64, 3, 511, 512] {
+            map.insert(k, k as u32);
+        }
+        let mut w = SnapWriter::new();
+        w.put(&map);
+        let bytes = w.into_bytes();
+        let mut expected = SnapWriter::new();
+        expected.put(&vec![(3u64, 3u32), (511, 511), (512, 512), (5000, 5000)]);
+        assert_eq!(
+            bytes,
+            expected.into_bytes(),
+            "count, then (key, value) pairs"
+        );
+        let back: RowMap<u32> = SnapReader::new(&bytes).take().unwrap();
+        assert_eq!(
+            back.iter().collect::<Vec<_>>(),
+            map.iter().collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn repeated_or_descending_snapshot_keys_are_corrupt() {
+        for keys in [&[4u64, 4][..], &[9, 2], &[1, 600, 600], &[1, 1024, 513]] {
+            let mut w = SnapWriter::new();
+            w.put(&keys.iter().map(|&k| (k, 7u32)).collect::<Vec<_>>());
+            let bytes = w.into_bytes();
+            assert_eq!(
+                SnapReader::new(&bytes).take::<RowMap<u32>>().err(),
+                Some(SnapError::Corrupt("row keys not strictly ascending")),
+                "keys {keys:?}"
+            );
+        }
     }
 
     #[test]

@@ -248,8 +248,7 @@ impl Session {
             .into());
         }
         let mut r = SnapReader::new(envelope.payload);
-        let epochs_polled = usize::try_from(r.take_u64()?)
-            .map_err(|_| WomPcmError::Snapshot(SnapshotError::Corrupt("epochs_polled")))?;
+        let epochs_polled = r.take()?;
         let mut session = Self::open(spec)?;
         session.engine.restore_state(&mut r)?;
         r.finish()?;
@@ -405,7 +404,7 @@ impl Session {
             self.fingerprint,
             self.records_fed,
             |w| {
-                w.put_u64(self.epochs_polled as u64);
+                w.put(&self.epochs_polled);
                 self.engine.save_state(w);
             },
         ))

@@ -34,7 +34,7 @@ use core::fmt;
 
 use crate::arch::Architecture;
 use crate::config::SystemConfig;
-use pcm_sim::snap::{crc32, SnapError, SnapWriter};
+use pcm_sim::snap::{crc32, SnapError, SnapReader, SnapWriter};
 
 /// File magic prefix; the 8th container byte is the format version.
 const MAGIC: &[u8; 7] = b"WOMSNAP";
@@ -43,8 +43,6 @@ const VERSION: u8 = 0x01;
 /// Fixed header length: magic + version + arch + fingerprint +
 /// records-consumed + payload length.
 const HEADER_BYTES: usize = 7 + 1 + 1 + 8 + 8 + 8;
-/// Footer length: repeated payload length + CRC-32.
-const FOOTER_BYTES: usize = 8 + 4;
 
 /// Errors from encoding, decoding, or applying a `WOMSNAP` container.
 #[derive(Debug)]
@@ -184,11 +182,11 @@ pub fn encode_container(
 ) -> Vec<u8> {
     let mut w = SnapWriter::new();
     w.put_bytes(MAGIC);
-    w.put_u8(VERSION);
-    w.put_u8(arch_tag(arch));
-    w.put_u64(fingerprint);
-    w.put_u64(records_consumed);
-    w.put_u64(0);
+    w.put(&VERSION);
+    w.put(&arch_tag(arch));
+    w.put(&fingerprint);
+    w.put(&records_consumed);
+    w.put(&0u64);
     write_payload(&mut w);
     let mut out = w.into_bytes();
     let (header, payload) = out.split_at_mut(HEADER_BYTES);
@@ -206,19 +204,6 @@ pub fn encode_container(
     out
 }
 
-fn take_le_u64(bytes: &[u8], offset: usize) -> Result<u64, SnapshotError> {
-    match bytes.get(offset..offset + 8) {
-        Some(s) => {
-            let mut raw = [0u8; 8];
-            raw.copy_from_slice(s);
-            Ok(u64::from_le_bytes(raw))
-        }
-        None => Err(SnapshotError::Truncated {
-            byte_offset: bytes.len() as u64,
-        }),
-    }
-}
-
 /// Validates a `WOMSNAP` container and returns its header fields and
 /// payload. The payload's CRC and both length fields are checked here;
 /// decoding the payload itself is the caller's job.
@@ -231,48 +216,25 @@ fn take_le_u64(bytes: &[u8], offset: usize) -> Result<u64, SnapshotError> {
 /// the payload fails its CRC, and [`SnapshotError::Corrupt`] for an
 /// unknown architecture tag or disagreeing length fields.
 pub fn decode_container(bytes: &[u8]) -> Result<SnapshotEnvelope<'_>, SnapshotError> {
-    match bytes.get(..7) {
-        Some(m) if m == MAGIC => {}
-        Some(_) => return Err(SnapshotError::BadMagic),
-        None => return Err(SnapshotError::BadMagic),
+    let mut r = SnapReader::new(bytes);
+    if r.take_bytes(MAGIC.len()).ok() != Some(MAGIC) {
+        return Err(SnapshotError::BadMagic);
     }
-    let version = bytes.get(7).copied().ok_or(SnapshotError::BadMagic)?;
+    let version: u8 = r.take().map_err(|_| SnapshotError::BadMagic)?;
     if version != VERSION {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
-    let arch = arch_from_tag(
-        bytes
-            .get(8)
-            .copied()
-            .ok_or(SnapshotError::Truncated { byte_offset: 8 })?,
-    )?;
-    let fingerprint = take_le_u64(bytes, 9)?;
-    let records_consumed = take_le_u64(bytes, 17)?;
-    let payload_len = take_le_u64(bytes, 25)?;
-    let payload_len = usize::try_from(payload_len)
-        .map_err(|_| SnapshotError::Corrupt("payload length overflows usize"))?;
-    let end = HEADER_BYTES
-        .checked_add(payload_len)
-        .ok_or(SnapshotError::Corrupt("payload length overflows usize"))?;
-    let payload = bytes
-        .get(HEADER_BYTES..end)
-        .ok_or(SnapshotError::Truncated {
-            byte_offset: bytes.len() as u64,
-        })?;
-    let footer_len = take_le_u64(bytes, end)?;
-    if footer_len != payload_len as u64 {
+    let arch = arch_from_tag(r.take()?)?;
+    let fingerprint = r.take()?;
+    let records_consumed = r.take()?;
+    let payload_len: usize = r.take()?;
+    let payload = r.take_bytes(payload_len)?;
+    if r.take::<usize>()? != payload_len {
         return Err(SnapshotError::Corrupt(
             "footer length disagrees with header",
         ));
     }
-    let crc_bytes = bytes
-        .get(end + 8..end + FOOTER_BYTES)
-        .ok_or(SnapshotError::Truncated {
-            byte_offset: bytes.len() as u64,
-        })?;
-    let mut raw = [0u8; 4];
-    raw.copy_from_slice(crc_bytes);
-    if u32::from_le_bytes(raw) != crc32(payload) {
+    if r.take::<u32>()? != crc32(payload) {
         return Err(SnapshotError::BadChecksum);
     }
     Ok(SnapshotEnvelope {
@@ -347,7 +309,8 @@ mod tests {
     #[test]
     fn footer_length_mismatch_is_corrupt() {
         let mut bytes = sample();
-        let end = bytes.len() - FOOTER_BYTES;
+        // The footer is the repeated payload length, then the CRC-32.
+        let end = bytes.len() - 8 - 4;
         bytes[end] ^= 1;
         assert!(matches!(
             decode_container(&bytes),
@@ -372,5 +335,41 @@ mod tests {
         assert_eq!(config_fingerprint(&a), config_fingerprint(&b));
         b.rewrite_limit += 1;
         assert_ne!(config_fingerprint(&a), config_fingerprint(&b));
+    }
+
+    #[test]
+    fn smallest_values_encode_to_at_least_min_bytes() {
+        use crate::observe::ObserverSink;
+        use crate::{
+            CacheStats, ColdPolicy, EpochCounters, EpochRecorder, RefreshConfig, RefreshEngine,
+            RowMap, RunMetrics, StartGap, WomCache, WomStateTable,
+        };
+        use pcm_sim::snap::Snap;
+
+        fn check<T: Snap>(smallest: &T) {
+            let mut w = SnapWriter::new();
+            w.put(smallest);
+            let bytes = w.into_bytes();
+            let name = core::any::type_name::<T>();
+            assert!(bytes.len() >= T::MIN_BYTES, "{name}: below MIN_BYTES");
+            let mut r = SnapReader::new(&bytes);
+            let back: T = r.take().expect("decodes");
+            r.finish().expect("consumes every byte");
+            let mut again = SnapWriter::new();
+            again.put(&back);
+            assert_eq!(again.into_bytes(), bytes, "{name}");
+        }
+        check(&CacheStats::default());
+        check(&RunMetrics::default());
+        check(&EpochCounters::default());
+        check(&EpochRecorder::new(1).into_series());
+        check(&EpochRecorder::new(1));
+        check(&ObserverSink::Off);
+        check(&StartGap::new(2, 1).unwrap());
+        check(&ColdPolicy::Erased);
+        check(&WomStateTable::new(1, 1));
+        check(&WomCache::new(1, 1, 1, 1, 1));
+        check(&RefreshEngine::new(RefreshConfig::paper(), 1, 1).unwrap());
+        check(&RowMap::<u32>::new());
     }
 }

@@ -10,7 +10,7 @@
 //! because only one bank's worth of rows per rank is duplicated.
 
 use crate::wom_state::{WomStateTable, WriteKind};
-use pcm_sim::{SnapError, SnapReader, SnapWriter};
+use pcm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// What happened on a WOM-cache write lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,29 +104,14 @@ impl CacheStats {
         self.read_hits += other.read_hits;
         self.read_misses += other.read_misses;
     }
-
-    /// Serializes the counters for snapshot/restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.write_hits);
-        w.put_u64(self.write_misses);
-        w.put_u64(self.read_hits);
-        w.put_u64(self.read_misses);
-    }
-
-    /// Decodes counters written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates payload truncation.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Self {
-            write_hits: r.take_u64()?,
-            write_misses: r.take_u64()?,
-            read_hits: r.take_u64()?,
-            read_misses: r.take_u64()?,
-        })
-    }
 }
+
+pcm_sim::snap_fields!(CacheStats {
+    write_hits: u64,
+    write_misses: u64,
+    read_hits: u64,
+    read_misses: u64,
+});
 
 /// Tag/valid/WOM-state bookkeeping for every rank's WOM-cache.
 ///
@@ -306,36 +291,30 @@ impl WomCache {
     pub fn valid_entries(&self) -> usize {
         self.tags.iter().filter(|t| t.is_some()).count()
     }
+}
 
-    /// Serializes the cache for snapshot/restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u32(self.ranks);
-        w.put_u32(self.banks_per_rank);
-        w.put_u32(self.rows);
+/// The dimensions, one `Option` tag per cache row, the WOM state, then
+/// the counters.
+impl Snap for WomCache {
+    const MIN_BYTES: usize = 3 * u32::MIN_BYTES + WomStateTable::MIN_BYTES + CacheStats::MIN_BYTES;
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        w.put(&self.ranks);
+        w.put(&self.banks_per_rank);
+        w.put(&self.rows);
         for tag in &self.tags {
-            match tag {
-                None => w.put_bool(false),
-                Some(bank) => {
-                    w.put_bool(true);
-                    w.put_u32(*bank);
-                }
-            }
+            w.put(tag);
         }
-        self.wom.save_state(w);
-        self.stats.save_state(w);
+        w.put(&self.wom);
+        w.put(&self.stats);
     }
 
-    /// Decodes a cache written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates payload truncation; [`SnapError::Corrupt`] for
-    /// zero-sized dimensions, more tags than the payload can hold, or
-    /// out-of-range tags.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let ranks = r.take_u32()?;
-        let banks_per_rank = r.take_u32()?;
-        let rows = r.take_u32()?;
+    /// Rejects zero-sized dimensions, more tags than the payload can
+    /// hold, and out-of-range tags.
+    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let ranks: u32 = r.take()?;
+        let banks_per_rank: u32 = r.take()?;
+        let rows: u32 = r.take()?;
         if ranks == 0 || banks_per_rank == 0 || rows == 0 {
             return Err(SnapError::Corrupt("cache dimensions"));
         }
@@ -344,19 +323,14 @@ impl WomCache {
         // from them.
         let entries = (ranks as usize)
             .checked_mul(rows as usize)
-            .filter(|&n| n <= r.remaining())
+            .filter(|&n| n <= r.remaining() / <Option<u32>>::MIN_BYTES)
             .ok_or(SnapError::Corrupt("cache tags exceed the payload"))?;
         let mut tags = Vec::with_capacity(entries);
         for _ in 0..entries {
-            let tag = if r.take_bool()? {
-                let bank = r.take_u32()?;
-                if bank >= banks_per_rank {
-                    return Err(SnapError::Corrupt("cache tag out of range"));
-                }
-                Some(bank)
-            } else {
-                None
-            };
+            let tag: Option<u32> = r.take()?;
+            if tag.is_some_and(|bank| bank >= banks_per_rank) {
+                return Err(SnapError::Corrupt("cache tag out of range"));
+            }
             tags.push(tag);
         }
         Ok(Self {
@@ -364,8 +338,8 @@ impl WomCache {
             banks_per_rank,
             rows,
             tags,
-            wom: WomStateTable::load_state(r)?,
-            stats: CacheStats::load_state(r)?,
+            wom: r.take()?,
+            stats: r.take()?,
         })
     }
 }
@@ -381,10 +355,10 @@ mod tests {
     #[test]
     fn load_state_bounds_the_tag_count_by_the_payload() {
         let mut w = SnapWriter::new();
-        w.put_u32(u32::MAX); // ranks
-        w.put_u32(4); // banks_per_rank
-        w.put_u32(u32::MAX); // rows
-        w.put_bool(false);
+        w.put(&u32::MAX); // ranks
+        w.put(&4u32); // banks_per_rank
+        w.put(&u32::MAX); // rows
+        w.put(&false);
         let bytes = w.into_bytes();
         assert_eq!(bytes.len(), 13);
         let mut r = SnapReader::new(&bytes);

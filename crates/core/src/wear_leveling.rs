@@ -13,7 +13,7 @@
 //! proves the mapping stays a bijection and actually levels wear.
 
 use crate::error::WomPcmError;
-use pcm_sim::{SnapError, SnapReader, SnapWriter};
+use pcm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// Start-Gap remapping over a region of `rows` logical rows backed by
 /// `rows + 1` physical rows.
@@ -142,46 +142,39 @@ impl StartGap {
             Some((from, to))
         }
     }
+}
 
-    /// Serializes the remapper for snapshot/restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.rows);
-        w.put_u64(self.gap_move_interval);
-        w.put_u64(self.start);
-        w.put_u64(self.gap);
-        w.put_u64(self.since_move);
-        w.put_u64(self.moves);
+impl Snap for StartGap {
+    const MIN_BYTES: usize = 6 * u64::MIN_BYTES;
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        w.put(&self.rows);
+        w.put(&self.gap_move_interval);
+        w.put(&self.start);
+        w.put(&self.gap);
+        w.put(&self.since_move);
+        w.put(&self.moves);
     }
 
-    /// Decodes a remapper written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates payload truncation; [`SnapError::Corrupt`] for a state
-    /// that breaks the mapping invariants.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let rows = r.take_u64()?;
-        let gap_move_interval = r.take_u64()?;
-        let start = r.take_u64()?;
-        let gap = r.take_u64()?;
-        let since_move = r.take_u64()?;
-        let moves = r.take_u64()?;
-        if rows < 2
-            || gap_move_interval == 0
-            || start >= rows
-            || gap > rows
-            || since_move >= gap_move_interval
+    /// Rejects a state that breaks the mapping invariants.
+    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let sg = Self {
+            rows: r.take()?,
+            gap_move_interval: r.take()?,
+            start: r.take()?,
+            gap: r.take()?,
+            since_move: r.take()?,
+            moves: r.take()?,
+        };
+        if sg.rows < 2
+            || sg.gap_move_interval == 0
+            || sg.start >= sg.rows
+            || sg.gap > sg.rows
+            || sg.since_move >= sg.gap_move_interval
         {
             return Err(SnapError::Corrupt("start-gap state"));
         }
-        Ok(Self {
-            rows,
-            gap_move_interval,
-            start,
-            gap,
-            since_move,
-            moves,
-        })
+        Ok(sg)
     }
 }
 

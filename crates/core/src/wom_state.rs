@@ -18,7 +18,7 @@
 //! costs memory proportional to the trace footprint only.
 
 use crate::rowmap::RowMap;
-use pcm_sim::{SnapError, SnapReader, SnapWriter};
+use pcm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// What state untouched (cold) cells are assumed to hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -285,14 +285,15 @@ impl WomStateTable {
 
     /// Marks a whole `row` as refreshed: every column is erased back to
     /// the initial WOM state, so the next `rewrite_limit` writes per
-    /// column are fast again.
+    /// column are fast again. A tracked row is reset to zeros in place,
+    /// so a WOM-cache row that is flushed and rewritten keeps its
+    /// allocation. An untracked row stays untracked under
+    /// [`ColdPolicy::Erased`], where absent already means erased; under
+    /// the other cold policies the erased state is stored explicitly.
     pub fn mark_refreshed(&mut self, row: u64) {
-        if self.cold == ColdPolicy::Erased {
-            self.rows.remove(row);
-        } else {
-            // Under non-erased cold policies an absent entry is not
-            // necessarily fresh, so the refreshed state must be stored
-            // explicitly.
+        if let Some(counts) = self.rows.get_mut(row) {
+            counts.fill(0);
+        } else if self.cold != ColdPolicy::Erased {
             let cols = self.columns as usize;
             self.rows.insert(row, vec![0; cols].into_boxed_slice());
         }
@@ -310,63 +311,62 @@ impl WomStateTable {
             .fill(1);
     }
 
-    /// Rows currently tracked (touched since construction, or explicitly
-    /// refreshed under the dirty-cold assumption).
+    /// Rows currently tracked: touched since construction, or refreshed
+    /// under a cold policy other than [`ColdPolicy::Erased`]. A tracked
+    /// row stays tracked when it is refreshed, with all-zero counts.
     #[must_use]
     pub fn tracked_rows(&self) -> usize {
         self.rows.len()
     }
+}
 
-    /// Serializes the table for snapshot/restore. Rows are written in
-    /// ascending key order, so identical states produce identical bytes.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u32(self.rewrite_limit);
-        w.put_u32(self.columns);
-        w.put_u8(match self.cold {
-            ColdPolicy::Erased => 0,
-            ColdPolicy::Dirty => 1,
-            ColdPolicy::SteadyState => 2,
-        });
-        w.put_usize(self.rows.len());
-        for (row, counts) in self.rows.iter() {
-            w.put_u64(row);
+pcm_sim::snap_tags!(ColdPolicy {
+    Erased = 0,
+    Dirty = 1,
+    SteadyState = 2,
+});
+
+/// Rows in ascending key order as their key and one count byte per
+/// column, so identical states produce identical bytes. All-zero rows
+/// under [`ColdPolicy::Erased`] are left out (see `mark_refreshed`).
+impl Snap for WomStateTable {
+    const MIN_BYTES: usize = 2 * u32::MIN_BYTES + ColdPolicy::MIN_BYTES + usize::MIN_BYTES;
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        w.put(&self.rewrite_limit);
+        w.put(&self.columns);
+        w.put(&self.cold);
+        // Under the erased policy an all-zero row means the same as an
+        // absent one; only then do rows need counting before the count.
+        let erased = self.cold == ColdPolicy::Erased;
+        let saved = |counts: &[u8]| !erased || counts.iter().any(|&c| c != 0);
+        let stored = if erased {
+            self.rows.values().filter(|c| saved(c)).count()
+        } else {
+            self.rows.len()
+        };
+        w.put(&stored);
+        for (row, counts) in self.rows.iter().filter(|(_, c)| saved(c)) {
+            w.put(&row);
             w.put_bytes(counts);
         }
     }
 
-    /// Decodes a table written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates payload truncation; [`SnapError::Corrupt`] for
-    /// out-of-range parameters or an unknown cold-policy tag.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let rewrite_limit = r.take_u32()?;
+    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let rewrite_limit: u32 = r.take()?;
         if !(1..=254).contains(&rewrite_limit) {
             return Err(SnapError::Corrupt("WOM rewrite limit out of range"));
         }
-        let columns = r.take_u32()?;
+        let columns: u32 = r.take()?;
         if columns == 0 {
             return Err(SnapError::Corrupt("WOM table with zero columns"));
         }
-        let cold = match r.take_u8()? {
-            0 => ColdPolicy::Erased,
-            1 => ColdPolicy::Dirty,
-            2 => ColdPolicy::SteadyState,
-            _ => return Err(SnapError::Corrupt("ColdPolicy tag")),
-        };
-        let len = r.take_len(8 + columns as usize)?;
-        let mut rows = RowMap::new();
-        for _ in 0..len {
-            let row = r.take_u64()?;
-            let counts = r.take_bytes(columns as usize)?;
-            rows.insert(row, counts.to_vec().into_boxed_slice());
-        }
+        let cols = columns as usize;
         Ok(Self {
             rewrite_limit,
             columns,
-            cold,
-            rows,
+            cold: r.take()?,
+            rows: RowMap::load_with(r, cols, |r, _| r.take_bytes(cols).map(Box::from))?,
         })
     }
 }
@@ -570,5 +570,41 @@ mod copy_tests {
                 WriteKind::InBudget { generation: 1 }
             );
         }
+    }
+
+    #[test]
+    fn refreshing_a_tracked_row_resets_it_in_place() {
+        let mut t = WomStateTable::new(2, 4);
+        let mut untouched = WomStateTable::new(2, 4);
+        t.classify_write(3, 1);
+        untouched.classify_write(3, 1);
+        t.classify_write(9, 2);
+        let counts = t.rows.get(9).expect("tracked").as_ptr();
+        t.mark_refreshed(9);
+        let row = t.rows.get(9).expect("a refreshed row stays tracked");
+        assert_eq!(row.as_ptr(), counts, "the row keeps its allocation");
+        assert_eq!(&row[..], &[0; 4]);
+        t.mark_refreshed(12);
+        assert!(
+            t.rows.get(12).is_none(),
+            "an untracked erased row stays untracked"
+        );
+        let encode = |table: &WomStateTable| {
+            let mut w = SnapWriter::new();
+            table.save_state(&mut w);
+            w.into_bytes()
+        };
+        assert_eq!(
+            encode(&t),
+            encode(&untouched),
+            "an all-zero row under the erased policy is not saved"
+        );
+
+        let mut dirty = WomStateTable::new_assuming_dirty(2, 4);
+        dirty.mark_refreshed(5);
+        let counts = dirty.rows.get(5).expect("stored explicitly").as_ptr();
+        dirty.classify_write(5, 0);
+        dirty.mark_refreshed(5);
+        assert_eq!(dirty.rows.get(5).map(|row| row.as_ptr()), Some(counts));
     }
 }

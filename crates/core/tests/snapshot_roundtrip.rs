@@ -19,7 +19,7 @@ use pcm_trace::synth::{Suite, WorkloadProfile};
 use pcm_trace::TraceRecord;
 use std::path::PathBuf;
 use wom_pcm::snapshot::{self, SnapshotError};
-use wom_pcm::{Architecture, Session, SystemBuilder, SystemConfig, WomPcmError};
+use wom_pcm::{Architecture, Organization, Session, SystemBuilder, SystemConfig, WomPcmError};
 
 const RECORDS: usize = 6_000;
 const SEED: u64 = 2014;
@@ -52,6 +52,18 @@ fn config(arch: Architecture) -> SystemConfig {
     // Epoch observation on, so the checkpoint also carries (and the test
     // also compares) the mid-run time series.
     SystemBuilder::tiny(arch).epoch_cycles(10_000).into_config()
+}
+
+/// WOM-code on hidden pages with charged page-table traffic and
+/// Start-Gap leveling: the one configuration whose checkpoint carries a
+/// `HiddenPageTable` and the Start-Gap remappers.
+fn hidden_leveled() -> SystemConfig {
+    SystemBuilder::tiny(Architecture::WomCode)
+        .organization(Organization::HiddenPage)
+        .charge_hidden_page_traffic(true)
+        .wear_leveling(64)
+        .epoch_cycles(10_000)
+        .into_config()
 }
 
 fn trace() -> Vec<TraceRecord> {
@@ -121,7 +133,7 @@ fn resume_preserves_wear_leveling_and_data_verification() {
     let verified = SystemBuilder::tiny(Architecture::WomCodeRefresh)
         .verify_data(true)
         .into_config();
-    for cfg in [leveled, verified] {
+    for cfg in [leveled, verified, hidden_leveled()] {
         let mut session = Session::open(cfg.clone()).expect("valid config");
         session.feed(&records).expect("runs");
         let straight = format!("{:#?}", session.finish().expect("finishes"));
@@ -157,6 +169,8 @@ fn fixture_path(name: &str) -> PathBuf {
 /// planned but not settled (3 main rows; 1 cache row), so they pin the
 /// refresh-plan entries: 20 bytes with the bank on main memory, 16
 /// without it on the WOM-cache. At [`SPLIT`] every plan is empty.
+/// `wom-code-hidden-leveled` pins the hidden-page table and Start-Gap
+/// bytes.
 fn golden_inputs() -> Vec<(String, SystemConfig, usize)> {
     let mut inputs: Vec<(String, SystemConfig, usize)> = Architecture::all_paper()
         .into_iter()
@@ -172,6 +186,7 @@ fn golden_inputs() -> Vec<(String, SystemConfig, usize)> {
     ] {
         inputs.push((format!("{}-inflight", arch.slug()), config(arch), split));
     }
+    inputs.push(("wom-code-hidden-leveled".into(), hidden_leveled(), SPLIT));
     inputs
 }
 
@@ -219,6 +234,13 @@ fn golden_womsnap_fixtures_stay_stable() {
                 "{name}: no refresh completed before the checkpoint"
             );
         }
+        if name.ends_with("-hidden-leveled") {
+            let m = resumed.metrics();
+            assert!(
+                m.hidden_page_accesses > 0 && m.leveling_copies > 0,
+                "{name}: no hidden-page access or leveling copy before the checkpoint"
+            );
+        }
         if name.ends_with("-inflight") {
             let t = resumed.epochs().expect("epochs enabled").totals();
             assert!(
@@ -229,6 +251,47 @@ fn golden_womsnap_fixtures_stay_stable() {
         let consumed = resumed.records_fed();
         resumed.feed(&records[consumed as usize..]).expect("feeds");
         resumed.finish().expect("finishes");
+    }
+}
+
+/// Resumes every golden payload cut short and with single bytes
+/// flipped, each re-wrapped in a container with the golden header so the
+/// CRC passes and the payload decoders run: every cut must fail, and
+/// every failure must be a typed snapshot error, never a panic.
+#[test]
+fn damaged_payloads_fail_with_typed_errors() {
+    /// Cuts and flip positions per fixture, spread evenly over it.
+    const SAMPLES: usize = 48;
+    for (name, cfg, _) in golden_inputs() {
+        let golden = std::fs::read(fixture_path(&name)).expect("golden fixture");
+        let env = snapshot::decode_container(&golden).expect("golden decodes");
+        let resumes = |payload: &[u8], what: String| {
+            let (arch, fingerprint, records) = (env.arch, env.fingerprint, env.records_consumed);
+            let container =
+                snapshot::encode_container(arch, fingerprint, records, |w| w.put_bytes(payload));
+            match std::panic::catch_unwind(|| Session::resume(cfg.clone(), &container)) {
+                Ok(Ok(_)) => true,
+                Ok(Err(WomPcmError::Snapshot(_))) => false,
+                Ok(Err(other)) => panic!("{name}, {what}: untyped error {other:?}"),
+                Err(_) => panic!("{name}, {what}: the payload decoder panicked"),
+            }
+        };
+        let stride = env.payload.len().div_ceil(SAMPLES);
+        for cut in (0..env.payload.len()).step_by(stride) {
+            let what = format!("a {cut}-byte prefix");
+            assert!(
+                !resumes(&env.payload[..cut], what),
+                "{name}: a {cut}-byte prefix resumed"
+            );
+        }
+        let mut flipped = env.payload.to_vec();
+        for at in (stride / 2..flipped.len()).step_by(stride) {
+            for mask in [0x01, 0x80, 0xFF] {
+                flipped[at] ^= mask;
+                resumes(&flipped, format!("byte {at} flipped by {mask:#04x}"));
+                flipped[at] ^= mask;
+            }
+        }
     }
 }
 

@@ -1,7 +1,6 @@
 //! Per-bank timing state: busy tracking, open row, and the in-flight
 //! operation (for write-pausing preemption).
 
-use crate::snap::{SnapError, SnapReader, SnapWriter};
 use crate::timing::Cycle;
 use crate::transaction::{ServiceClass, TransactionId};
 
@@ -111,55 +110,19 @@ impl BankState {
     pub fn close_row(&mut self) {
         self.open_row = None;
     }
-
-    /// Serializes the bank state for snapshot/restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        match &self.in_flight {
-            None => w.put_bool(false),
-            Some(op) => {
-                w.put_bool(true);
-                w.put_u64(op.id);
-                op.class.save_state(w);
-                w.put_u64(op.start);
-                w.put_u64(op.finish);
-            }
-        }
-        match self.open_row {
-            None => w.put_bool(false),
-            Some(row) => {
-                w.put_bool(true);
-                w.put_u32(row);
-            }
-        }
-    }
-
-    /// Decodes a bank state written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates payload truncation and bad enum tags.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let in_flight = if r.take_bool()? {
-            Some(InFlight {
-                id: r.take_u64()?,
-                class: ServiceClass::load_state(r)?,
-                start: r.take_u64()?,
-                finish: r.take_u64()?,
-            })
-        } else {
-            None
-        };
-        let open_row = if r.take_bool()? {
-            Some(r.take_u32()?)
-        } else {
-            None
-        };
-        Ok(Self {
-            in_flight,
-            open_row,
-        })
-    }
 }
+
+crate::snap_fields!(InFlight {
+    id: TransactionId,
+    class: ServiceClass,
+    start: Cycle,
+    finish: Cycle,
+});
+
+crate::snap_fields!(BankState {
+    in_flight: Option<InFlight>,
+    open_row: Option<u32>,
+});
 
 #[cfg(test)]
 mod tests {

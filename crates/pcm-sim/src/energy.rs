@@ -116,29 +116,14 @@ impl EnergyTally {
         self.reset_write_pj += other.reset_write_pj;
         self.refresh_pj += other.refresh_pj;
     }
-
-    /// Serializes the tally for snapshot/restore (exact `f64` bits).
-    pub fn save_state(&self, w: &mut crate::snap::SnapWriter) {
-        w.put_f64(self.read_pj);
-        w.put_f64(self.full_write_pj);
-        w.put_f64(self.reset_write_pj);
-        w.put_f64(self.refresh_pj);
-    }
-
-    /// Decodes a tally written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates payload truncation.
-    pub fn load_state(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        Ok(Self {
-            read_pj: r.take_f64()?,
-            full_write_pj: r.take_f64()?,
-            reset_write_pj: r.take_f64()?,
-            refresh_pj: r.take_f64()?,
-        })
-    }
 }
+
+crate::snap_fields!(EnergyTally {
+    read_pj: f64,
+    full_write_pj: f64,
+    reset_write_pj: f64,
+    refresh_pj: f64,
+});
 
 #[cfg(test)]
 mod tests {

@@ -52,7 +52,7 @@ pub use config::{MemConfig, RowPolicy, SchedulerPolicy};
 pub use energy::{EnergyParams, EnergyTally};
 pub use error::SimError;
 pub use memory::MemorySystem;
-pub use snap::{SnapError, SnapReader, SnapWriter};
+pub use snap::{Snap, SnapError, SnapReader, SnapWriter};
 pub use stats::{Histogram, LatencyHistogram, LatencySummary, MemStats};
 pub use timing::{Cycle, TimingParams};
 pub use transaction::{Completion, MemOp, ServiceClass, Transaction, TransactionId};

@@ -17,7 +17,7 @@ use crate::address::{AddressDecoder, DecodedAddr};
 use crate::bank::BankState;
 use crate::config::{MemConfig, RowPolicy, SchedulerPolicy};
 use crate::error::SimError;
-use crate::snap::{SnapError, SnapReader, SnapWriter};
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::stats::MemStats;
 use crate::timing::Cycle;
 use crate::transaction::{Completion, MemOp, ServiceClass, Transaction, TransactionId};
@@ -32,6 +32,11 @@ struct RefreshBatch {
     /// `(bank, row)` pairs to refresh, at most one per bank.
     rows: Vec<(u32, u32)>,
 }
+
+crate::snap_fields!(RefreshBatch {
+    rank: u32,
+    rows: Vec<(u32, u32)>,
+});
 
 /// A queued demand access with its address decoded once, at enqueue:
 /// the issue scan visits each entry many times while it waits.
@@ -767,66 +772,35 @@ impl MemorySystem {
     /// heap's internal array layout. The event list before it is derived
     /// from the heap and the bus wake-up.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.now);
-        w.put_u64(self.next_id);
-        w.put_usize(self.banks.len());
-        for bank in &self.banks {
-            bank.save_state(w);
-        }
-        w.put_u64(self.bus_free_at);
+        w.put(&self.now);
+        w.put(&self.next_id);
+        w.put(&self.banks);
+        w.put(&self.bus_free_at);
         save_txn_queue(&self.read_q, w);
         save_txn_queue(&self.write_q, w);
-        w.put_usize(self.refresh_q.len());
-        for batch in &self.refresh_q {
-            w.put_u32(batch.rank);
-            w.put_usize(batch.rows.len());
-            for &(bank, row) in &batch.rows {
-                w.put_u32(bank);
-                w.put_u32(row);
-            }
-        }
+        w.put(&self.refresh_q);
         // Id runs are written as explicit length-prefixed lists — the
         // same bytes the pre-run encoding produced — so the container
         // format is unchanged and old snapshots stay readable.
-        w.put_usize(self.refresh_ids.len());
+        w.put(&self.refresh_ids.len());
         for &(first, count) in &self.refresh_ids {
-            w.put_usize(count as usize);
-            for k in 0..u64::from(count) {
-                w.put_u64(first + k);
+            w.put(&(count as usize));
+            for id in first..first + u64::from(count) {
+                w.put(&id);
             }
         }
-        let events = self.event_list(self.bus_wake.then_some(self.bus_free_at));
-        w.put_usize(events.len());
-        for &cycle in &events {
-            w.put_u64(cycle);
-        }
+        w.put(&self.event_list(self.bus_wake.then_some(self.bus_free_at)));
         let mut pending: Vec<Completion> =
             self.pending.iter().map(|Reverse(Pending(c))| *c).collect();
         pending.sort_by_key(|c| (c.finish, c.id));
-        w.put_usize(pending.len());
-        for c in &pending {
-            c.save_state(w);
-        }
-        w.put_usize(self.cancelled.len());
-        for &id in &self.cancelled {
-            w.put_u64(id);
-        }
-        w.put_usize(self.refresh_addrs.len());
-        for (&id, &addr) in &self.refresh_addrs {
-            w.put_u64(id);
-            w.put_u64(addr);
-        }
-        w.put_usize(self.out.len());
-        for c in &self.out {
-            c.save_state(w);
-        }
-        self.stats.save_state(w);
-        self.wear.save_state(w);
-        w.put_bool(self.draining_writes);
-        w.put_usize(self.queued_per_rank.len());
-        for &n in &self.queued_per_rank {
-            w.put_usize(n);
-        }
+        w.put(&pending);
+        w.put(&self.cancelled);
+        w.put(&self.refresh_addrs);
+        w.put(&self.out);
+        w.put(&self.stats);
+        w.put(&self.wear);
+        w.put(&self.draining_writes);
+        w.put(&self.queued_per_rank);
     }
 
     /// Restores state written by [`save_state`](Self::save_state) into a
@@ -839,44 +813,30 @@ impl MemorySystem {
     /// batches without a matching id run, or an event list other than the
     /// one the pending completions and the bus wake-up imply.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.now = r.take_u64()?;
-        self.next_id = r.take_u64()?;
-        let bank_count = r.take_len(2)?;
-        if bank_count != self.banks.len() {
+        self.now = r.take()?;
+        self.next_id = r.take()?;
+        let banks: Vec<BankState> = r.take()?;
+        if banks.len() != self.banks.len() {
             return Err(SnapError::Corrupt("bank count differs from the config"));
         }
-        for bank in self.banks.iter_mut() {
-            *bank = BankState::load_state(r)?;
-        }
-        self.bus_free_at = r.take_u64()?;
+        self.banks = banks;
+        self.bus_free_at = r.take()?;
         self.read_q = load_txn_queue(r, &self.decoder)?;
         self.write_q = load_txn_queue(r, &self.decoder)?;
-        let batches = r.take_len(4)?;
-        self.refresh_q.clear();
-        for _ in 0..batches {
-            let rank = r.take_u32()?;
-            let rows_len = r.take_len(8)?;
-            let mut rows = Vec::with_capacity(rows_len);
-            for _ in 0..rows_len {
-                let bank = r.take_u32()?;
-                let row = r.take_u32()?;
-                rows.push((bank, row));
-            }
-            self.refresh_q.push_back(RefreshBatch { rank, rows });
-        }
-        let id_lists = r.take_len(8)?;
+        self.refresh_q = r.take()?;
+        let id_lists = r.take_len(u64::MIN_BYTES)?;
         self.refresh_ids.clear();
         for _ in 0..id_lists {
             // Ids are assigned from a monotonic counter at enqueue, so a
             // valid snapshot always lists a consecutive run; anything
             // else is corruption, not an older encoding.
-            let len = r.take_len(8)?;
+            let len = r.take_len(u64::MIN_BYTES)?;
             if len == 0 {
                 return Err(SnapError::Corrupt("empty refresh id list"));
             }
-            let first = r.take_u64()?;
+            let first: TransactionId = r.take()?;
             for k in 1..len as u64 {
-                if r.take_u64()? != first + k {
+                if r.take::<TransactionId>()? != first + k {
                     return Err(SnapError::Corrupt("non-consecutive refresh ids"));
                 }
             }
@@ -894,13 +854,10 @@ impl MemorySystem {
                 "refresh id runs do not match the queued batches",
             ));
         }
-        let events: Vec<Cycle> = r.take_sorted(8, |&cycle| cycle, SnapReader::take_u64)?;
-        let pending = r.take_len(8)?;
-        self.pending.clear();
-        for _ in 0..pending {
-            self.pending
-                .push(Reverse(Pending(Completion::load_state(r)?)));
-        }
+        let events: Vec<Cycle> =
+            r.take_sorted(Cycle::MIN_BYTES, |cycle| cycle, SnapReader::take)?;
+        let pending: Vec<Completion> = r.take()?;
+        self.pending = pending.into_iter().map(|c| Reverse(Pending(c))).collect();
         // The list is derived state: it carries only whether the bus
         // wake-up was registered, and must agree with the heap.
         let wake = events.binary_search(&self.bus_free_at).is_ok();
@@ -910,34 +867,26 @@ impl MemorySystem {
                 "event list differs from the pending finishes",
             ));
         }
-        self.cancelled = r.take_sorted(8, |&id| id, SnapReader::take_u64)?;
-        self.refresh_addrs =
-            r.take_sorted(16, |&(id, _)| id, |r| Ok((r.take_u64()?, r.take_u64()?)))?;
-        let out = r.take_len(8)?;
-        self.out.clear();
-        for _ in 0..out {
-            self.out.push(Completion::load_state(r)?);
-        }
-        self.stats = MemStats::load_state(r)?;
-        self.wear = WearTracker::load_state(r)?;
-        self.draining_writes = r.take_bool()?;
-        let ranks = r.take_len(8)?;
-        if ranks != self.queued_per_rank.len() {
+        self.cancelled = r.take()?;
+        self.refresh_addrs = r.take()?;
+        self.out = r.take()?;
+        self.stats = r.take()?;
+        self.wear = r.take()?;
+        self.draining_writes = r.take()?;
+        let queued_per_rank: Vec<usize> = r.take()?;
+        if queued_per_rank.len() != self.queued_per_rank.len() {
             return Err(SnapError::Corrupt("rank count differs from the config"));
         }
-        for n in self.queued_per_rank.iter_mut() {
-            let raw = r.take_u64()?;
-            *n = usize::try_from(raw)
-                .map_err(|_| SnapError::Corrupt("queued_per_rank overflows usize"))?;
-        }
+        self.queued_per_rank = queued_per_rank;
         Ok(())
     }
 }
 
+/// Only the transactions: their decoded addresses are recomputed.
 fn save_txn_queue(q: &VecDeque<Queued>, w: &mut SnapWriter) {
-    w.put_usize(q.len());
+    w.put(&q.len());
     for queued in q {
-        queued.txn.save_state(w);
+        w.put(&queued.txn);
     }
 }
 
@@ -946,10 +895,10 @@ fn load_txn_queue(
     r: &mut SnapReader<'_>,
     decoder: &AddressDecoder,
 ) -> Result<VecDeque<Queued>, SnapError> {
-    let len = r.take_len(26)?;
+    let len = r.take_len(Transaction::MIN_BYTES)?;
     let mut q = VecDeque::with_capacity(len);
     for _ in 0..len {
-        let txn = Transaction::load_state(r)?;
+        let txn: Transaction = r.take()?;
         let at = decoder.decode(txn.addr);
         q.push_back(Queued { txn, at });
     }
@@ -1658,5 +1607,10 @@ mod scheduler_tests {
                 "{policy:?}"
             );
         }
+    }
+
+    #[test]
+    fn refresh_batch_min_bytes_bounds_its_smallest_encoding() {
+        crate::snap::assert_min_bytes::<RefreshBatch>();
     }
 }

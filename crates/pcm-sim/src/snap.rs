@@ -1,18 +1,26 @@
 //! Compact, deterministic state serialization for snapshot/restore.
 //!
 //! The `WOMSNAP` container (assembled in the `wom-pcm` crate) carries an
-//! opaque payload produced by the little-endian primitives here. The
-//! encoding is deliberately boring: fixed-width integers, `f64` via
-//! [`f64::to_bits`], and length-prefixed sequences, written in struct
-//! declaration order by each type's own `save_state`/`load_state`. Two
-//! identical simulation states therefore serialize to identical bytes —
-//! the property the resumable-run determinism tests pin.
+//! opaque payload produced by this codec. Every value enters or leaves a
+//! payload through one trait, [`Snap`], written by [`SnapWriter::put`]
+//! and read by [`SnapReader::take`]. The impls here fix the layout once:
+//! integers little-endian at their width, `usize` as a `u64`, `f64` as
+//! its exact bits, `bool` as one byte, `Option` as that flag then the
+//! value, tuples and arrays field by field, and `Vec`, `VecDeque`,
+//! `BTreeMap` and `BTreeSet` as a `u64` length then their elements in
+//! order. A struct's impl is its field list in declaration order
+//! ([`snap_fields!`](crate::snap_fields)), so two identical simulation
+//! states serialize to identical bytes — the property the resumable-run
+//! determinism tests pin.
 //!
-//! [`SnapWriter`] appends to an owned byte buffer; [`SnapReader`] is a
-//! cursor over a borrowed one. Neither touches `std::io`, so decode
+//! Decoding trusts no length: [`SnapReader::take_len`] bounds a count by
+//! the element type's [`Snap::MIN_BYTES`] and the bytes left before
+//! anything is allocated, and [`SnapReader::take_sorted`] rejects a
+//! repeated or descending key. Neither side touches `std::io`, so decode
 //! errors are always typed [`SnapError`]s with an exact byte offset.
 
 use core::fmt;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Errors produced while decoding a snapshot payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,7 +130,26 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Appends little-endian primitives to an owned byte buffer.
+/// A value with one fixed `WOMSNAP` encoding, written through
+/// [`SnapWriter::put`] and read through [`SnapReader::take`].
+pub trait Snap: Sized {
+    /// A lower bound on the bytes any value of the type encodes to, which
+    /// [`SnapReader::take_len`] bounds element counts by.
+    const MIN_BYTES: usize;
+
+    /// Appends the value's encoding.
+    fn save_state(&self, w: &mut SnapWriter);
+
+    /// Decodes a value written by [`save_state`](Self::save_state).
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Truncated`] when the payload ends early, and
+    /// [`SnapError::Corrupt`] for bytes no value of the type encodes to.
+    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
+}
+
+/// Appends encoded values to an owned byte buffer.
 #[derive(Debug, Default)]
 pub struct SnapWriter {
     buf: Vec<u8>,
@@ -135,58 +162,25 @@ impl SnapWriter {
         Self::default()
     }
 
-    /// Bytes written so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Consumes the writer, returning the encoded payload.
     #[must_use]
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
-    /// Appends one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+    /// Appends `value`'s encoding.
+    pub fn put<T: Snap>(&mut self, value: &T) {
+        value.save_state(self);
     }
 
-    /// Appends a bool as one byte (0 or 1).
-    pub fn put_bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
-    }
-
-    /// Appends a `u32`, little-endian.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64`, little-endian.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u128`, little-endian.
-    pub fn put_u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `usize` as a `u64` (sizes are platform-independent in
-    /// the container).
-    pub fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-
-    /// Appends an `f64` via its exact bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
+    /// Appends `value` in the `Option` layout, with `save` writing the
+    /// value: for state restored in place into an instance built from
+    /// the configuration (read back with [`SnapReader::take_presence`]).
+    pub fn put_presence<T>(&mut self, value: Option<&T>, save: impl FnOnce(&T, &mut Self)) {
+        self.put(&value.is_some());
+        if let Some(v) = value {
+            save(v, self);
+        }
     }
 
     /// Appends raw bytes (callers write their own length prefix when the
@@ -196,7 +190,7 @@ impl SnapWriter {
     }
 }
 
-/// A cursor decoding little-endian primitives from a borrowed payload.
+/// A cursor decoding values from a borrowed payload.
 #[derive(Debug)]
 pub struct SnapReader<'a> {
     buf: &'a [u8],
@@ -236,6 +230,29 @@ impl<'a> SnapReader<'a> {
         }
     }
 
+    /// Decodes one value.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `T`'s [`Snap::load_state`] returns.
+    pub fn take<T: Snap>(&mut self) -> Result<T, SnapError> {
+        T::load_state(self)
+    }
+
+    /// Decodes a [`SnapWriter::put_presence`] flag, which must equal
+    /// `expected`: whether the configuration built the value.
+    ///
+    /// # Errors
+    ///
+    /// Truncation, or [`SnapError::Corrupt`] with `what` on a mismatch.
+    pub fn take_presence(&mut self, expected: bool, what: &'static str) -> Result<(), SnapError> {
+        if self.take::<bool>()? == expected {
+            Ok(())
+        } else {
+            Err(SnapError::Corrupt(what))
+        }
+    }
+
     /// Consumes `n` raw bytes.
     ///
     /// # Errors
@@ -252,76 +269,25 @@ impl<'a> SnapReader<'a> {
         Ok(bytes)
     }
 
-    /// Consumes one byte.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Truncated`] at end of payload.
-    pub fn take_u8(&mut self) -> Result<u8, SnapError> {
-        let bytes = self.take_bytes(1)?;
-        bytes.first().copied().ok_or(SnapError::Corrupt("u8"))
+    /// Consumes exactly `N` raw bytes.
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], SnapError> {
+        let bytes = self.take_bytes(N)?;
+        bytes
+            .try_into()
+            .map_err(|_| SnapError::Corrupt("fixed-width field"))
     }
 
-    /// Consumes a bool byte, rejecting values other than 0 and 1.
-    ///
-    /// # Errors
-    ///
-    /// Truncation, or [`SnapError::Corrupt`] for a non-boolean byte.
-    pub fn take_bool(&mut self) -> Result<bool, SnapError> {
-        match self.take_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapError::Corrupt("bool byte must be 0 or 1")),
-        }
-    }
-
-    /// Consumes a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Truncated`] when fewer than 4 bytes remain.
-    pub fn take_u32(&mut self) -> Result<u32, SnapError> {
-        let bytes = self.take_bytes(4)?;
-        let arr: [u8; 4] = bytes.try_into().map_err(|_| SnapError::Corrupt("u32"))?;
-        Ok(u32::from_le_bytes(arr))
-    }
-
-    /// Consumes a little-endian `u64`.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Truncated`] when fewer than 8 bytes remain.
-    pub fn take_u64(&mut self) -> Result<u64, SnapError> {
-        let bytes = self.take_bytes(8)?;
-        let arr: [u8; 8] = bytes.try_into().map_err(|_| SnapError::Corrupt("u64"))?;
-        Ok(u64::from_le_bytes(arr))
-    }
-
-    /// Consumes a little-endian `u128`.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Truncated`] when fewer than 16 bytes remain.
-    pub fn take_u128(&mut self) -> Result<u128, SnapError> {
-        let bytes = self.take_bytes(16)?;
-        let arr: [u8; 16] = bytes.try_into().map_err(|_| SnapError::Corrupt("u128"))?;
-        Ok(u128::from_le_bytes(arr))
-    }
-
-    /// Consumes a `u64`-encoded size, checked against the remaining
-    /// payload so corrupt lengths fail fast instead of driving huge
-    /// allocations.
-    ///
-    /// `min_elem_bytes` is the smallest possible encoding of one element
-    /// (1 for byte sequences).
+    /// Consumes a `u64`-encoded length, checked against the remaining
+    /// payload at `min_elem_bytes` (an element type's
+    /// [`Snap::MIN_BYTES`]) per element, so a corrupt length fails fast
+    /// instead of driving a huge allocation.
     ///
     /// # Errors
     ///
     /// Truncation, or [`SnapError::Corrupt`] when the declared length
     /// could not possibly fit in the remaining bytes.
     pub fn take_len(&mut self, min_elem_bytes: usize) -> Result<usize, SnapError> {
-        let raw = self.take_u64()?;
-        let n = usize::try_from(raw).map_err(|_| SnapError::Corrupt("length overflows usize"))?;
+        let n: usize = self.take()?;
         let need = n.checked_mul(min_elem_bytes.max(1));
         match need {
             Some(bytes) if bytes <= self.remaining() => Ok(n),
@@ -330,15 +296,11 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Consumes a length-prefixed section of entries saved in strictly
-    /// ascending key order, and collects it into `C`.
-    ///
-    /// `min_entry_bytes` bounds the length as in
-    /// [`take_len`](Self::take_len) before anything is allocated;
-    /// `entry` decodes one entry and `key` gives its ordering key. A
-    /// `BTreeMap` or `BTreeSet` collected from sorted entries is
-    /// bulk-built with no per-key search, which is why every ordered
-    /// collection in a payload is restored through here rather than by
-    /// one `insert` per entry.
+    /// ascending key order, and collects it into `C`: `entry` decodes an
+    /// entry, `key` gives its ordering key, and `min_entry_bytes` bounds
+    /// the length as in [`take_len`](Self::take_len). A `BTreeMap` or
+    /// `BTreeSet` collected from sorted entries is bulk-built with no
+    /// per-key search.
     ///
     /// # Errors
     ///
@@ -348,7 +310,7 @@ impl<'a> SnapReader<'a> {
     pub fn take_sorted<T, K, C>(
         &mut self,
         min_entry_bytes: usize,
-        key: impl Fn(&T) -> K,
+        key: impl Fn(&T) -> &K,
         mut entry: impl FnMut(&mut Self) -> Result<T, SnapError>,
     ) -> Result<C, SnapError>
     where
@@ -366,65 +328,405 @@ impl<'a> SnapReader<'a> {
         }
         Ok(entries.into_iter().collect())
     }
+}
 
-    /// Consumes an `f64` stored as its exact bit pattern.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Truncated`] when fewer than 8 bytes remain.
-    pub fn take_f64(&mut self) -> Result<f64, SnapError> {
-        Ok(f64::from_bits(self.take_u64()?))
+/// Implements [`Snap`] for a struct as its field list, in declaration
+/// order: `save_state` writes the fields, `load_state` reads each as its
+/// listed type into the struct literal (so a field left out or listed
+/// twice does not compile), and `MIN_BYTES` sums the field types' own.
+///
+/// ```
+/// use pcm_sim::snap::{Snap, SnapReader, SnapWriter};
+///
+/// struct Span {
+///     start: u64,
+///     len: Option<u32>,
+/// }
+/// pcm_sim::snap_fields!(Span {
+///     start: u64,
+///     len: Option<u32>,
+/// });
+///
+/// let mut w = SnapWriter::new();
+/// w.put(&Span { start: 7, len: Some(3) });
+/// let bytes = w.into_bytes();
+/// assert_eq!((bytes.len(), Span::MIN_BYTES), (8 + 1 + 4, 8 + 1));
+/// let back: Span = SnapReader::new(&bytes).take().unwrap();
+/// assert_eq!((back.start, back.len), (7, Some(3)));
+/// ```
+#[macro_export]
+macro_rules! snap_fields {
+    ($ty:ident { $($field:ident: $fty:ty),* $(,)? }) => {
+        impl $crate::snap::Snap for $ty {
+            const MIN_BYTES: usize = 0 $(+ <$fty as $crate::snap::Snap>::MIN_BYTES)*;
+
+            fn save_state(&self, w: &mut $crate::snap::SnapWriter) {
+                $(w.put(&self.$field);)*
+            }
+
+            fn load_state(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::snap::SnapError> {
+                ::core::result::Result::Ok(Self {
+                    $($field: r.take::<$fty>()?,)*
+                })
+            }
+        }
+    };
+}
+
+/// Implements [`Snap`] for a fieldless enum as a one-byte tag per
+/// listed variant; any other tag decodes to [`SnapError::Corrupt`]
+/// naming the type.
+#[macro_export]
+macro_rules! snap_tags {
+    ($ty:ident { $($variant:ident = $tag:literal),* $(,)? }) => {
+        impl $crate::snap::Snap for $ty {
+            const MIN_BYTES: usize = 1;
+
+            fn save_state(&self, w: &mut $crate::snap::SnapWriter) {
+                w.put::<u8>(&match self {
+                    $(Self::$variant => $tag,)*
+                });
+            }
+
+            fn load_state(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::snap::SnapError> {
+                match r.take::<u8>()? {
+                    $($tag => ::core::result::Result::Ok(Self::$variant),)*
+                    _ => ::core::result::Result::Err($crate::snap::SnapError::Corrupt(concat!(
+                        stringify!($ty),
+                        " tag"
+                    ))),
+                }
+            }
+        }
+    };
+}
+
+/// Fixed-width little-endian integers.
+macro_rules! snap_le_int {
+    ($($t:ty),*) => {$(
+        impl Snap for $t {
+            const MIN_BYTES: usize = size_of::<$t>();
+
+            fn save_state(&self, w: &mut SnapWriter) {
+                w.put_bytes(&self.to_le_bytes());
+            }
+
+            fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                r.take_array().map(Self::from_le_bytes)
+            }
+        }
+    )*};
+}
+
+snap_le_int!(u8, u32, u64, u128);
+
+impl Snap for bool {
+    const MIN_BYTES: usize = 1;
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        w.put(&u8::from(*self));
     }
+
+    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        match r.take::<u8>()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(SnapError::Corrupt("bool byte must be 0 or 1")),
+        }
+    }
+}
+
+/// Sizes are platform-independent in the container: a `u64`.
+impl Snap for usize {
+    const MIN_BYTES: usize = u64::MIN_BYTES;
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        w.put(&(*self as u64));
+    }
+
+    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Self::try_from(r.take::<u64>()?).map_err(|_| SnapError::Corrupt("length overflows usize"))
+    }
+}
+
+/// The exact bit pattern, so accumulators resume bit-identically.
+impl Snap for f64 {
+    const MIN_BYTES: usize = u64::MIN_BYTES;
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        w.put(&self.to_bits());
+    }
+
+    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        r.take().map(Self::from_bits)
+    }
+}
+
+impl<T: Snap> Snap for Option<T> {
+    const MIN_BYTES: usize = bool::MIN_BYTES;
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        w.put_presence(self.as_ref(), T::save_state);
+    }
+
+    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        if r.take()? {
+            r.take().map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+impl<A: Snap, B: Snap> Snap for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        w.put(&self.0);
+        w.put(&self.1);
+    }
+
+    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok((r.take()?, r.take()?))
+    }
+}
+
+/// A fixed-length array: no length prefix.
+impl<const N: usize> Snap for [u64; N] {
+    const MIN_BYTES: usize = N * u64::MIN_BYTES;
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        for v in self {
+            w.put(v);
+        }
+    }
+
+    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut out = [0; N];
+        for v in &mut out {
+            *v = r.take()?;
+        }
+        Ok(out)
+    }
+}
+
+impl<T: Snap> Snap for Vec<T> {
+    const MIN_BYTES: usize = u64::MIN_BYTES;
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        w.put(&self.len());
+        for v in self {
+            w.put(v);
+        }
+    }
+
+    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let len = r.take_len(T::MIN_BYTES)?;
+        let mut out = Self::with_capacity(len);
+        for _ in 0..len {
+            out.push(r.take()?);
+        }
+        Ok(out)
+    }
+}
+
+/// The `Vec` layout.
+impl<T: Snap> Snap for VecDeque<T> {
+    const MIN_BYTES: usize = u64::MIN_BYTES;
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        w.put(&self.len());
+        for v in self {
+            w.put(v);
+        }
+    }
+
+    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        r.take::<Vec<T>>().map(Self::from)
+    }
+}
+
+/// Entries in key order; restored through [`SnapReader::take_sorted`].
+impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
+    const MIN_BYTES: usize = u64::MIN_BYTES;
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        w.put(&self.len());
+        for (k, v) in self {
+            w.put(k);
+            w.put(v);
+        }
+    }
+
+    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        r.take_sorted(
+            K::MIN_BYTES + V::MIN_BYTES,
+            |(k, _)| k,
+            |r| Ok((r.take()?, r.take()?)),
+        )
+    }
+}
+
+/// Keys in order; restored through [`SnapReader::take_sorted`].
+impl<T: Snap + Ord> Snap for BTreeSet<T> {
+    const MIN_BYTES: usize = u64::MIN_BYTES;
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        w.put(&self.len());
+        for v in self {
+            w.put(v);
+        }
+    }
+
+    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        r.take_sorted(T::MIN_BYTES, |v| v, SnapReader::take)
+    }
+}
+
+/// Encodes `value` alone.
+#[cfg(test)]
+pub(crate) fn encode<T: Snap>(value: &T) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    w.put(value);
+    w.into_bytes()
+}
+
+/// Decodes `T`'s smallest value (zero numbers, `None`, empty
+/// collections) from zero bytes, and checks that it encodes back to the
+/// bytes it took, at least `T::MIN_BYTES` of them.
+#[cfg(test)]
+pub(crate) fn assert_min_bytes<T: Snap>() {
+    let zeros = [0u8; 1024];
+    let mut r = SnapReader::new(&zeros);
+    let smallest: T = r.take().expect("zero bytes decode");
+    let len = encode(&smallest).len();
+    let name = core::any::type_name::<T>();
+    assert_eq!(len, r.position(), "{name}");
+    assert!(
+        len >= T::MIN_BYTES,
+        "{name}: {len} bytes, MIN_BYTES {}",
+        T::MIN_BYTES
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn primitives_round_trip() {
         let mut w = SnapWriter::new();
-        w.put_u8(0xAB);
-        w.put_bool(true);
-        w.put_bool(false);
-        w.put_u32(0xDEAD_BEEF);
-        w.put_u64(u64::MAX - 7);
-        w.put_u128(u128::MAX / 3);
-        w.put_f64(-0.125);
-        w.put_f64(f64::NAN);
-        w.put_usize(4096);
+        w.put(&0xABu8);
+        w.put(&true);
+        w.put(&false);
+        w.put(&0xDEAD_BEEFu32);
+        w.put(&(u64::MAX - 7));
+        w.put(&(u128::MAX / 3));
+        w.put(&-0.125f64);
+        w.put(&f64::NAN);
+        w.put(&4096usize);
         w.put_bytes(b"tail");
         let bytes = w.into_bytes();
 
         let mut r = SnapReader::new(&bytes);
-        assert_eq!(r.take_u8().unwrap(), 0xAB);
-        assert!(r.take_bool().unwrap());
-        assert!(!r.take_bool().unwrap());
-        assert_eq!(r.take_u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.take_u64().unwrap(), u64::MAX - 7);
-        assert_eq!(r.take_u128().unwrap(), u128::MAX / 3);
-        assert_eq!(r.take_f64().unwrap(), -0.125);
-        assert!(r.take_f64().unwrap().is_nan());
-        assert_eq!(r.take_u64().unwrap(), 4096);
+        assert_eq!(r.take::<u8>().unwrap(), 0xAB);
+        assert!(r.take::<bool>().unwrap());
+        assert!(!r.take::<bool>().unwrap());
+        assert_eq!(r.take::<u32>().unwrap(), 0xDEAD_BEEF);
+        assert_eq!(r.take::<u64>().unwrap(), u64::MAX - 7);
+        assert_eq!(r.take::<u128>().unwrap(), u128::MAX / 3);
+        assert_eq!(r.take::<f64>().unwrap(), -0.125);
+        assert!(r.take::<f64>().unwrap().is_nan());
+        assert_eq!(r.take::<u64>().unwrap(), 4096);
         assert_eq!(r.take_bytes(4).unwrap(), b"tail");
         r.finish().unwrap();
     }
 
     #[test]
+    fn composite_layouts_are_flag_length_and_field_order() {
+        assert_eq!(encode(&None::<u32>), [0]);
+        assert_eq!(encode(&Some(7u32)), [1, 7, 0, 0, 0]);
+        assert_eq!(encode(&(1u8, (true, 2u32))), [1, 1, 2, 0, 0, 0]);
+        assert_eq!(encode(&[3u64]), 3u64.to_le_bytes());
+        let two = [&2u64.to_le_bytes()[..], &[5, 6]].concat();
+        assert_eq!(encode(&vec![5u8, 6]), two);
+        assert_eq!(encode(&VecDeque::from([5u8, 6])), two);
+        assert_eq!(encode(&BTreeSet::from([6u8, 5])), two);
+        let one = [&1u64.to_le_bytes()[..], &[5, 6]].concat();
+        assert_eq!(encode(&BTreeMap::from([(5u8, 6u8)])), one);
+    }
+
+    #[test]
+    fn smallest_values_encode_to_at_least_min_bytes() {
+        use crate::*;
+        assert_min_bytes::<u8>();
+        assert_min_bytes::<bool>();
+        assert_min_bytes::<u32>();
+        assert_min_bytes::<u64>();
+        assert_min_bytes::<u128>();
+        assert_min_bytes::<usize>();
+        assert_min_bytes::<f64>();
+        assert_min_bytes::<Option<u64>>();
+        assert_min_bytes::<(u8, u32)>();
+        assert_min_bytes::<(bool, (u64, u64))>();
+        assert_min_bytes::<[u64; 3]>();
+        assert_min_bytes::<Vec<u64>>();
+        assert_min_bytes::<VecDeque<u32>>();
+        assert_min_bytes::<BTreeMap<u64, u64>>();
+        assert_min_bytes::<BTreeSet<u64>>();
+        assert_min_bytes::<MemOp>();
+        assert_min_bytes::<ServiceClass>();
+        assert_min_bytes::<Transaction>();
+        assert_min_bytes::<Completion>();
+        assert_min_bytes::<InFlight>();
+        assert_min_bytes::<BankState>();
+        assert_min_bytes::<LatencySummary>();
+        assert_min_bytes::<LatencyHistogram>();
+        assert_min_bytes::<MemStats>();
+        assert_min_bytes::<EnergyTally>();
+        assert_min_bytes::<WearTracker>();
+        assert_min_bytes::<WearSummary>();
+    }
+
+    #[test]
     fn truncation_reports_the_offset() {
-        let mut w = SnapWriter::new();
-        w.put_u32(7);
-        let bytes = w.into_bytes();
+        let bytes = encode(&7u32);
         let mut r = SnapReader::new(&bytes);
-        assert_eq!(r.take_u32().unwrap(), 7);
-        assert_eq!(r.take_u64(), Err(SnapError::Truncated { byte_offset: 4 }));
+        assert_eq!(r.take::<u32>().unwrap(), 7);
+        assert_eq!(
+            r.take::<u64>(),
+            Err(SnapError::Truncated { byte_offset: 4 })
+        );
     }
 
     #[test]
     fn bad_bool_is_corrupt() {
-        let mut r = SnapReader::new(&[2u8]);
-        assert!(matches!(r.take_bool(), Err(SnapError::Corrupt(_))));
+        let corrupt = Err(SnapError::Corrupt("bool byte must be 0 or 1"));
+        assert_eq!(SnapReader::new(&[2u8]).take::<bool>(), corrupt);
+        assert_eq!(
+            SnapReader::new(&[2u8]).take::<Option<u8>>(),
+            corrupt.map(|_| None)
+        );
+    }
+
+    #[test]
+    fn presence_must_match_the_configuration() {
+        let mut w = SnapWriter::new();
+        w.put_presence(Some(&9u32), u32::save_state);
+        w.put_presence(None::<&u32>, u32::save_state);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes, encode(&(Some(9u32), None::<u32>)));
+        let mut r = SnapReader::new(&bytes);
+        r.take_presence(true, "first").unwrap();
+        assert_eq!(r.take::<u32>().unwrap(), 9);
+        assert_eq!(
+            r.take_presence(true, "second"),
+            Err(SnapError::Corrupt("second"))
+        );
     }
 
     #[test]
@@ -435,23 +737,27 @@ mod tests {
 
     #[test]
     fn absurd_length_is_rejected_before_allocating() {
-        let mut w = SnapWriter::new();
-        w.put_u64(u64::MAX);
-        let bytes = w.into_bytes();
+        let bytes = encode(&u64::MAX);
         let mut r = SnapReader::new(&bytes);
         assert!(matches!(r.take_len(8), Err(SnapError::Corrupt(_))));
         assert!(matches!(take_map(&bytes), Err(SnapError::Corrupt(_))));
+        let mut r = SnapReader::new(&bytes);
+        assert!(matches!(r.take::<Vec<u8>>(), Err(SnapError::Corrupt(_))));
     }
 
     #[test]
     fn plausible_length_is_accepted() {
         let mut w = SnapWriter::new();
-        w.put_u64(3);
+        w.put(&3u64);
         w.put_bytes(&[1, 2, 3]);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         assert_eq!(r.take_len(1).unwrap(), 3);
         assert_eq!(r.take_bytes(3).unwrap(), &[1, 2, 3]);
+        assert_eq!(
+            SnapReader::new(&bytes).take::<Vec<u8>>().unwrap(),
+            [1, 2, 3]
+        );
     }
 
     /// The definition the tables derive from: one bit per step.
@@ -491,17 +797,17 @@ mod tests {
 
     fn section(keys: &[u64]) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        w.put_usize(keys.len());
+        w.put(&keys.len());
         for &k in keys {
-            w.put_u64(k);
-            w.put_u32(7);
+            w.put(&k);
+            w.put(&7u32);
         }
         w.into_bytes()
     }
 
     fn take_map(bytes: &[u8]) -> Result<BTreeMap<u64, u32>, SnapError> {
         let mut r = SnapReader::new(bytes);
-        let map = r.take_sorted(12, |&(k, _)| k, |r| Ok((r.take_u64()?, r.take_u32()?)))?;
+        let map = r.take()?;
         r.finish()?;
         Ok(map)
     }
@@ -510,16 +816,15 @@ mod tests {
     fn sorted_sections_collect_in_key_order() {
         let map = take_map(&section(&[1, 5, u64::MAX])).unwrap();
         assert_eq!(map.keys().copied().collect::<Vec<_>>(), [1, 5, u64::MAX]);
+        assert_eq!(encode(&map), section(&[1, 5, u64::MAX]));
         assert!(take_map(&section(&[])).unwrap().is_empty());
-        let mut w = SnapWriter::new();
-        w.put_usize(2);
-        w.put_u64(3);
-        w.put_u64(9);
-        let bytes = w.into_bytes();
-        let set: BTreeSet<u64> = SnapReader::new(&bytes)
-            .take_sorted(8, |&k| k, SnapReader::take_u64)
-            .unwrap();
+        let bytes = encode(&vec![3u64, 9]);
+        let set: BTreeSet<u64> = SnapReader::new(&bytes).take().unwrap();
         assert_eq!(set.into_iter().collect::<Vec<_>>(), [3, 9]);
+        let listed: Vec<u64> = SnapReader::new(&bytes)
+            .take_sorted(8, |k| k, SnapReader::take)
+            .unwrap();
+        assert_eq!(listed, [3, 9]);
     }
 
     #[test]
@@ -528,6 +833,14 @@ mod tests {
             assert!(
                 matches!(take_map(&section(keys)), Err(SnapError::Corrupt(_))),
                 "keys {keys:?}"
+            );
+            let set = encode(&keys.to_vec());
+            assert!(
+                matches!(
+                    SnapReader::new(&set).take::<BTreeSet<u64>>(),
+                    Err(SnapError::Corrupt(_))
+                ),
+                "set keys {keys:?}"
             );
         }
     }

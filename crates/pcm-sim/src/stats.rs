@@ -1,7 +1,6 @@
 //! Latency and throughput statistics collected by the memory system.
 
 use crate::energy::EnergyTally;
-use crate::snap::{SnapError, SnapReader, SnapWriter};
 use crate::timing::Cycle;
 use crate::transaction::{Completion, MemOp, ServiceClass};
 use core::fmt;
@@ -67,29 +66,14 @@ impl LatencySummary {
         self.count += other.count;
         self.total += other.total;
     }
-
-    /// Serializes the summary for snapshot/restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.count);
-        w.put_u128(self.total);
-        w.put_u64(self.min);
-        w.put_u64(self.max);
-    }
-
-    /// Decodes a summary written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates payload truncation.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Self {
-            count: r.take_u64()?,
-            total: r.take_u128()?,
-            min: r.take_u64()?,
-            max: r.take_u64()?,
-        })
-    }
 }
+
+crate::snap_fields!(LatencySummary {
+    count: u64,
+    total: u128,
+    min: Cycle,
+    max: Cycle,
+});
 
 impl fmt::Display for LatencySummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -205,44 +189,21 @@ impl MemStats {
             self.reset_only_writes as f64 / total as f64
         }
     }
-
-    /// Serializes the statistics for snapshot/restore, in declaration
-    /// order.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.read_latency.save_state(w);
-        self.write_latency.save_state(w);
-        self.read_hist.save_state(w);
-        self.write_hist.save_state(w);
-        self.read_queue_delay.save_state(w);
-        self.write_queue_delay.save_state(w);
-        w.put_u64(self.reset_only_writes);
-        w.put_u64(self.full_writes);
-        w.put_u64(self.refreshes_completed);
-        w.put_u64(self.refreshes_preempted);
-        self.energy.save_state(w);
-    }
-
-    /// Decodes statistics written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates payload truncation.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Self {
-            read_latency: LatencySummary::load_state(r)?,
-            write_latency: LatencySummary::load_state(r)?,
-            read_hist: Histogram::load_state(r)?,
-            write_hist: Histogram::load_state(r)?,
-            read_queue_delay: LatencySummary::load_state(r)?,
-            write_queue_delay: LatencySummary::load_state(r)?,
-            reset_only_writes: r.take_u64()?,
-            full_writes: r.take_u64()?,
-            refreshes_completed: r.take_u64()?,
-            refreshes_preempted: r.take_u64()?,
-            energy: EnergyTally::load_state(r)?,
-        })
-    }
 }
+
+crate::snap_fields!(MemStats {
+    read_latency: LatencySummary,
+    write_latency: LatencySummary,
+    read_hist: Histogram,
+    write_hist: Histogram,
+    read_queue_delay: LatencySummary,
+    write_queue_delay: LatencySummary,
+    reset_only_writes: u64,
+    full_writes: u64,
+    refreshes_completed: u64,
+    refreshes_preempted: u64,
+    energy: EnergyTally,
+});
 
 impl fmt::Display for MemStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -475,30 +436,13 @@ impl LatencyHistogram {
         }
         self.count += other.count;
     }
-
-    /// Serializes the histogram for snapshot/restore (fixed 40-bucket
-    /// schema, then the sample count).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        for &b in &self.buckets {
-            w.put_u64(b);
-        }
-        w.put_u64(self.count);
-    }
-
-    /// Decodes a histogram written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates payload truncation.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mut h = Self::new();
-        for b in h.buckets.iter_mut() {
-            *b = r.take_u64()?;
-        }
-        h.count = r.take_u64()?;
-        Ok(h)
-    }
 }
+
+// The fixed 40-bucket schema, then the sample count.
+crate::snap_fields!(LatencyHistogram {
+    buckets: [u64; 40],
+    count: u64,
+});
 
 #[cfg(test)]
 mod histogram_tests {
@@ -611,12 +555,13 @@ mod histogram_tests {
 
     #[test]
     fn histogram_snapshot_round_trip() {
+        use crate::snap::{SnapReader, SnapWriter};
         let h = hist_of(&[0, 1, 30, 5_000, Cycle::MAX]);
         let mut w = SnapWriter::new();
-        h.save_state(&mut w);
+        w.put(&h);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let back = LatencyHistogram::load_state(&mut r).unwrap();
+        let back: LatencyHistogram = r.take().unwrap();
         r.finish().unwrap();
         assert_eq!(back, h);
     }

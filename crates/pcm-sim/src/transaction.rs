@@ -1,6 +1,5 @@
 //! Memory transactions: the unit of work entering the controller.
 
-use crate::snap::{SnapError, SnapReader, SnapWriter};
 use crate::timing::Cycle;
 
 /// Unique identifier of a transaction within one simulation.
@@ -21,28 +20,9 @@ impl MemOp {
     pub fn is_read(self) -> bool {
         matches!(self, Self::Read)
     }
-
-    /// Serializes the operation as a one-byte tag.
-    pub fn save_state(self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            Self::Read => 0,
-            Self::Write => 1,
-        });
-    }
-
-    /// Decodes a tag written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Truncation, or [`SnapError::Corrupt`] for an unknown tag.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.take_u8()? {
-            0 => Ok(Self::Read),
-            1 => Ok(Self::Write),
-            _ => Err(SnapError::Corrupt("MemOp tag")),
-        }
-    }
 }
+
+crate::snap_tags!(MemOp { Read = 0, Write = 1 });
 
 /// The physical service class of an operation — what the PCM cells must do.
 ///
@@ -71,32 +51,14 @@ impl ServiceClass {
     pub fn is_preemptible(self) -> bool {
         matches!(self, Self::RankRefresh)
     }
-
-    /// Serializes the class as a one-byte tag.
-    pub fn save_state(self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            Self::Read => 0,
-            Self::Write => 1,
-            Self::ResetOnlyWrite => 2,
-            Self::RankRefresh => 3,
-        });
-    }
-
-    /// Decodes a tag written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Truncation, or [`SnapError::Corrupt`] for an unknown tag.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.take_u8()? {
-            0 => Ok(Self::Read),
-            1 => Ok(Self::Write),
-            2 => Ok(Self::ResetOnlyWrite),
-            3 => Ok(Self::RankRefresh),
-            _ => Err(SnapError::Corrupt("ServiceClass tag")),
-        }
-    }
 }
+
+crate::snap_tags!(ServiceClass {
+    Read = 0,
+    Write = 1,
+    ResetOnlyWrite = 2,
+    RankRefresh = 3,
+});
 
 /// A memory request submitted to the controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,31 +97,13 @@ pub struct Completion {
     pub preempted: bool,
 }
 
-impl Transaction {
-    /// Serializes the transaction for snapshot/restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.id);
-        w.put_u64(self.addr);
-        self.op.save_state(w);
-        self.class.save_state(w);
-        w.put_u64(self.arrival);
-    }
-
-    /// Decodes a transaction written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates payload truncation and bad enum tags.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Self {
-            id: r.take_u64()?,
-            addr: r.take_u64()?,
-            op: MemOp::load_state(r)?,
-            class: ServiceClass::load_state(r)?,
-            arrival: r.take_u64()?,
-        })
-    }
-}
+crate::snap_fields!(Transaction {
+    id: TransactionId,
+    addr: u64,
+    op: MemOp,
+    class: ServiceClass,
+    arrival: Cycle,
+});
 
 impl Completion {
     /// End-to-end latency in cycles (queueing + service).
@@ -173,37 +117,18 @@ impl Completion {
     pub fn queue_delay(&self) -> Cycle {
         self.start - self.arrival
     }
-
-    /// Serializes the completion for snapshot/restore.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.id);
-        w.put_u64(self.addr);
-        self.op.save_state(w);
-        self.class.save_state(w);
-        w.put_u64(self.arrival);
-        w.put_u64(self.start);
-        w.put_u64(self.finish);
-        w.put_bool(self.preempted);
-    }
-
-    /// Decodes a completion written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates payload truncation and bad enum tags.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Self {
-            id: r.take_u64()?,
-            addr: r.take_u64()?,
-            op: MemOp::load_state(r)?,
-            class: ServiceClass::load_state(r)?,
-            arrival: r.take_u64()?,
-            start: r.take_u64()?,
-            finish: r.take_u64()?,
-            preempted: r.take_bool()?,
-        })
-    }
 }
+
+crate::snap_fields!(Completion {
+    id: TransactionId,
+    addr: u64,
+    op: MemOp,
+    class: ServiceClass,
+    arrival: Cycle,
+    start: Cycle,
+    finish: Cycle,
+    preempted: bool,
+});
 
 #[cfg(test)]
 mod tests {

@@ -8,7 +8,6 @@
 //! the tracker reports the wear distribution — maximum, mean, and the
 //! coefficient of variation that wear-leveling work cares about.
 
-use crate::snap::{SnapError, SnapReader, SnapWriter};
 use std::collections::BTreeMap;
 
 /// Per-row write-pulse counters, kept lazily for touched rows.
@@ -95,39 +94,14 @@ impl WearTracker {
     pub fn full_write_summary(&self) -> WearSummary {
         summarize(self.full.values().copied())
     }
-
-    /// Serializes the tracker for snapshot/restore (both counter maps in
-    /// key order, so identical states produce identical bytes).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        save_counts(&self.full, w);
-        save_counts(&self.reset_only, w);
-    }
-
-    /// Decodes a tracker written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates payload truncation and corrupt lengths;
-    /// [`SnapError::Corrupt`] for rows that are repeated or out of order.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Self {
-            full: load_counts(r)?,
-            reset_only: load_counts(r)?,
-        })
-    }
 }
 
-fn save_counts(map: &BTreeMap<u64, u64>, w: &mut SnapWriter) {
-    w.put_usize(map.len());
-    for (&row, &n) in map {
-        w.put_u64(row);
-        w.put_u64(n);
-    }
-}
-
-fn load_counts(r: &mut SnapReader<'_>) -> Result<BTreeMap<u64, u64>, SnapError> {
-    r.take_sorted(16, |&(row, _)| row, |r| Ok((r.take_u64()?, r.take_u64()?)))
-}
+// Both counter maps in key order, so identical states produce identical
+// bytes; a repeated or out-of-order row is corrupt.
+crate::snap_fields!(WearTracker {
+    full: BTreeMap<u64, u64>,
+    reset_only: BTreeMap<u64, u64>,
+});
 
 impl WearSummary {
     /// Merges the summary of a *disjoint* row population into this one.
@@ -164,31 +138,15 @@ impl WearSummary {
             cv,
         };
     }
-
-    /// Serializes the summary for snapshot/restore (exact `f64` bits).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.rows);
-        w.put_u64(self.writes);
-        w.put_u64(self.max);
-        w.put_f64(self.mean);
-        w.put_f64(self.cv);
-    }
-
-    /// Decodes a summary written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates payload truncation.
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Self {
-            rows: r.take_u64()?,
-            writes: r.take_u64()?,
-            max: r.take_u64()?,
-            mean: r.take_f64()?,
-            cv: r.take_f64()?,
-        })
-    }
 }
+
+crate::snap_fields!(WearSummary {
+    rows: u64,
+    writes: u64,
+    max: u64,
+    mean: f64,
+    cv: f64,
+});
 
 fn summarize<I: IntoIterator<Item = u64>>(counts: I) -> WearSummary {
     let counts: Vec<u64> = counts.into_iter().collect();
@@ -310,34 +268,30 @@ mod tests {
         t.record_full_write(u64::MAX);
         t.record_reset_write(3);
         let mut w = SnapWriter::new();
-        t.save_state(&mut w);
+        w.put(&t);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let back = WearTracker::load_state(&mut r).unwrap();
+        let back: WearTracker = r.take().unwrap();
         r.finish().unwrap();
         assert_eq!(back.full_writes(3), 1);
         assert_eq!(back.full_writes(u64::MAX), 1);
         assert_eq!(back.reset_writes(3), 1);
         let mut w2 = SnapWriter::new();
-        back.save_state(&mut w2);
+        w2.put(&back);
         assert_eq!(w2.into_bytes(), bytes, "re-encode is byte-identical");
     }
 
     #[test]
     fn repeated_or_descending_rows_are_corrupt() {
-        use crate::snap::{SnapReader, SnapWriter};
+        use crate::snap::{SnapError, SnapReader, SnapWriter};
         for rows in [[5u64, 5], [9, 2]] {
             let mut w = SnapWriter::new();
-            w.put_usize(rows.len());
-            for row in rows {
-                w.put_u64(row);
-                w.put_u64(1);
-            }
-            w.put_usize(0);
+            w.put(&rows.map(|row| (row, 1u64)).to_vec());
+            w.put(&0usize);
             let bytes = w.into_bytes();
             assert!(
                 matches!(
-                    WearTracker::load_state(&mut SnapReader::new(&bytes)),
+                    SnapReader::new(&bytes).take::<WearTracker>(),
                     Err(SnapError::Corrupt(_))
                 ),
                 "rows {rows:?}"

@@ -3,9 +3,10 @@
 //!
 //! Discovery is automatic — no config list to keep in sync:
 //!
-//! * a type participates in the snap codec when it has an inherent
-//!   method `save_state` taking a `SnapWriter`, or
-//!   `load_state`/`restore_state` taking a `SnapReader`;
+//! * a type participates in the snap codec when it has a method
+//!   `save_state` taking a `SnapWriter`, or `load_state`/`restore_state`
+//!   taking a `SnapReader` — inherent, or in a trait impl such as
+//!   `impl Snap for T`, whose methods are owned by the type after `for`;
 //! * a type participates in merge when it has a method named `merge` or
 //!   `merge_disjoint`.
 //!
@@ -91,9 +92,10 @@ fn check_family(
     verb: &str,
 ) {
     for ((krate, ty), fns) in groups {
-        // Inherent impls live in the defining crate, so the struct is
-        // found in the same crate; enums and tuple structs have no named
-        // fields to prove.
+        // Codec impls of the crate's own types live in the defining
+        // crate, so the struct is found in the same crate; enums, tuple
+        // structs and foreign types (a `Snap` impl for `Vec` or a tuple)
+        // have no named fields here to prove.
         let Some((unit, def)) = find_struct(ws, krate, ty) else {
             continue;
         };

@@ -82,3 +82,22 @@ impl Totals {
 
 // womlint::allow(hotpath/alloc, reason = "fixture: suppresses nothing")
 pub fn inert() {}
+
+/// Local stand-in for the codec trait: discovery covers trait impls
+/// too, owned by the type after `for`.
+pub trait Snap {
+    /// Encode half.
+    fn save_state(&self, w: &mut SnapWriter);
+}
+
+/// Trait-impl codec: `written` is saved; `forgotten` is the seeded gap.
+pub struct TraitState {
+    written: u64,
+    forgotten: u64,
+}
+
+impl Snap for TraitState {
+    fn save_state(&self, w: &mut SnapWriter) {
+        put_u64(w, self.written);
+    }
+}

@@ -77,3 +77,22 @@ impl Totals {
         self.sum += other.sum;
     }
 }
+
+/// Local stand-in for the codec trait.
+pub trait Snap {
+    /// Encode half.
+    fn save_state(&self, w: &mut SnapWriter);
+}
+
+/// Trait-impl codec: every field is serialized.
+pub struct TraitState {
+    written: u64,
+    counted: u64,
+}
+
+impl Snap for TraitState {
+    fn save_state(&self, w: &mut SnapWriter) {
+        put_u64(w, self.written);
+        put_u64(w, self.counted);
+    }
+}

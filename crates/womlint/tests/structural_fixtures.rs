@@ -42,10 +42,16 @@ fn structural_seeds_carry_exact_rule_ids_and_lines() {
         (RULE_HOTPATH_TRANSITIVE.to_string(), lib.clone(), 36),
         (RULE_SNAPSHOT_COVERAGE.to_string(), lib.clone(), 51),
         (RULE_MERGE_COVERAGE.to_string(), lib.clone(), 71),
-        (RULE_SUPPRESSION_UNUSED.to_string(), lib, 83),
+        (RULE_SUPPRESSION_UNUSED.to_string(), lib.clone(), 83),
+        (RULE_SNAPSHOT_COVERAGE.to_string(), lib, 96),
         (RULE_CONFIG_STALE.to_string(), "womlint.toml".to_string(), 1),
     ];
     assert_eq!(diags(&report.violations), expected);
+    // Trait impls (`impl Snap for TraitState`) are codecs too.
+    let trait_gap = report.violations.iter().find(|d| d.line == 96).unwrap();
+    assert!(trait_gap
+        .message
+        .starts_with("field `TraitState.forgotten` is not referenced by `save_state`"));
 }
 
 #[test]
