@@ -42,19 +42,16 @@ const CHECK_LINE_BYTES: usize = 64;
 
 /// [`DataCheck::payload`]'s line multiplier (the 64-bit golden ratio).
 const PAYLOAD_LINE_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
-/// [`DataCheck::payload`]'s mixing multiplier, and its inverse modulo
-/// 2^64, which [`DataCheck::seq_of`] uses to undo it.
+/// [`DataCheck::payload`]'s mixing multiplier.
 const PAYLOAD_MIX_MUL: u64 = 0xBF58_476D_1CE4_E5B9;
-const PAYLOAD_MIX_MUL_INV: u64 = 0x96DE_1B17_3F11_9089;
 
 /// Functional shadow of main memory: real WOM-encoded cells per 64-byte
 /// line, plus a reference for the last data written to each line.
 ///
-/// The reference is that write's sequence number, 8 bytes per line: the
-/// data is [`payload`](Self::payload)`(line, seq)`, rebuilt whenever a
-/// read check, a refresh rewrite or a checkpoint needs it. Checkpoints
-/// carry the 64-byte payload, and restore inverts it back to the
-/// sequence number, rejecting any reference that no write produced.
+/// The reference is that write's sequence number, 8 bytes per line in
+/// memory and in a checkpoint: the data is
+/// [`payload`](Self::payload)`(line, seq)`, rebuilt whenever a read check
+/// or a refresh rewrite needs it.
 #[derive(Debug)]
 struct DataCheck {
     mem: FunctionalMemory<Inverted<Rs23Code>>,
@@ -93,19 +90,6 @@ impl DataCheck {
             chunk.copy_from_slice(&z.to_le_bytes()[..chunk.len()]);
         }
         data
-    }
-
-    /// Inverts [`payload`](Self::payload): the sequence number of the
-    /// write whose payload for `line` is `bytes`, or `None` when no write
-    /// (they count from 1) produced them. Each mixing step is a
-    /// bijection, so the first word alone fixes the sequence number; its
-    /// rebuilt payload must then match every byte.
-    fn seq_of(line: u64, bytes: &[u8]) -> Option<u64> {
-        let first: [u8; 8] = bytes.get(..8)?.try_into().ok()?;
-        let y = u64::from_le_bytes(first).wrapping_mul(PAYLOAD_MIX_MUL_INV);
-        let z = y ^ (y >> 30) ^ (y >> 60);
-        let seq = z.wrapping_sub(line.wrapping_mul(PAYLOAD_LINE_MUL));
-        (seq != 0 && Self::payload(line, seq) == bytes).then_some(seq)
     }
 
     /// Writes fresh data through the real codec.
@@ -150,12 +134,11 @@ impl DataCheck {
         Ok(())
     }
 
-    /// Serializes the cells, then each reference as its line and 64-byte
-    /// payload in ascending line order, then the write and read counters.
+    /// Serializes the cells, then each line's reference sequence number
+    /// in ascending line order, then the write and read counters.
     fn save_state(&self, w: &mut SnapWriter) {
         self.mem.save_state(w);
-        self.expected
-            .save_with(w, |w, line, &seq| w.put_bytes(&Self::payload(line, seq)));
+        w.put(&self.expected);
         w.put(&self.seq);
         w.put(&self.reads_verified);
     }
@@ -165,22 +148,16 @@ impl DataCheck {
     /// # Errors
     ///
     /// Propagates payload truncation; [`SnapError::Corrupt`] when a
-    /// reference is no write's payload for its line, or is newer than
-    /// the saved write counter.
+    /// reference is no write's: sequence number 0 (writes count from 1)
+    /// or one newer than the saved write counter.
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.mem.load_state(r)?;
-        let mut newest = 0;
-        self.expected = RowMap::load_with(r, CHECK_LINE_BYTES, |r, line| {
-            let seq = Self::seq_of(line, r.take_bytes(CHECK_LINE_BYTES)?).ok_or(
-                SnapError::Corrupt("data-check reference is no write's payload for its line"),
-            )?;
-            newest = newest.max(seq);
-            Ok(seq)
-        })?;
+        self.expected = r.take()?;
         self.seq = r.take()?;
-        if newest > self.seq {
+        let written = 1..=self.seq;
+        if !self.expected.values().all(|seq| written.contains(seq)) {
             return Err(SnapError::Corrupt(
-                "data-check reference is newer than the write counter",
+                "data-check reference is no write's sequence number",
             ));
         }
         self.reads_verified = r.take()?;
@@ -382,9 +359,9 @@ impl EngineCore {
         side: ArraySide,
         rank: u32,
         rows: &[(u32, u32)],
-    ) -> Result<TransactionId, WomPcmError> {
+    ) -> Result<(), WomPcmError> {
         let (arrays, outstanding) = self.side_arrays(side)?;
-        let first = arrays.enqueue_rank_refresh(rank, rows)?;
+        arrays.enqueue_rank_refresh(rank, rows)?;
         *outstanding += rows.len() as u64;
         let cycle = self.main.now();
         self.observer.on_event(&Event::RefreshBurst {
@@ -393,7 +370,7 @@ impl EngineCore {
             rank,
             rows: rows.len() as u32,
         });
-        Ok(first)
+        Ok(())
     }
 
     /// Remaps a main-memory address through the bank's Start-Gap layer
@@ -546,7 +523,12 @@ impl EngineCore {
         w.put(&self.start_gaps);
         w.put_presence(self.data_check.as_deref(), DataCheck::save_state);
         w.put(&self.pending_victims);
-        w.put(&self.merge_windows);
+        // Open windows only, as the map's layout: closed ones never match.
+        let open = self
+            .merge_windows
+            .iter()
+            .filter(|&(_, &until)| until > self.now());
+        w.put(&open.map(|(&key, &until)| (key, until)).collect::<Vec<_>>());
         w.put(&self.outstanding_main);
         w.put(&self.outstanding_cache);
         w.put(&self.metrics);
@@ -1102,7 +1084,7 @@ mod tests {
     }
 
     #[test]
-    fn data_check_restore_rebuilds_and_validates_references() {
+    fn data_check_restore_validates_reference_sequence_numbers() {
         let bytes = saved_check();
         let restored = restore(&bytes).expect("restores");
         let references: Vec<(u64, u64)> = restored
@@ -1113,28 +1095,19 @@ mod tests {
         assert_eq!(references, vec![(1, 3), (2, 2), (64, 4)]);
         assert_eq!(restored.seq, 4);
 
-        // Every byte of a saved payload is checked, the first word (which
-        // fixes the sequence number) and the rest alike.
-        let payload = DataCheck::payload(2, 2);
-        let at = bytes
-            .windows(CHECK_LINE_BYTES)
-            .position(|w| w == payload)
-            .expect("the payload is saved");
-        for byte in [0, 7, 8, 63] {
+        // The payload ends with the references (a count, then each line
+        // and its sequence number) and the write and read counters.
+        let tail: Vec<u8> = [3u64, 1, 3, 2, 2, 64, 4, 4, 0]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        assert!(bytes.ends_with(&tail), "8 bytes per reference");
+        // Line 2's reference as write 0, which no write has, or as one
+        // the saved counter has not reached.
+        let at = bytes.len() - 5 * 8;
+        for seq in [0u64, 5] {
             let mut tampered = bytes.clone();
-            tampered[at + byte] ^= 0x04;
-            let err = restore(&tampered).expect_err("altered payload");
-            assert!(
-                matches!(err, WomPcmError::Snapshot(SnapshotError::Corrupt(_))),
-                "byte {byte}: {err:?}"
-            );
-        }
-
-        // A valid payload of a write the saved counter has not reached,
-        // or of write 0, which no write has.
-        for seq in [5, 0] {
-            let mut tampered = bytes.clone();
-            tampered[at..at + CHECK_LINE_BYTES].copy_from_slice(&DataCheck::payload(2, seq));
+            tampered[at..at + 8].copy_from_slice(&seq.to_le_bytes());
             let err = restore(&tampered).expect_err("reference out of range");
             assert!(
                 matches!(err, WomPcmError::Snapshot(SnapshotError::Corrupt(_))),

@@ -188,10 +188,10 @@ impl Policy {
     ///
     /// # Errors
     ///
-    /// Returns [`WomPcmError::Internal`] when the completion does not
-    /// match a planned refresh (a scheduling bug), and propagates
-    /// address-decoding or data-verification errors from the policy's
-    /// post-refresh bookkeeping.
+    /// Returns [`WomPcmError::Internal`] when the policy refreshes no
+    /// arrays or other arrays than `side`'s (a scheduling bug), and
+    /// propagates address-decoding or data-verification errors from the
+    /// policy's post-refresh bookkeeping.
     pub(crate) fn on_completion(
         &mut self,
         core: &mut EngineCore,

@@ -6,23 +6,19 @@ use super::ArraySide;
 use crate::engine::EngineCore;
 use crate::error::WomPcmError;
 use crate::refresh::{RefreshConfig, RefreshEngine};
-use pcm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use pcm_sim::{Completion, TransactionId};
-use std::collections::BTreeMap;
+use pcm_sim::snap::{SnapError, SnapReader, SnapWriter};
+use pcm_sim::Completion;
 
 /// The refresh machinery of one array side: the [`RefreshEngine`] (row
-/// address tables, round-robin idle-rank selection) plus the bookkeeping
-/// mapping in-flight refresh transactions back to their
-/// `(rank, bank, row)`.
+/// address tables, round-robin idle-rank selection) and the tick that
+/// plans its bursts. A refresh completion's address names its
+/// `(rank, bank, row)`, so nothing in flight is tracked here.
 #[derive(Debug)]
 pub(super) struct RefreshDriver {
     /// The arrays this driver refreshes (and whose completions it
     /// settles).
     side: ArraySide,
     engine: RefreshEngine,
-    // Ordered map (determinism invariant; see `EngineCore`). Cache-side
-    // entries always hold bank 0: one WOM-cache array per rank.
-    planned: BTreeMap<TransactionId, (u32, u32, u32)>,
     // Tick-time scratch, reused so the no-plan steady state of every
     // tick is allocation-free.
     idle_scratch: Vec<u32>,
@@ -39,7 +35,6 @@ impl RefreshDriver {
         Ok(Self {
             side,
             engine: RefreshEngine::new(config, ranks, banks)?,
-            planned: BTreeMap::new(),
             idle_scratch: Vec::new(),
             rows_scratch: Vec::new(),
         })
@@ -54,13 +49,14 @@ impl RefreshDriver {
     }
 
     /// Settles a finished refresh transaction from the `side` arrays:
-    /// resolves the planned `(rank, bank, row)` and accounts it. Returns
-    /// the refreshed target, or `None` when the refresh was preempted.
+    /// decodes its `(rank, bank, row)` with that side's decoder (bank 0
+    /// on the WOM-cache, one array per rank) and accounts it. Returns the
+    /// refreshed target, or `None` when the refresh was preempted.
     ///
     /// # Errors
     ///
     /// Returns [`WomPcmError::Internal`] when the completion comes from
-    /// the other side or was never planned — a refresh-scheduling bug.
+    /// the other side — a refresh-scheduling bug.
     pub(super) fn on_refresh_completion(
         &mut self,
         core: &mut EngineCore,
@@ -72,20 +68,14 @@ impl RefreshDriver {
                 "refresh completion from arrays the driver does not refresh".into(),
             ));
         }
-        let (rank, bank, row) = self.planned.remove(&c.id).ok_or_else(|| {
-            // womlint::allow(hotpath/transitive, reason = "internal-error path: an unplanned completion is a policy bug and aborts the run")
-            WomPcmError::Internal(format!(
-                "{side:?} refresh completion {:?} was never planned",
-                c.id
-            ))
-        })?;
-        core.note_refresh_row(side, rank, bank, row, c);
+        let (arrays, _) = core.side_arrays(side)?;
+        let d = arrays.decoder().decode(c.addr);
+        core.note_refresh_row(side, d.rank, d.bank, d.row, c);
         if c.preempted {
-            self.engine.row_preempted(rank, bank, row);
-            return Ok(None);
+            return Ok(None); // the row stays exhausted in its table
         }
-        self.engine.row_refreshed(rank, bank, row);
-        Ok(Some((rank, bank, row)))
+        self.engine.row_refreshed(d.rank, d.bank, d.row);
+        Ok(Some((d.rank, d.bank, d.row)))
     }
 
     /// One staggered refresh opportunity on the driver's arrays.
@@ -112,28 +102,15 @@ impl RefreshDriver {
             if self.rows_scratch.is_empty() {
                 return Ok(());
             }
-            let first = core.enqueue_refresh_burst(self.side, rank, &self.rows_scratch)?;
-            for (k, &(bank, row)) in self.rows_scratch.iter().enumerate() {
-                self.planned.insert(first + k as u64, (rank, bank, row));
-            }
+            core.enqueue_refresh_burst(self.side, rank, &self.rows_scratch)?;
         }
         Ok(())
     }
 
-    /// Serializes the refresh engine and the in-flight refresh plan: 20
-    /// bytes per main-side entry, 16 per cache-side entry (no bank). The
-    /// tick-time scratch vectors are transient and not written.
+    /// Serializes the refresh engine. The tick-time scratch vectors are
+    /// transient and not written.
     pub(super) fn save_state(&self, w: &mut SnapWriter) {
         w.put(&self.engine);
-        w.put(&self.planned.len());
-        for (id, &(rank, bank, row)) in &self.planned {
-            w.put(id);
-            w.put(&rank);
-            if self.side == ArraySide::Main {
-                w.put(&bank);
-            }
-            w.put(&row);
-        }
     }
 
     /// Restores state written by [`save_state`](Self::save_state).
@@ -143,20 +120,6 @@ impl RefreshDriver {
     /// Propagates payload truncation and structural corruption.
     pub(super) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.engine = r.take()?;
-        let main = self.side == ArraySide::Main;
-        let banks = if main { u32::MIN_BYTES } else { 0 };
-        self.planned = r.take_sorted(
-            TransactionId::MIN_BYTES + 2 * u32::MIN_BYTES + banks,
-            |(id, _)| id,
-            |r| {
-                let id: TransactionId = r.take()?;
-                let rank = r.take()?;
-                let bank = if main { r.take()? } else { 0 };
-                Ok((id, (rank, bank, r.take()?)))
-            },
-        )?;
-        self.idle_scratch.clear();
-        self.rows_scratch.clear();
         Ok(())
     }
 }

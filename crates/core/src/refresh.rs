@@ -124,9 +124,9 @@ impl RowAddressTable {
 /// The engine is driven by its owner (the WOM-PCM system): the owner
 /// reports exhausted rows via [`record_exhausted`](RefreshEngine::record_exhausted),
 /// asks for a refresh plan each period via [`plan`](RefreshEngine::plan)
-/// (passing the currently idle ranks), and reports refresh outcomes via
-/// [`row_refreshed`](RefreshEngine::row_refreshed) /
-/// [`row_preempted`](RefreshEngine::row_preempted).
+/// (passing the currently idle ranks), and reports each completed
+/// refresh via [`row_refreshed`](RefreshEngine::row_refreshed); a
+/// preempted row stays in its table.
 #[derive(Debug, Clone)]
 pub struct RefreshEngine {
     config: RefreshConfig,
@@ -234,13 +234,6 @@ impl RefreshEngine {
             self.pending_banks[rank as usize] -= 1;
             self.pending_total -= 1;
         }
-    }
-
-    /// A planned refresh of `(rank, bank, row)` was preempted by write
-    /// pausing: the row stays exhausted and remains in its table.
-    pub fn row_preempted(&mut self, _rank: u32, _bank: u32, _row: u32) {
-        // The row was never removed at plan time, so nothing to restore;
-        // the hook exists for symmetry and future accounting.
     }
 
     /// True when any bank has a refreshable row recorded. O(1): periodic

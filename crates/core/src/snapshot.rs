@@ -14,7 +14,7 @@
 //! ```text
 //! offset  size  field
 //!      0     7  magic  b"WOMSNAP"
-//!      7     1  format version (0x01)
+//!      7     1  format version (0x02)
 //!      8     1  architecture tag (0..=3)
 //!      9     8  config fingerprint (FNV-1a over the Debug rendering)
 //!     17     8  trace records consumed before the snapshot
@@ -23,6 +23,10 @@
 //!   33+N     8  payload length N (repeated, footer)
 //!   41+N     4  CRC-32 (IEEE, reflected) of the payload
 //! ```
+//!
+//! Version `0x02`, the only one read, writes only the state restore
+//! cannot derive (DESIGN.md §12); a `0x01` container fails with
+//! [`SnapshotError::UnsupportedVersion`].
 //!
 //! The config fingerprint rejects restoring a snapshot into a system
 //! built from a different [`SystemConfig`] — the payload layout depends
@@ -39,7 +43,7 @@ use pcm_sim::snap::{crc32, SnapError, SnapReader, SnapWriter};
 /// File magic prefix; the 8th container byte is the format version.
 const MAGIC: &[u8; 7] = b"WOMSNAP";
 /// Current (and only) container format version.
-const VERSION: u8 = 0x01;
+const VERSION: u8 = 0x02;
 /// Fixed header length: magic + version + arch + fingerprint +
 /// records-consumed + payload length.
 const HEADER_BYTES: usize = 7 + 1 + 1 + 8 + 8 + 8;

@@ -327,8 +327,7 @@ pcm_sim::snap_tags!(ColdPolicy {
 });
 
 /// Rows in ascending key order as their key and one count byte per
-/// column, so identical states produce identical bytes. All-zero rows
-/// under [`ColdPolicy::Erased`] are left out (see `mark_refreshed`).
+/// column, so identical states produce identical bytes.
 impl Snap for WomStateTable {
     const MIN_BYTES: usize = 2 * u32::MIN_BYTES + ColdPolicy::MIN_BYTES + usize::MIN_BYTES;
 
@@ -336,20 +335,7 @@ impl Snap for WomStateTable {
         w.put(&self.rewrite_limit);
         w.put(&self.columns);
         w.put(&self.cold);
-        // Under the erased policy an all-zero row means the same as an
-        // absent one; only then do rows need counting before the count.
-        let erased = self.cold == ColdPolicy::Erased;
-        let saved = |counts: &[u8]| !erased || counts.iter().any(|&c| c != 0);
-        let stored = if erased {
-            self.rows.values().filter(|c| saved(c)).count()
-        } else {
-            self.rows.len()
-        };
-        w.put(&stored);
-        for (row, counts) in self.rows.iter().filter(|(_, c)| saved(c)) {
-            w.put(&row);
-            w.put_bytes(counts);
-        }
+        self.rows.save_with(w, |w, _, counts| w.put_bytes(counts));
     }
 
     fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -575,9 +561,7 @@ mod copy_tests {
     #[test]
     fn refreshing_a_tracked_row_resets_it_in_place() {
         let mut t = WomStateTable::new(2, 4);
-        let mut untouched = WomStateTable::new(2, 4);
         t.classify_write(3, 1);
-        untouched.classify_write(3, 1);
         t.classify_write(9, 2);
         let counts = t.rows.get(9).expect("tracked").as_ptr();
         t.mark_refreshed(9);
@@ -589,16 +573,16 @@ mod copy_tests {
             t.rows.get(12).is_none(),
             "an untracked erased row stays untracked"
         );
-        let encode = |table: &WomStateTable| {
-            let mut w = SnapWriter::new();
-            table.save_state(&mut w);
-            w.into_bytes()
-        };
+        let mut w = SnapWriter::new();
+        w.put(&t);
+        let bytes = w.into_bytes();
+        let back: WomStateTable = SnapReader::new(&bytes).take().expect("decodes");
         assert_eq!(
-            encode(&t),
-            encode(&untouched),
-            "an all-zero row under the erased policy is not saved"
+            back.rows.get(9).map(|row| &row[..]),
+            Some(&[0; 4][..]),
+            "a refreshed row stays tracked after a round trip"
         );
+        assert_eq!(back.tracked_rows(), 2);
 
         let mut dirty = WomStateTable::new_assuming_dirty(2, 4);
         dirty.mark_refreshed(5);

@@ -165,10 +165,11 @@ fn fixture_path(name: &str) -> PathBuf {
 /// Every golden checkpoint as `(fixture name, config, split)`: each
 /// architecture at [`SPLIT`], plus the two refresh architectures with the
 /// data checker on, whose checkpoints hold the functional cells each
-/// refresh rewrote. The `-inflight` pair checkpoints while refreshes are
-/// planned but not settled (3 main rows; 1 cache row), so they pin the
-/// refresh-plan entries: 20 bytes with the bank on main memory, 16
-/// without it on the WOM-cache. At [`SPLIT`] every plan is empty.
+/// refresh rewrote. The `-inflight` pair checkpoints while refresh rows
+/// are issued but not settled (3 main rows, one of them preempted; 1
+/// cache row), so they pin refresh rows in flight in the banks and the
+/// pending heap, which restore checks against each other, and a
+/// preempted row's stale pending entry. At [`SPLIT`] none is in flight.
 /// `wom-code-hidden-leveled` pins the hidden-page table and Start-Gap
 /// bytes.
 fn golden_inputs() -> Vec<(String, SystemConfig, usize)> {
@@ -293,6 +294,18 @@ fn damaged_payloads_fail_with_typed_errors() {
             }
         }
     }
+}
+
+#[test]
+fn version_1_containers_are_unsupported() {
+    let cfg = config(Architecture::Baseline);
+    let mut container = checkpoint_at(&cfg, &trace(), SPLIT);
+    assert_eq!(container[7], 0x02, "the format version byte");
+    container[7] = 0x01;
+    assert!(matches!(
+        Session::resume(cfg, &container),
+        Err(WomPcmError::Snapshot(SnapshotError::UnsupportedVersion(1)))
+    ));
 }
 
 #[test]

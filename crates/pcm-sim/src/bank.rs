@@ -2,7 +2,7 @@
 //! operation (for write-pausing preemption).
 
 use crate::timing::Cycle;
-use crate::transaction::{ServiceClass, TransactionId};
+use crate::transaction::{Completion, ServiceClass, TransactionId};
 
 /// The operation currently occupying a bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,6 +58,15 @@ impl BankState {
     #[must_use]
     pub fn in_flight(&self, now: Cycle) -> Option<&InFlight> {
         self.in_flight.as_ref().filter(|op| op.finish > now)
+    }
+
+    /// Whether the operation `c` reports is the last one begun on the
+    /// bank and was not preempted: it is in flight, or finished with
+    /// nothing begun since.
+    pub(crate) fn serving(&self, c: &Completion) -> bool {
+        self.in_flight.is_some_and(|op| {
+            (op.id, op.class, op.start, op.finish) == (c.id, c.class, c.start, c.finish)
+        })
     }
 
     /// The currently open row, if any.

@@ -23,18 +23,21 @@ use crate::timing::Cycle;
 use crate::transaction::{Completion, MemOp, ServiceClass, Transaction, TransactionId};
 use crate::wear::WearTracker;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A queued burst-mode rank refresh (one row per listed bank).
 #[derive(Debug, Clone)]
 struct RefreshBatch {
     rank: u32,
+    /// Id of the first row: the `k`-th row is `first + k`.
+    first: TransactionId,
     /// `(bank, row)` pairs to refresh, at most one per bank.
     rows: Vec<(u32, u32)>,
 }
 
 crate::snap_fields!(RefreshBatch {
     rank: u32,
+    first: TransactionId,
     rows: Vec<(u32, u32)>,
 });
 
@@ -97,24 +100,16 @@ pub struct MemorySystem {
     read_q: VecDeque<Queued>,
     write_q: VecDeque<Queued>,
     refresh_q: VecDeque<RefreshBatch>,
-    /// `(first id, row count)` per queued batch. Ids are handed out from
-    /// the monotonic `next_id` counter at enqueue, so a batch's ids are
-    /// always the consecutive run starting at `first` — storing the run
-    /// instead of a `Vec` keeps the refresh enqueue path allocation-free.
-    refresh_ids: VecDeque<(TransactionId, u32)>,
     /// Emptied row buffers recycled from issued batches; `enqueue_rank_refresh`
     /// reuses them so steady-state refresh traffic stops allocating.
     spare_rows: Vec<Vec<(u32, u32)>>,
     /// Every issued operation's completion, earliest finish on top,
-    /// preempted refresh rows included until their finish passes. With
+    /// preempted refresh rows included until their finish passes (their
+    /// bank no longer serves them, so the entry is then dropped). With
     /// `bus_wake` it is the whole event schedule (see `next_event`).
     pending: BinaryHeap<Reverse<Pending>>,
-    /// Ids of preempted refresh rows whose `pending` entry is still
-    /// queued; the entry is dropped instead of reported when it flushes.
-    cancelled: BTreeSet<TransactionId>,
-    /// Keyed by transaction id; `BTreeMap` so any future iteration stays
-    /// deterministic (womlint: determinism/banned-type).
-    refresh_addrs: BTreeMap<TransactionId, u64>,
+    /// Refresh rows issued and neither completed nor preempted.
+    refreshing: usize,
     out: Vec<Completion>,
     stats: MemStats,
     wear: WearTracker,
@@ -142,11 +137,9 @@ impl MemorySystem {
             read_q: VecDeque::with_capacity(config.read_queue_capacity),
             write_q: VecDeque::with_capacity(config.write_queue_capacity),
             refresh_q: VecDeque::new(),
-            refresh_ids: VecDeque::new(),
             spare_rows: Vec::new(),
             pending: BinaryHeap::new(),
-            cancelled: BTreeSet::new(),
-            refresh_addrs: BTreeMap::new(),
+            refreshing: 0,
             out: Vec::new(),
             stats: MemStats::new(),
             wear: WearTracker::new(),
@@ -281,16 +274,11 @@ impl MemorySystem {
         addr: u64,
         class: ServiceClass,
     ) -> Result<TransactionId, SimError> {
-        match (op, class) {
-            (MemOp::Read, ServiceClass::Read)
-            | (MemOp::Write, ServiceClass::Write)
-            | (MemOp::Write, ServiceClass::ResetOnlyWrite) => {}
-            _ => {
-                // womlint::allow(hotpath/transitive, reason = "invalid-request error path: allocates once, then the run aborts")
-                return Err(SimError::InvalidConfig(format!(
-                    "service class {class:?} is not valid for {op:?}"
-                )));
-            }
+        if !class_fits(op, class) {
+            // womlint::allow(hotpath/transitive, reason = "invalid-request error path: allocates once, then the run aborts")
+            return Err(SimError::InvalidConfig(format!(
+                "service class {class:?} is not valid for {op:?}"
+            )));
         }
         let (queue, cap) = match op {
             MemOp::Read => (&self.read_q, self.config.read_queue_capacity),
@@ -334,6 +322,22 @@ impl MemorySystem {
         rank: u32,
         rows: &[(u32, u32)],
     ) -> Result<TransactionId, SimError> {
+        self.check_batch(rank, rows)?;
+        // The row buffer is recycled from a previously issued batch, so
+        // steady-state refresh traffic allocates nothing.
+        let mut owned = self.spare_rows.pop().unwrap_or_default();
+        owned.clear();
+        owned.extend_from_slice(rows);
+        let (rows, first) = (owned, self.next_id);
+        self.next_id += rows.len() as u64;
+        self.refresh_q.push_back(RefreshBatch { rank, first, rows });
+        self.try_issue();
+        Ok(first)
+    }
+
+    /// The checks [`enqueue_rank_refresh`](Self::enqueue_rank_refresh)
+    /// makes of a batch (restore makes them of every queued one).
+    fn check_batch(&self, rank: u32, rows: &[(u32, u32)]) -> Result<(), SimError> {
         let g = &self.config.geometry;
         if rank >= g.ranks {
             return Err(SimError::IndexOutOfRange {
@@ -371,19 +375,7 @@ impl MemorySystem {
                 )));
             }
         }
-        let first = self.next_id;
-        self.next_id += rows.len() as u64;
-        // Batches are issued FIFO; the (first, count) run is stashed
-        // alongside so issue assigns the same ids in order. The row
-        // buffer is recycled from a previously issued batch, so
-        // steady-state refresh traffic allocates nothing.
-        let mut owned = self.spare_rows.pop().unwrap_or_default();
-        owned.clear();
-        owned.extend_from_slice(rows);
-        self.refresh_q.push_back(RefreshBatch { rank, rows: owned });
-        self.refresh_ids.push_back((first, rows.len() as u32));
-        self.try_issue();
-        Ok(first)
+        Ok(())
     }
 
     /// Advances simulated time to `cycle`, returning every completion that
@@ -473,11 +465,14 @@ impl MemorySystem {
                 break;
             }
             self.pending.pop();
-            if self.cancelled.remove(&c.id) {
-                continue;
-            }
             if c.class == ServiceClass::RankRefresh {
-                self.refresh_addrs.remove(&c.id);
+                // A preempted row was reported when it was preempted.
+                let at = self.decoder.decode(c.addr);
+                let flat = self.flat_bank(at.rank, at.bank);
+                if !self.banks.get(flat).is_some_and(|b| b.serving(&c)) {
+                    continue;
+                }
+                self.refreshing -= 1;
             }
             self.account_energy_and_wear(&c);
             self.stats.record(&c);
@@ -594,10 +589,9 @@ impl MemorySystem {
                 let Some(&queued) = self.queue_mut(op).get(idx) else {
                     break;
                 };
-                let flat = self.flat_bank(queued.at.rank, queued.at.bank);
-                if self.claim_bank(flat) {
+                if self.claim_bank(queued.at) {
                     self.queue_mut(op).remove(idx);
-                    self.start_demand(queued, flat);
+                    self.start_demand(queued);
                     return true;
                 }
             }
@@ -617,25 +611,25 @@ impl MemorySystem {
         let mut wake = self.bus_wake;
         'scan: for (op, window) in self.scan_order() {
             for idx in 0..window {
-                // `refresh_addrs` holds exactly the refresh rows issued
-                // and neither completed nor preempted: completions are
-                // flushed before every scan.
-                if wake && (self.refresh_addrs.is_empty() || !self.config.write_pausing) {
+                // Completions are flushed before every scan, so
+                // `refreshing` counts exactly the rows still running.
+                if wake && (self.refreshing == 0 || !self.config.write_pausing) {
                     break 'scan;
                 }
                 let Some(&Queued { at, .. }) = self.queue_mut(op).get(idx) else {
                     break;
                 };
-                wake |= self.claim_bank(self.flat_bank(at.rank, at.bank));
+                wake |= self.claim_bank(at);
             }
         }
         self.bus_wake = wake;
     }
 
-    /// Whether bank `flat` can take a demand access now: it is free, or
-    /// write pausing preempts the refresh row running on it. A preempted
-    /// row is reported at once as a `preempted` completion.
-    fn claim_bank(&mut self, flat: usize) -> bool {
+    /// Whether the bank of `at` can take a demand access now: it is free,
+    /// or write pausing preempts the refresh row running on it. A
+    /// preempted row is reported at once as a `preempted` completion.
+    fn claim_bank(&mut self, at: DecodedAddr) -> bool {
+        let flat = self.flat_bank(at.rank, at.bank);
         if self.banks[flat].is_free(self.now) {
             return true;
         }
@@ -644,11 +638,15 @@ impl MemorySystem {
         }
         // `preempt` refuses idle banks and non-preemptible classes, so
         // it doubles as the write-pausing eligibility check.
-        let Some(aborted) = self.banks[flat].preempt(self.now) else {
+        let bank = &mut self.banks[flat];
+        let Some(aborted) = bank.preempt(self.now) else {
             return false;
         };
-        let addr = self.refresh_addrs.remove(&aborted.id).unwrap_or_default();
-        self.cancelled.insert(aborted.id);
+        // The bank's open row is the refresh row it was running.
+        let mut row = at;
+        (row.row, row.column) = (bank.open_row().unwrap_or_default(), 0);
+        let addr = self.decoder.encode(row).unwrap_or_default();
+        self.refreshing -= 1;
         let c = Completion {
             id: aborted.id,
             addr,
@@ -664,9 +662,10 @@ impl MemorySystem {
         true
     }
 
-    /// Starts a dequeued access on its (free) bank `flat` and occupies
-    /// the data bus.
-    fn start_demand(&mut self, Queued { txn, at }: Queued, flat: usize) {
+    /// Starts a dequeued access on its (free) bank and occupies the data
+    /// bus.
+    fn start_demand(&mut self, Queued { txn, at }: Queued) {
+        let flat = self.flat_bank(at.rank, at.bank);
         let service = self.service_cycles(txn.class, flat, at.row);
         let start = self.now;
         let finish = start + service;
@@ -700,19 +699,15 @@ impl MemorySystem {
         if !all_free {
             return false;
         }
-        // Batches and their id runs are pushed together at enqueue, so
-        // both queues pop in lockstep.
-        let (batch, (first, _)) = match (self.refresh_q.pop_front(), self.refresh_ids.pop_front()) {
-            (Some(batch), Some(run)) => (batch, run),
-            _ => return false,
+        let Some(batch) = self.refresh_q.pop_front() else {
+            return false;
         };
         let dur = self
             .config
             .timing
             .rank_refresh_cycles(self.config.geometry.banks_per_rank);
         let finish = self.now + dur;
-        for (k, &(bank, row)) in batch.rows.iter().enumerate() {
-            let id = first + k as u64;
+        for (&(bank, row), id) in batch.rows.iter().zip(batch.first..) {
             // Encode before `begin` so a failure (impossible: coordinates
             // are validated at enqueue) cannot leave a bank busy with no
             // pending completion.
@@ -726,7 +721,7 @@ impl MemorySystem {
             };
             let flat = self.flat_bank(batch.rank, bank);
             self.banks[flat].begin(id, ServiceClass::RankRefresh, self.now, finish, row);
-            self.refresh_addrs.insert(id, addr);
+            self.refreshing += 1;
             self.pending.push(Reverse(Pending(Completion {
                 id,
                 addr,
@@ -749,58 +744,27 @@ impl MemorySystem {
     // Snapshot/restore
     // ------------------------------------------------------------------
 
-    /// The event list a snapshot stores: every pending finish plus `wake`,
-    /// the registered bus wake-up if there is one, ascending and each
-    /// cycle once.
-    fn event_list(&self, wake: Option<Cycle>) -> Vec<Cycle> {
-        let mut events: Vec<Cycle> = self
-            .pending
-            .iter()
-            .map(|Reverse(Pending(c))| c.finish)
-            .chain(wake)
-            .collect();
-        events.sort_unstable();
-        events.dedup();
-        events
-    }
-
-    /// Serializes the complete mid-flight controller state (everything
-    /// except the configuration, which the restorer must already hold).
-    ///
-    /// The pending-completion heap is written in `(finish, id)` order so
-    /// identical states always produce identical bytes regardless of the
-    /// heap's internal array layout. The event list before it is derived
-    /// from the heap and the bus wake-up.
+    /// Serializes the mid-flight controller state that restore cannot
+    /// derive (not the configuration, which the restorer must hold). The
+    /// pending heap is written in `(finish, id)` order, so identical
+    /// states produce identical bytes whatever the heap's array layout.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.put(&self.now);
         w.put(&self.next_id);
         w.put(&self.banks);
         w.put(&self.bus_free_at);
+        w.put(&self.bus_wake);
         save_txn_queue(&self.read_q, w);
         save_txn_queue(&self.write_q, w);
         w.put(&self.refresh_q);
-        // Id runs are written as explicit length-prefixed lists — the
-        // same bytes the pre-run encoding produced — so the container
-        // format is unchanged and old snapshots stay readable.
-        w.put(&self.refresh_ids.len());
-        for &(first, count) in &self.refresh_ids {
-            w.put(&(count as usize));
-            for id in first..first + u64::from(count) {
-                w.put(&id);
-            }
-        }
-        w.put(&self.event_list(self.bus_wake.then_some(self.bus_free_at)));
         let mut pending: Vec<Completion> =
             self.pending.iter().map(|Reverse(Pending(c))| *c).collect();
         pending.sort_by_key(|c| (c.finish, c.id));
         w.put(&pending);
-        w.put(&self.cancelled);
-        w.put(&self.refresh_addrs);
         w.put(&self.out);
         w.put(&self.stats);
         w.put(&self.wear);
         w.put(&self.draining_writes);
-        w.put(&self.queued_per_rank);
     }
 
     /// Restores state written by [`save_state`](Self::save_state) into a
@@ -808,10 +772,9 @@ impl MemorySystem {
     ///
     /// # Errors
     ///
-    /// [`SnapError`] on truncation, bad enum tags, per-geometry vector
-    /// lengths that contradict this system's configuration, queued refresh
-    /// batches without a matching id run, or an event list other than the
-    /// one the pending completions and the bus wake-up imply.
+    /// [`SnapError`] on truncation, bad enum tags, a bank count that
+    /// contradicts this system's configuration, or a state the controller
+    /// never reaches (such as a bank running an operation not pending).
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.now = r.take()?;
         self.next_id = r.take()?;
@@ -821,65 +784,90 @@ impl MemorySystem {
         }
         self.banks = banks;
         self.bus_free_at = r.take()?;
+        self.bus_wake = r.take()?;
         self.read_q = load_txn_queue(r, &self.decoder)?;
         self.write_q = load_txn_queue(r, &self.decoder)?;
         self.refresh_q = r.take()?;
-        let id_lists = r.take_len(u64::MIN_BYTES)?;
-        self.refresh_ids.clear();
-        for _ in 0..id_lists {
-            // Ids are assigned from a monotonic counter at enqueue, so a
-            // valid snapshot always lists a consecutive run; anything
-            // else is corruption, not an older encoding.
-            let len = r.take_len(u64::MIN_BYTES)?;
-            if len == 0 {
-                return Err(SnapError::Corrupt("empty refresh id list"));
-            }
-            let first: TransactionId = r.take()?;
-            for k in 1..len as u64 {
-                if r.take::<TransactionId>()? != first + k {
-                    return Err(SnapError::Corrupt("non-consecutive refresh ids"));
-                }
-            }
-            self.refresh_ids.push_back((first, len as u32));
-        }
-        // `try_issue_refresh` pops a batch and its id run together.
-        let runs_match = self.refresh_ids.len() == self.refresh_q.len()
-            && self
-                .refresh_q
-                .iter()
-                .zip(&self.refresh_ids)
-                .all(|(batch, &(_, count))| batch.rows.len() == count as usize);
-        if !runs_match {
-            return Err(SnapError::Corrupt(
-                "refresh id runs do not match the queued batches",
-            ));
-        }
-        let events: Vec<Cycle> =
-            r.take_sorted(Cycle::MIN_BYTES, |cycle| cycle, SnapReader::take)?;
-        let pending: Vec<Completion> = r.take()?;
-        self.pending = pending.into_iter().map(|c| Reverse(Pending(c))).collect();
-        // The list is derived state: it carries only whether the bus
-        // wake-up was registered, and must agree with the heap.
-        let wake = events.binary_search(&self.bus_free_at).is_ok();
-        self.bus_wake = wake;
-        if events != self.event_list(wake.then_some(self.bus_free_at)) {
-            return Err(SnapError::Corrupt(
-                "event list differs from the pending finishes",
-            ));
-        }
-        self.cancelled = r.take()?;
-        self.refresh_addrs = r.take()?;
+        let mut pending: Vec<Completion> = r.take()?;
         self.out = r.take()?;
         self.stats = r.take()?;
         self.wear = r.take()?;
         self.draining_writes = r.take()?;
-        let queued_per_rank: Vec<usize> = r.take()?;
-        if queued_per_rank.len() != self.queued_per_rank.len() {
-            return Err(SnapError::Corrupt("rank count differs from the config"));
-        }
-        self.queued_per_rank = queued_per_rank;
+        self.check_restored(&mut pending)?;
+        self.pending = pending.into_iter().map(|c| Reverse(Pending(c))).collect();
         Ok(())
     }
+
+    /// Rejects a restored state the controller never reaches, so nothing
+    /// in a hostile payload can index out of range or underflow later, and
+    /// derives the per-rank queue counts and running refresh rows.
+    fn check_restored(&mut self, pending: &mut [Completion]) -> Result<(), SnapError> {
+        let (now, corrupt) = (self.now, |what| Err(SnapError::Corrupt(what)));
+        if self.bus_wake && self.bus_free_at <= now {
+            return corrupt("bus wake-up is not in the future");
+        }
+        // Every id was handed out once, below `next_id`.
+        let mut ids: Vec<TransactionId> = pending.iter().map(|c| c.id).collect();
+        self.queued_per_rank.fill(0);
+        for &Queued { txn, at } in self.read_q.iter().chain(&self.write_q) {
+            if txn.arrival > now || !class_fits(txn.op, txn.class) {
+                return corrupt("queued access that enqueue refuses or that arrives after now");
+            }
+            ids.push(txn.id);
+            if let Some(n) = self.queued_per_rank.get_mut(at.rank as usize) {
+                *n += 1;
+            }
+        }
+        let mut handed_out = 0; // queued batches hold ascending id runs
+        for batch in &self.refresh_q {
+            let end = (batch.first.checked_add(batch.rows.len() as u64))
+                .filter(|_| batch.first >= handed_out);
+            let (Ok(()), Some(end)) = (self.check_batch(batch.rank, &batch.rows), end) else {
+                return corrupt("queued refresh batch that enqueue refuses or out of order");
+            };
+            ids.extend(batch.first..end);
+            handed_out = end;
+        }
+        ids.sort_unstable();
+        let repeated = ids.windows(2).any(|w| matches!(w, [a, b] if a == b));
+        if repeated || ids.last().is_some_and(|&id| id >= self.next_id) {
+            return corrupt("transaction id repeated or never handed out");
+        }
+        let ordered = |c: &Completion| c.arrival <= c.start && c.start <= c.finish;
+        if !self.out.iter().chain(pending.iter()).all(ordered) {
+            return corrupt("completion arrives after it starts or starts after it finishes");
+        }
+        if !pending.iter().all(|c| c.start <= now && now < c.finish) {
+            return corrupt("pending operation not running at now");
+        }
+        // Each operation a bank runs is pending as exactly that operation.
+        pending.sort_unstable_by_key(|c| c.id);
+        self.refreshing = 0;
+        for (bank, op) in self
+            .banks
+            .iter()
+            .filter_map(|b| b.in_flight(now).map(|op| (b, op)))
+        {
+            let entry = pending.binary_search_by_key(&op.id, |c| c.id);
+            if !entry.is_ok_and(|k| pending.get(k).is_some_and(|c| bank.serving(c))) {
+                return corrupt("bank runs an operation that is not pending");
+            }
+            self.refreshing += usize::from(op.class == ServiceClass::RankRefresh);
+        }
+        Ok(())
+    }
+}
+
+/// Whether [`MemorySystem::enqueue`] accepts `class` for `op`.
+fn class_fits(op: MemOp, class: ServiceClass) -> bool {
+    matches!(
+        (op, class),
+        (MemOp::Read, ServiceClass::Read)
+            | (
+                MemOp::Write,
+                ServiceClass::Write | ServiceClass::ResetOnlyWrite
+            )
+    )
 }
 
 /// Only the transactions: their decoded addresses are recomputed.
@@ -1224,7 +1212,6 @@ mod tests {
 
     #[test]
     fn snapshot_mid_flight_resumes_bit_identically() {
-        use crate::snap::{SnapReader, SnapWriter};
         // Phase 1: mixed demand + refresh traffic, stopped mid-flight so
         // queues, banks, the pending heap, and refresh plumbing are all
         // populated at snapshot time.
@@ -1240,18 +1227,15 @@ mod tests {
         }
         a.enqueue_rank_refresh(1, &[(0, 5), (1, 6)]).unwrap();
 
-        let mut w = SnapWriter::new();
-        a.save_state(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut b = MemorySystem::new(MemConfig::tiny()).unwrap();
-        let mut r = SnapReader::new(&bytes);
-        b.restore_state(&mut r).unwrap();
-        r.finish().unwrap();
-        // Restored state re-serializes to the identical payload.
-        let mut w2 = SnapWriter::new();
-        b.save_state(&mut w2);
-        assert_eq!(w2.into_bytes(), bytes);
+        let bytes = saved(&a);
+        let mut b = restored(&bytes).unwrap();
+        // Restored state re-serializes to the identical payload, and what
+        // restore derives matches the saved system.
+        assert_eq!(saved(&b), bytes);
+        assert_eq!(
+            (b.refreshing, &b.queued_per_rank),
+            (a.refreshing, &a.queued_per_rank)
+        );
 
         // Phase 2: identical traffic into both; final state must match
         // byte-for-byte in its Debug rendering.
@@ -1267,128 +1251,126 @@ mod tests {
         assert_eq!(a.now(), b.now());
     }
 
-    #[test]
-    fn queued_refresh_id_runs_round_trip_and_reject_tampering() {
-        use crate::snap::{SnapError, SnapReader, SnapWriter};
-        // Occupy bank 0 of rank 0 with a demand write so the refresh
-        // batch cannot issue and stays queued across the snapshot.
+    fn saved(mem: &MemorySystem) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        mem.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    fn restored(bytes: &[u8]) -> Result<MemorySystem, SnapError> {
+        let mut mem = tiny_system();
+        let mut r = SnapReader::new(bytes);
+        mem.restore_state(&mut r)?;
+        r.finish().map(|()| mem)
+    }
+
+    /// A demand write running on bank 0 of rank 0, another queued behind
+    /// it, and a refresh batch over banks 0 and 1 waiting for bank 0.
+    fn busy_system() -> MemorySystem {
         let mut mem = tiny_system();
         let a = addr_of(&mem, 0, 0, 3, 0);
         mem.enqueue(MemOp::Write, a, ServiceClass::Write).unwrap();
+        mem.enqueue(MemOp::Write, a, ServiceClass::Write).unwrap();
         let first = mem.enqueue_rank_refresh(0, &[(0, 5), (1, 6)]).unwrap();
-        assert_eq!(first, 1, "one demand id handed out before the batch");
+        assert_eq!(first, 2, "two demand ids handed out before the batch");
+        mem
+    }
 
-        let mut w = SnapWriter::new();
-        mem.save_state(&mut w);
-        let bytes = w.into_bytes();
+    /// Edits the earliest pending completion (the running write).
+    fn edit_pending(mem: &mut MemorySystem, edit: impl FnOnce(&mut Completion)) {
+        let Reverse(Pending(mut c)) = mem.pending.pop().unwrap();
+        edit(&mut c);
+        mem.pending.push(Reverse(Pending(c)));
+    }
 
-        let mut b = MemorySystem::new(MemConfig::tiny()).unwrap();
-        let mut r = SnapReader::new(&bytes);
-        b.restore_state(&mut r).unwrap();
-        r.finish().unwrap();
-        let mut w2 = SnapWriter::new();
-        b.save_state(&mut w2);
-        assert_eq!(
-            w2.into_bytes(),
-            bytes,
-            "queued id runs re-serialize identically"
-        );
-        let done = b.drain();
-        assert!(
-            done.iter()
-                .any(|c| c.class == ServiceClass::RankRefresh && c.id == first + 1),
-            "restored batch issues with its original consecutive ids"
-        );
+    const NEVER: &str = "transaction id repeated or never handed out";
+    type Tamper = fn(&mut MemorySystem);
 
-        // Ids are assigned from a monotonic counter, so a snapshot whose
-        // id list is not a consecutive run is corrupt — restore must say
-        // so instead of silently renumbering. The queued run serializes
-        // as [len=2, first, first+1]; flip the second id.
-        let needle: Vec<u8> = [2u64, first, first + 1]
-            .iter()
-            .flat_map(|v| v.to_le_bytes())
-            .collect();
-        let pos = bytes
-            .windows(needle.len())
-            .position(|w| w == needle)
-            .expect("queued id run present in payload");
-        let mut tampered = bytes.clone();
-        tampered[pos + 16..pos + 24].copy_from_slice(&(first + 7).to_le_bytes());
-        let mut c = MemorySystem::new(MemConfig::tiny()).unwrap();
-        let err = c
-            .restore_state(&mut SnapReader::new(&tampered))
-            .unwrap_err();
-        assert_eq!(err, SnapError::Corrupt("non-consecutive refresh ids"));
-
-        // A batch is issued together with its id run, so restore must
-        // refuse a queued batch whose run is missing or of another length:
-        // replace the id-list section [count=1, run] with `section`.
-        let with_id_lists = |section: &[u64]| {
-            let mut tampered = bytes[..pos - 8].to_vec();
-            tampered.extend(section.iter().flat_map(|v| v.to_le_bytes()));
-            tampered.extend_from_slice(&bytes[pos + needle.len()..]);
-            MemorySystem::new(MemConfig::tiny())
-                .unwrap()
-                .restore_state(&mut SnapReader::new(&tampered))
-        };
-        let mismatch = Err(SnapError::Corrupt(
-            "refresh id runs do not match the queued batches",
-        ));
-        assert_eq!(with_id_lists(&[0]), mismatch, "emptied id-list section");
-        assert_eq!(with_id_lists(&[1, 1, first]), mismatch, "run too short");
+    /// Restores `busy_system()` saved after each `(error, tamper)` case
+    /// edits its state (the payload of a CRC-valid but hostile
+    /// checkpoint), expecting the error.
+    fn assert_rejected(cases: &[(&'static str, Tamper)]) {
+        assert!(restored(&saved(&busy_system())).is_ok(), "untampered");
+        for (k, &(what, tamper)) in cases.iter().enumerate() {
+            let mut mem = busy_system();
+            tamper(&mut mem);
+            let err = restored(&saved(&mem)).err();
+            assert_eq!(err, Some(SnapError::Corrupt(what)), "case {k}");
+        }
     }
 
     #[test]
-    fn restore_rejects_an_event_list_the_pending_heap_does_not_imply() {
-        use crate::snap::{SnapError, SnapReader, SnapWriter};
-        // One write in flight and nothing queued: its finish is the only
-        // event (no access waits for the bus, so no wake-up is due).
-        let mut mem = tiny_system();
-        mem.enqueue(MemOp::Write, addr_of(&mem, 0, 0, 3, 0), ServiceClass::Write)
-            .unwrap();
-        let finish = mem.now() + TimingParams::paper_pcm().write_cycles();
-        let mut w = SnapWriter::new();
-        mem.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let list = |cycles: &[u64]| -> Vec<u8> {
-            std::iter::once(cycles.len() as u64)
-                .chain(cycles.iter().copied())
-                .flat_map(u64::to_le_bytes)
-                .collect()
-        };
-        let needle = list(&[finish]);
-        let pos = bytes
-            .windows(needle.len())
-            .position(|w| w == needle)
-            .expect("event list present in payload");
-        let with_events = |cycles: &[u64]| {
-            let mut tampered = bytes[..pos].to_vec();
-            tampered.extend_from_slice(&list(cycles));
-            tampered.extend_from_slice(&bytes[pos + needle.len()..]);
-            MemorySystem::new(MemConfig::tiny())
-                .unwrap()
-                .restore_state(&mut SnapReader::new(&tampered))
-        };
-        assert_eq!(with_events(&[finish]), Ok(()), "the untampered list");
-        let corrupt = Err(SnapError::Corrupt(
-            "event list differs from the pending finishes",
-        ));
-        assert_eq!(with_events(&[finish, finish + 100]), corrupt, "extra cycle");
-        assert_eq!(with_events(&[]), corrupt, "missing pending finish");
+    fn queued_refresh_batches_round_trip_with_their_ids() {
+        let bytes = saved(&busy_system());
+        let mut b = restored(&bytes).unwrap();
+        assert_eq!(saved(&b), bytes, "queued batches re-serialize identically");
+        let refresh = |c: &Completion| (c.class == ServiceClass::RankRefresh).then_some(c.id);
+        let ids: Vec<_> = b.drain().iter().filter_map(refresh).collect();
+        assert_eq!(ids, [2, 3], "restored batch issues with its original ids");
+    }
+
+    #[test]
+    fn restore_rejects_a_refresh_batch_enqueue_would_refuse() {
+        const REFUSED: &str = "queued refresh batch that enqueue refuses or out of order";
+        assert_rejected(&[
+            (REFUSED, |m| m.refresh_q[0].rows[1].0 = 9),
+            (REFUSED, |m| m.refresh_q[0].rank = 2),
+            (REFUSED, |m| m.refresh_q[0].rows[0].1 = 64),
+            (REFUSED, |m| m.refresh_q[0].rows[1].0 = 0),
+            (REFUSED, |m| m.refresh_q[0].rows.clear()),
+            (REFUSED, |m| m.refresh_q[0].first = u64::MAX),
+            (NEVER, |m| m.refresh_q[0].first = 3),
+            (NEVER, |m| m.refresh_q[0].first = 1),
+        ]);
+    }
+
+    #[test]
+    fn restored_rank_idleness_follows_the_restored_queues() {
+        let mut mem = busy_system();
+        mem.queued_per_rank = vec![0, 7]; // disagrees with the queues, unsaved
+        let mut b = restored(&saved(&mem)).unwrap();
+        assert!(!b.rank_queue_empty(0), "rank 0 has a queued write");
+        assert!(b.is_rank_idle(1));
+        b.drain();
+        assert!(b.is_rank_idle(0) && b.is_rank_idle(1));
+    }
+
+    #[test]
+    fn restore_rejects_accesses_and_completions_out_of_order() {
+        const QUEUED: &str = "queued access that enqueue refuses or that arrives after now";
+        const ORDER: &str = "completion arrives after it starts or starts after it finishes";
+        assert_rejected(&[
+            (QUEUED, |m| m.write_q[0].txn.arrival = m.now + 1),
+            (QUEUED, |m| m.write_q[0].txn.op = MemOp::Read),
+            (ORDER, |m| edit_pending(m, |c| c.arrival = c.finish + 1)),
+            (ORDER, |m| {
+                m.out.extend(m.pending.iter().map(|p| p.0 .0));
+                m.out[0].start = m.out[0].finish + 1;
+            }),
+        ]);
+    }
+
+    #[test]
+    fn restore_rejects_a_past_wake_up_and_banks_that_disagree_with_pending() {
+        const WAKE: &str = "bus wake-up is not in the future";
+        const NOT_PENDING: &str = "bank runs an operation that is not pending";
+        const RUNNING: &str = "pending operation not running at now";
+        assert_rejected(&[
+            (WAKE, |m| (m.bus_wake, m.bus_free_at) = (true, m.now)),
+            (NOT_PENDING, |m| m.pending.clear()),
+            (NOT_PENDING, |m| edit_pending(m, |c| c.finish += 1)),
+            (RUNNING, |m| edit_pending(m, |c| c.finish = 0)),
+            (NEVER, |m| m.pending.push(*m.pending.peek().unwrap())),
+        ]);
     }
 
     #[test]
     fn restore_rejects_mismatched_geometry() {
-        use crate::snap::{SnapReader, SnapWriter};
-        let a = tiny_system();
-        let mut w = SnapWriter::new();
-        a.save_state(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = saved(&tiny_system());
         let mut cfg = MemConfig::tiny();
         cfg.geometry.ranks = 1;
         let mut b = MemorySystem::new(cfg).unwrap();
-        let mut r = SnapReader::new(&bytes);
-        assert!(b.restore_state(&mut r).is_err());
+        assert!(b.restore_state(&mut SnapReader::new(&bytes)).is_err());
     }
 
     #[test]
