@@ -6,7 +6,7 @@ use crate::config::SystemConfig;
 use crate::error::WomPcmError;
 use crate::refresh::RefreshConfig;
 use crate::wom_state::{BudgetGranularity, ColdPolicy};
-use pcm_sim::{Cycle, MemConfig, SchedulerPolicy, TimingParams};
+use pcm_sim::{Cycle, SchedulerPolicy, TimingParams};
 
 /// Builder over [`SystemConfig`], starting from the paper's defaults.
 ///
@@ -44,13 +44,6 @@ impl SystemBuilder {
         Self {
             config: SystemConfig::tiny(arch),
         }
-    }
-
-    /// Replaces the whole memory configuration.
-    #[must_use]
-    pub fn mem_config(mut self, mem: MemConfig) -> Self {
-        self.config.mem = mem;
-        self
     }
 
     /// Sets the number of ranks on the channel.

@@ -22,15 +22,14 @@ use crate::metrics::RunMetrics;
 use crate::observe::{EpochRecorder, EpochSeries, Event, ObserverSink, WriteClass};
 use crate::policy::{ArraySide, Policy, ReadAction, WriteAction};
 use crate::rowmap::RowMap;
-use crate::snapshot::SnapshotError;
 use crate::wear_leveling::StartGap;
-use pcm_sim::snap::{SnapError, SnapReader, SnapWriter};
+use pcm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use pcm_sim::{
     AddressDecoder, Completion, Cycle, DecodedAddr, MemOp, MemorySystem, ServiceClass, SimError,
     TransactionId,
 };
 use pcm_trace::{TraceOp, TraceRecord};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use wom_code::{Inverted, Rs23Code};
 
 /// Cycles the system stalls before retrying when a controller queue is
@@ -174,18 +173,20 @@ impl DataCheck {
 /// [`ReadAction`] /
 /// [`WriteAction`] values and the engine
 /// performs the (possibly stalling) enqueues.
+///
+/// It holds only live run state: what is in flight is the memory
+/// systems' to track, and a coalescing window is dropped once it closes.
 #[derive(Debug)]
 pub(crate) struct EngineCore {
     config: SystemConfig,
     main: MemorySystem,
     cache_mem: Option<MemorySystem>,
     next_refresh_at: Cycle,
-    // Ordered collections, not hash-based ones, for every structure whose
-    // iteration (or retain) order can influence simulated behaviour:
-    // bit-identical metrics across runs are a repo invariant (see the
-    // golden_metrics test).
-    victim_ids: BTreeSet<TransactionId>,
-    leveling_ids: BTreeSet<TransactionId>,
+    /// Ids of internal main-memory traffic still in flight (wear-leveling
+    /// row copies and hidden-page companions), whose completions are not
+    /// demand. Ascending: main memory hands ids out in increasing order,
+    /// so each new one is pushed at the end.
+    internal_ids: Vec<TransactionId>,
     /// Per-flat-main-bank Start-Gap remappers, when wear leveling is on.
     start_gaps: Option<Vec<StartGap>>,
     /// Functional data checker, when `verify_data` is on.
@@ -193,12 +194,12 @@ pub(crate) struct EngineCore {
     /// `EngineCore` for the common verify-free runs.
     data_check: Option<Box<DataCheck>>,
     pending_victims: VecDeque<u64>,
-    /// Open write-coalescing windows: rows with an array write still
-    /// pending, keyed by (is_cache, row id), valued with the cycle the
-    /// window closes.
-    merge_windows: BTreeMap<(bool, u64), Cycle>,
-    outstanding_main: u64,
-    outstanding_cache: u64,
+    /// Open write-coalescing windows, ascending by row key: rows with an
+    /// array write still pending, each with the cycle its window closes.
+    /// A system's windows are all on one side (the WOM-cache arrays under
+    /// WCPCM, main memory otherwise), and time advancing drops the closed
+    /// ones, so this holds a handful of entries.
+    merge_windows: Vec<(u64, Cycle)>,
     metrics: RunMetrics,
     /// Instrumentation sink (see [`crate::observe`]); `Off` by default,
     /// so the demand hot path pays one predicted branch per event.
@@ -236,14 +237,11 @@ impl EngineCore {
             main,
             cache_mem,
             next_refresh_at: period,
-            victim_ids: BTreeSet::new(),
-            leveling_ids: BTreeSet::new(),
+            internal_ids: Vec::new(),
             start_gaps,
             data_check: config.verify_data.then(|| Box::new(DataCheck::new())),
             pending_victims: VecDeque::new(),
-            merge_windows: BTreeMap::new(),
-            outstanding_main: 0,
-            outstanding_cache: 0,
+            merge_windows: Vec::new(),
             metrics: RunMetrics {
                 clock_ns,
                 ..RunMetrics::default()
@@ -326,26 +324,28 @@ impl EngineCore {
         self.observer.on_event(&Event::HiddenPageAccess { cycle });
     }
 
-    /// The memory arrays of `side` and their count of outstanding
-    /// operations.
+    /// The memory arrays of `side`.
     ///
     /// # Errors
     ///
     /// Returns [`WomPcmError::Internal`] for the cache side of an
     /// architecture without a WOM-cache.
-    pub fn side_arrays(
-        &mut self,
-        side: ArraySide,
-    ) -> Result<(&mut MemorySystem, &mut u64), WomPcmError> {
+    pub fn side_arrays(&mut self, side: ArraySide) -> Result<&mut MemorySystem, WomPcmError> {
         match side {
-            ArraySide::Main => Ok((&mut self.main, &mut self.outstanding_main)),
-            ArraySide::Cache => match &mut self.cache_mem {
-                Some(cache) => Ok((cache, &mut self.outstanding_cache)),
-                None => Err(WomPcmError::Internal(
-                    "architecture has no cache array".into(),
-                )),
-            },
+            ArraySide::Main => Ok(&mut self.main),
+            ArraySide::Cache => self
+                .cache_mem
+                .as_mut()
+                .ok_or_else(|| WomPcmError::Internal("architecture has no cache array".into())),
         }
+    }
+
+    /// Whether every array is idle and no victim writeback waits for
+    /// queue room: the end of a drain.
+    fn is_drained(&self) -> bool {
+        self.pending_victims.is_empty()
+            && self.main.is_idle()
+            && self.cache_mem.as_ref().is_none_or(MemorySystem::is_idle)
     }
 
     /// Enqueues a burst-mode rank refresh on the `side` arrays (does not
@@ -360,9 +360,7 @@ impl EngineCore {
         rank: u32,
         rows: &[(u32, u32)],
     ) -> Result<(), WomPcmError> {
-        let (arrays, outstanding) = self.side_arrays(side)?;
-        arrays.enqueue_rank_refresh(rank, rows)?;
-        *outstanding += rows.len() as u64;
+        self.side_arrays(side)?.enqueue_rank_refresh(rank, rows)?;
         let cycle = self.main.now();
         self.observer.on_event(&Event::RefreshBurst {
             cycle,
@@ -456,83 +454,90 @@ impl EngineCore {
     }
 
     /// Absorbs a write into an already-pending array write of the same
-    /// row, if its coalescing window is still open. Coalesced writes cost
-    /// one data burst (the row buffer merges them) and consume no WOM
-    /// budget — the row is written back to the array once.
-    pub fn try_coalesce(&mut self, is_cache: bool, row_key: u64) -> bool {
-        let now = self.now();
-        if self.merge_windows.len() > 8192 {
-            self.merge_windows.retain(|_, &mut until| until > now);
+    /// row, if its coalescing window is open. Coalesced writes cost one
+    /// data burst (the row buffer merges them) and consume no WOM budget
+    /// — the row is written back to the array once.
+    pub fn try_coalesce(&mut self, row_key: u64) -> bool {
+        // Every window left after the last advance is open.
+        if self.window_of(row_key).is_err() {
+            return false;
         }
-        match self.merge_windows.get(&(is_cache, row_key)) {
-            Some(&until) if now < until => {
-                self.metrics.coalesced_writes += 1;
-                let burst = self.config.mem.timing.burst_cycles();
-                self.metrics.writes.record(burst);
-                self.metrics.write_hist.record(burst);
-                self.observer.on_event(&Event::WriteCompleted {
-                    cycle: now,
-                    latency: burst,
-                    class: WriteClass::Coalesced,
-                });
-                true
-            }
-            _ => false,
-        }
+        self.metrics.coalesced_writes += 1;
+        let burst = self.config.mem.timing.burst_cycles();
+        self.metrics.writes.record(burst);
+        self.metrics.write_hist.record(burst);
+        let cycle = self.now();
+        self.observer.on_event(&Event::WriteCompleted {
+            cycle,
+            latency: burst,
+            class: WriteClass::Coalesced,
+        });
+        true
+    }
+
+    /// Where the window of `row_key` is, or would be inserted.
+    fn window_of(&self, row_key: u64) -> Result<usize, usize> {
+        self.merge_windows
+            .binary_search_by_key(&row_key, |&(key, _)| key)
     }
 
     /// Opens (or extends) the coalescing window of a row after issuing an
     /// array write for it.
-    fn open_merge_window(&mut self, is_cache: bool, row_key: u64, class: ServiceClass) {
+    fn open_merge_window(&mut self, row_key: u64, class: ServiceClass) {
         let t = &self.config.mem.timing;
         let service = match class {
             ServiceClass::ResetOnlyWrite => t.reset_cycles(),
             _ => t.write_cycles(),
         };
         let until = self.now() + service;
-        self.merge_windows.insert((is_cache, row_key), until);
+        match self.window_of(row_key) {
+            Ok(at) => {
+                if let Some(window) = self.merge_windows.get_mut(at) {
+                    window.1 = until;
+                }
+            }
+            Err(at) => self.merge_windows.insert(at, (row_key, until)),
+        }
     }
 
     /// Retries queued victim writebacks while the main write queue has
     /// room.
     fn flush_victims(&mut self) {
         while let Some(&addr) = self.pending_victims.front() {
-            if !self.main.can_accept_write() {
-                break;
-            }
-            let id = self
+            if self
                 .main
                 .enqueue(MemOp::Write, addr, ServiceClass::Write)
-                .expect("capacity checked");
-            self.victim_ids.insert(id);
-            self.outstanding_main += 1;
+                .is_err()
+            {
+                break; // the write queue is full
+            }
             self.pending_victims.pop_front();
         }
     }
 
     /// Serializes the complete mid-run engine state (everything that
-    /// varies between two `submit` calls). Collections iterate in their
-    /// deterministic (key) order, so the same state always produces the
-    /// same bytes.
+    /// varies between two `submit` calls). Parts the configuration builds
+    /// (the WOM-cache arrays, the Start-Gap remappers, the data checker
+    /// and the epoch recorder) are written only when it builds them, with
+    /// no presence flag. Collections iterate in their deterministic (key)
+    /// order, so the same state always produces the same bytes.
     pub(crate) fn save_state(&self, w: &mut SnapWriter) {
         self.main.save_state(w);
-        w.put_presence(self.cache_mem.as_ref(), MemorySystem::save_state);
+        if let Some(cache) = &self.cache_mem {
+            cache.save_state(w);
+        }
         w.put(&self.next_refresh_at);
-        w.put(&self.victim_ids);
-        w.put(&self.leveling_ids);
-        w.put(&self.start_gaps);
-        w.put_presence(self.data_check.as_deref(), DataCheck::save_state);
+        w.put(&self.internal_ids);
+        for sg in self.start_gaps.iter().flatten() {
+            sg.save_state(w);
+        }
+        if let Some(check) = &self.data_check {
+            check.save_state(w);
+        }
         w.put(&self.pending_victims);
-        // Open windows only, as the map's layout: closed ones never match.
-        let open = self
-            .merge_windows
-            .iter()
-            .filter(|&(_, &until)| until > self.now());
-        w.put(&open.map(|(&key, &until)| (key, until)).collect::<Vec<_>>());
-        w.put(&self.outstanding_main);
-        w.put(&self.outstanding_cache);
+        w.put(&self.merge_windows);
         w.put(&self.metrics);
-        w.put(&self.observer);
+        self.observer.save_state(w);
         w.put(&self.last_record_cycle);
     }
 
@@ -544,47 +549,25 @@ impl EngineCore {
     /// # Errors
     ///
     /// Returns [`WomPcmError::Snapshot`] for truncated or corrupt
-    /// payloads, including structure that disagrees with the
-    /// configuration.
+    /// payloads.
     pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), WomPcmError> {
         self.main.restore_state(r)?;
-        r.take_presence(
-            self.cache_mem.is_some(),
-            "cache-array presence disagrees with the configuration",
-        )?;
-        if let Some(cm) = &mut self.cache_mem {
-            cm.restore_state(r)?;
+        if let Some(cache) = &mut self.cache_mem {
+            cache.restore_state(r)?;
         }
         self.next_refresh_at = r.take()?;
-        self.victim_ids = r.take()?;
-        self.leveling_ids = r.take()?;
-        r.take_presence(
-            self.start_gaps.is_some(),
-            "wear-leveling presence disagrees with the configuration",
-        )?;
-        if let Some(sgs) = &mut self.start_gaps {
-            let saved: Vec<StartGap> = r.take()?;
-            if saved.len() != sgs.len() {
-                return Err(SnapshotError::Corrupt(
-                    "Start-Gap bank count disagrees with the geometry",
-                )
-                .into());
-            }
-            *sgs = saved;
+        self.internal_ids = r.take_sorted(TransactionId::MIN_BYTES, |id| id, SnapReader::take)?;
+        for sg in self.start_gaps.iter_mut().flatten() {
+            sg.load_state(r)?;
         }
-        r.take_presence(
-            self.data_check.is_some(),
-            "data-check presence disagrees with the configuration",
-        )?;
         if let Some(check) = &mut self.data_check {
             check.load_state(r)?;
         }
         self.pending_victims = r.take()?;
-        self.merge_windows = r.take()?;
-        self.outstanding_main = r.take()?;
-        self.outstanding_cache = r.take()?;
+        self.merge_windows =
+            r.take_sorted(<(u64, Cycle)>::MIN_BYTES, |(key, _)| key, SnapReader::take)?;
         self.metrics = r.take()?;
-        self.observer = r.take()?;
+        self.observer.load_state(r)?;
         self.last_record_cycle = r.take()?;
         Ok(())
     }
@@ -710,6 +693,8 @@ impl Engine {
     ///
     /// * [`WomPcmError::TraceOrder`] when record cycles decrease.
     /// * Simulator errors for malformed addresses.
+    /// * [`WomPcmError::InvalidConfig`] once the run outgrows its epoch
+    ///   series ([`EpochSeries::MAX_EPOCHS`]).
     pub fn submit(&mut self, record: TraceRecord) -> Result<(), WomPcmError> {
         if record.cycle < self.core.last_record_cycle {
             return Err(WomPcmError::TraceOrder {
@@ -723,20 +708,21 @@ impl Engine {
         match record.op {
             TraceOp::Read => self.submit_read(record.addr),
             TraceOp::Write => self.submit_write(record.addr),
-        }
+        }?;
+        self.core.observer.check_ceiling()
     }
 
     /// Completes all outstanding work and returns the final metrics.
     ///
     /// # Errors
     ///
-    /// Propagates simulator errors (none are expected during a drain), and
-    /// returns [`WomPcmError::Internal`] if outstanding work never drains.
+    /// Propagates simulator errors (none are expected during a drain),
+    /// returns [`WomPcmError::Internal`] if outstanding work never drains,
+    /// and [`WomPcmError::InvalidConfig`] when the run outgrows its epoch
+    /// series.
     pub fn finish(&mut self) -> Result<RunMetrics, WomPcmError> {
         let mut guard = 0u64;
-        while self.core.outstanding_main + self.core.outstanding_cache > 0
-            || !self.core.pending_victims.is_empty()
-        {
+        while !self.core.is_drained() {
             let next = self.now() + 1_000;
             self.advance_all_to(next)?;
             guard += 1;
@@ -748,6 +734,7 @@ impl Engine {
         }
         let now = self.now();
         self.core.observer.on_finish(now);
+        self.core.observer.check_ceiling()?;
         // Take the accumulated metrics, finalize in place, and store one
         // clone back — no policy's `finish` reads `core.metrics`.
         let mut result = std::mem::take(&mut self.core.metrics);
@@ -797,7 +784,7 @@ impl Engine {
             if side == ArraySide::Cache && self.core.cache_mem.is_none() {
                 break;
             }
-            let (arrays, _) = self.core.side_arrays(side)?;
+            let arrays = self.core.side_arrays(side)?;
             if cycle > arrays.now() {
                 done.extend(arrays.advance_to(cycle)?);
                 for c in done.drain(..) {
@@ -806,26 +793,29 @@ impl Engine {
             }
         }
         self.core.completions = done;
+        let now = self.core.now();
+        self.core.merge_windows.retain(|&(_, until)| until > now);
         self.core.flush_victims();
         Ok(())
     }
 
     /// Settles one completion from the `side` arrays. Victim writebacks
-    /// and wear-leveling copies only ever go to main memory.
+    /// and internal traffic only ever go to main memory.
     fn handle_completion(&mut self, side: ArraySide, c: &Completion) -> Result<(), WomPcmError> {
-        let (_, outstanding) = self.core.side_arrays(side)?;
-        *outstanding -= 1;
         if c.class == ServiceClass::RankRefresh {
             return self.policy.on_completion(&mut self.core, side, c);
         }
         if side == ArraySide::Main {
-            if self.core.victim_ids.remove(&c.id) {
+            // With a WOM-cache every demand write goes to the cache, so a
+            // write that completes on main memory is a victim writeback.
+            if c.op == MemOp::Write && self.core.cache_mem.is_some() {
                 self.core.metrics.victim_writebacks += 1;
                 self.core.emit(Event::VictimWriteback { cycle: c.finish });
                 return Ok(());
             }
-            if self.core.leveling_ids.remove(&c.id) {
-                return Ok(()); // internal wear-leveling row copy
+            if let Ok(at) = self.core.internal_ids.binary_search(&c.id) {
+                self.core.internal_ids.remove(at);
+                return Ok(()); // a row copy or a hidden-page companion
             }
         }
         self.core.record_demand(c);
@@ -872,7 +862,7 @@ impl Engine {
                 companion,
             } => {
                 self.enqueue_stalling(ArraySide::Main, MemOp::Write, addr, class)?;
-                self.core.open_merge_window(false, row_key, class);
+                self.core.open_merge_window(row_key, class);
                 self.account_leveling_write(addr)?;
                 if let Some(companion) = companion {
                     self.enqueue_internal(MemOp::Write, companion, class)?;
@@ -887,7 +877,7 @@ impl Engine {
             } => {
                 let cache_addr = self.core.cache_addr(rank, row)?;
                 self.enqueue_stalling(ArraySide::Cache, MemOp::Write, cache_addr, class)?;
-                self.core.open_merge_window(true, merge_key, class);
+                self.core.open_merge_window(merge_key, class);
                 Ok(())
             }
         }
@@ -941,12 +931,8 @@ impl Engine {
         class: ServiceClass,
     ) -> Result<TransactionId, WomPcmError> {
         loop {
-            let (arrays, outstanding) = self.core.side_arrays(side)?;
-            match arrays.enqueue(op, addr, class) {
-                Ok(id) => {
-                    *outstanding += 1;
-                    return Ok(id);
-                }
+            match self.core.side_arrays(side)?.enqueue(op, addr, class) {
+                Ok(id) => return Ok(id),
                 Err(SimError::QueueFull { .. }) => {
                     let next = self.now() + STALL_QUANTUM;
                     self.advance(next)?;
@@ -965,14 +951,14 @@ impl Engine {
         class: ServiceClass,
     ) -> Result<(), WomPcmError> {
         let id = self.enqueue_stalling(ArraySide::Main, op, addr, class)?;
-        self.core.leveling_ids.insert(id);
+        self.core.internal_ids.push(id);
         Ok(())
     }
 }
 
 impl EngineCore {
     fn cache_addr(&mut self, rank: u32, row: u32) -> Result<u64, WomPcmError> {
-        let (cache, _) = self.side_arrays(ArraySide::Cache)?;
+        let cache = self.side_arrays(ArraySide::Cache)?;
         Ok(cache.decoder().encode(DecodedAddr {
             rank,
             bank: 0,
@@ -985,6 +971,7 @@ impl EngineCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::SnapshotError;
 
     #[test]
     fn data_check_failures_are_internal_errors() {

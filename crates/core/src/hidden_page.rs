@@ -112,12 +112,6 @@ impl HiddenPageTable {
         self.slots_per_hidden
     }
 
-    /// The geometry this manager was built for.
-    #[must_use]
-    pub fn geometry(&self) -> MemoryGeometry {
-        self.geometry
-    }
-
     /// Rows per bank visible to the operating system.
     #[must_use]
     pub fn visible_rows(&self) -> u32 {
@@ -234,12 +228,11 @@ impl HiddenPageTable {
         self.page_table.len()
     }
 
-    /// Serializes the manager for snapshot/restore. The geometry itself
-    /// is not written — [`load_state`](Self::load_state) receives it from
-    /// the restored configuration and validates consistency. The free
-    /// lists and partial rows are one per bank, with no count.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put(&self.expansion);
+    /// Serializes the manager for snapshot/restore: the page table, the
+    /// slot usage, then one free list and one partial row per bank, with
+    /// no count. The geometry and the expansion come from the
+    /// configuration, so they are not written.
+    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
         w.put(&self.page_table);
         w.put(&self.slot_usage);
         for bank_free in &self.free {
@@ -250,34 +243,31 @@ impl HiddenPageTable {
         }
     }
 
-    /// Decodes a manager written by [`save_state`](Self::save_state) for
-    /// the same `geometry`.
+    /// Restores state written by [`save_state`](Self::save_state) into
+    /// this manager, built from the same configuration.
     ///
     /// # Errors
     ///
-    /// Propagates payload truncation; [`SnapError::Corrupt`] when the
-    /// stored expansion cannot host this geometry, rows are out of range,
-    /// or keys repeat or descend.
-    pub fn load_state(geometry: MemoryGeometry, r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let expansion: f64 = r.take()?;
-        let mut table = Self::new(geometry, expansion)
-            .map_err(|_| SnapError::Corrupt("hidden page reservation parameters"))?;
-        let rows_per_bank = geometry.rows_per_bank;
-        table.page_table = r.take()?;
-        if table.page_table.values().any(|&h| h >= rows_per_bank) {
+    /// Propagates payload truncation; [`SnapError::Corrupt`] when a
+    /// mapped or free hidden row is past the bank's rows, or keys repeat
+    /// or descend.
+    pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let rows_per_bank = self.geometry.rows_per_bank;
+        self.page_table = r.take()?;
+        if self.page_table.values().any(|&h| h >= rows_per_bank) {
             return Err(SnapError::Corrupt("hidden row out of range"));
         }
-        table.slot_usage = r.take()?;
-        for bank_free in table.free.iter_mut() {
+        self.slot_usage = r.take()?;
+        for bank_free in &mut self.free {
             *bank_free = r.take()?;
             if bank_free.iter().any(|&row| row >= rows_per_bank) {
                 return Err(SnapError::Corrupt("free hidden row out of range"));
             }
         }
-        for p in table.partial.iter_mut() {
+        for p in &mut self.partial {
             *p = r.take()?;
         }
-        Ok(table)
+        Ok(())
     }
 }
 
@@ -379,6 +369,40 @@ mod tests {
         assert!(HiddenPageTable::new(MemoryGeometry::tiny(), 0.5).is_err());
         // Expansion so large nothing stays visible.
         assert!(HiddenPageTable::new(MemoryGeometry::tiny(), 1e9).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_hidden_rows_past_the_bank() {
+        let mut t = table();
+        let hidden = t.recruit(3, 7).unwrap();
+        let mut w = SnapWriter::new();
+        t.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let restore = |bytes: &[u8]| {
+            let mut fresh = table();
+            let mut r = SnapReader::new(bytes);
+            fresh
+                .load_state(&mut r)
+                .and_then(|()| r.finish())
+                .map(|()| fresh)
+        };
+        let back = restore(&bytes).expect("restores");
+        assert_eq!(back.lookup(3, 7), Some(hidden));
+        assert_eq!(back.free, t.free);
+        // The page table is a count, then (key, row) pairs: its one row
+        // sits at byte 16. The slot usage has the same layout, and bank
+        // 0's free list follows it, a count and then rows 63 down to 42.
+        let first_free = 8 + 12 + 8 + 12 + 8;
+        assert_eq!(bytes[16..20], hidden.to_le_bytes());
+        assert_eq!(bytes[first_free..first_free + 4], 63u32.to_le_bytes());
+        for (at, what) in [
+            (16, "hidden row out of range"),
+            (first_free, "free hidden row out of range"),
+        ] {
+            let mut tampered = bytes.clone();
+            tampered[at..at + 4].copy_from_slice(&64u32.to_le_bytes());
+            assert_eq!(restore(&tampered).err(), Some(SnapError::Corrupt(what)));
+        }
     }
 
     #[test]

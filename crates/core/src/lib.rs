@@ -82,7 +82,7 @@ pub use hidden_page::HiddenPageTable;
 pub use metrics::RunMetrics;
 pub use observe::{EpochCounters, EpochRecorder, EpochSeries, Event};
 pub use policy::ArraySide;
-pub use refresh::{RefreshConfig, RefreshEngine, RefreshPlan};
+pub use refresh::{RefreshConfig, RefreshEngine};
 pub use rowmap::RowMap;
 pub use session::{EpochDelta, Session, SessionSpec, SessionState};
 pub use shard::{ShardPlan, ShardSource};

@@ -2,7 +2,7 @@
 
 use super::event::{Event, WriteClass};
 use crate::error::WomPcmError;
-use pcm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use pcm_sim::snap::{SnapError, SnapReader, SnapWriter};
 use pcm_sim::{Cycle, Histogram};
 
 /// Everything counted within one epoch.
@@ -185,6 +185,19 @@ pub struct EpochSeries {
 }
 
 impl EpochSeries {
+    /// The most epochs a series holds: 65,536. An epoch's counters take
+    /// 848 bytes (two 41-bucket histograms and 21 counters), so a full
+    /// series is about 53 MiB, a bound per observed session. At the
+    /// 50,000-cycle default width of the bench harness and womd it spans
+    /// 3.3·10⁹ controller cycles (4.1 simulated seconds at 1.25 ns),
+    /// while the longest of the repository's observed runs (the tests,
+    /// CI's observed run, `fig5` and `endurance` at their default sizes)
+    /// records 125 epochs. Without the ceiling, one far-future
+    /// cycle (two legal records 2^50 cycles apart, or a damaged
+    /// checkpoint's clock) sized the series to the whole gap at once and
+    /// the failed allocation aborted the process.
+    pub const MAX_EPOCHS: usize = 1 << 16;
+
     /// The configured epoch width in cycles.
     #[must_use]
     pub fn epoch_cycles(&self) -> Cycle {
@@ -272,29 +285,6 @@ impl EpochSeries {
     }
 }
 
-/// Rejects a zero epoch width.
-impl Snap for EpochSeries {
-    const MIN_BYTES: usize = 2 * u64::MIN_BYTES + <Vec<EpochCounters>>::MIN_BYTES;
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.put(&self.epoch_cycles);
-        w.put(&self.end_cycle);
-        w.put(&self.epochs);
-    }
-
-    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let epoch_cycles: Cycle = r.take()?;
-        if epoch_cycles == 0 {
-            return Err(SnapError::Corrupt("zero epoch width"));
-        }
-        Ok(Self {
-            epoch_cycles,
-            end_cycle: r.take()?,
-            epochs: r.take()?,
-        })
-    }
-}
-
 /// The epoch observer: folds events into an [`EpochSeries`] as they
 /// arrive.
 ///
@@ -322,25 +312,53 @@ impl EpochRecorder {
     }
 
     /// Ensures the epoch containing `cycle` is materialized and returns
-    /// its index.
-    fn materialize(&mut self, cycle: Cycle) -> usize {
-        let idx = usize::try_from(cycle / self.series.epoch_cycles).unwrap_or(usize::MAX);
+    /// its index, or `None` past [`EpochSeries::MAX_EPOCHS`].
+    fn materialize(&mut self, cycle: Cycle) -> Option<usize> {
+        let idx = usize::try_from(cycle / self.series.epoch_cycles)
+            .ok()
+            .filter(|&idx| idx < EpochSeries::MAX_EPOCHS)?;
         if idx >= self.series.epochs.len() {
             self.series
                 .epochs
-                .resize_with(idx.saturating_add(1), EpochCounters::default);
+                .resize_with(idx + 1, EpochCounters::default);
         }
-        idx
+        Some(idx)
     }
 
-    /// Folds one event into its epoch.
+    /// Folds one event into its epoch. An event past
+    /// [`EpochSeries::MAX_EPOCHS`] only moves the end cycle, which
+    /// [`check_ceiling`](Self::check_ceiling) then reports.
     pub fn on_event(&mut self, event: &Event) {
         let cycle = event.cycle();
-        self.series.end_cycle = self.series.end_cycle.max(cycle + 1);
+        self.series.end_cycle = self.series.end_cycle.max(cycle.saturating_add(1));
         let idx = self.materialize(cycle);
-        if let Some(slot) = self.series.epochs.get_mut(idx) {
+        if let Some(slot) = idx.and_then(|idx| self.series.epochs.get_mut(idx)) {
             slot.fold(event);
         }
+    }
+
+    /// Fails once the run has reached a cycle the series cannot hold: one
+    /// in an epoch at or past [`EpochSeries::MAX_EPOCHS`]. The end cycle
+    /// covers every event and the finish, so this one check catches a
+    /// far-future record, a restored clock and a restored completion.
+    ///
+    /// # Errors
+    ///
+    /// [`WomPcmError::InvalidConfig`]: the configured epoch width is too
+    /// narrow for the run.
+    pub fn check_ceiling(&self) -> Result<(), WomPcmError> {
+        let width = self.series.epoch_cycles;
+        let end = self.series.end_cycle;
+        if end <= (EpochSeries::MAX_EPOCHS as Cycle).saturating_mul(width) {
+            return Ok(());
+        }
+        // womlint::allow(hotpath/transitive, reason = "ceiling error path: allocates once, then the run aborts")
+        Err(WomPcmError::InvalidConfig(format!(
+            "the run reached cycle {}, past the {} epochs of {width} cycles an epoch series \
+             holds; widen epoch_cycles",
+            end - 1,
+            EpochSeries::MAX_EPOCHS
+        )))
     }
 
     /// Marks the run's end: records the final cycle and materializes any
@@ -364,11 +382,26 @@ impl EpochRecorder {
     pub fn into_series(self) -> EpochSeries {
         self.series
     }
-}
 
-pcm_sim::snap_fields!(EpochRecorder {
-    series: EpochSeries,
-});
+    /// Appends the series' end cycle and epochs. The epoch width comes
+    /// from the configuration, so it is not written.
+    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
+        w.put(&self.series.end_cycle);
+        w.put(&self.series.epochs);
+    }
+
+    /// Restores state written by [`save_state`](Self::save_state) into
+    /// this recorder, built with the same width.
+    ///
+    /// # Errors
+    ///
+    /// Propagates payload truncation and corruption.
+    pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.series.end_cycle = r.take()?;
+        self.series.epochs = r.take()?;
+        Ok(())
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -520,7 +553,8 @@ mod tests {
         r.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut reader = SnapReader::new(&bytes);
-        let back = EpochRecorder::load_state(&mut reader).unwrap();
+        let mut back = EpochRecorder::new(100);
+        back.load_state(&mut reader).unwrap();
         reader.finish().unwrap();
         assert_eq!(back.series(), r.series());
     }
@@ -544,6 +578,27 @@ mod tests {
             narrow.on_event(e);
         }
         assert_eq!(wide.into_series().totals(), narrow.into_series().totals());
+    }
+
+    #[test]
+    fn the_series_stops_growing_at_its_ceiling() {
+        let mut r = EpochRecorder::new(10);
+        let last = (EpochSeries::MAX_EPOCHS as Cycle) * 10 - 1;
+        r.on_event(&read_done(last, 1));
+        r.on_finish(last + 1);
+        assert_eq!(r.series().len(), EpochSeries::MAX_EPOCHS);
+        assert!(r.check_ceiling().is_ok(), "the last epoch still fits");
+        r.on_event(&read_done(1 << 50, 1));
+        assert_eq!(r.series().len(), EpochSeries::MAX_EPOCHS);
+        assert_eq!(r.series().totals().reads_completed, 1, "dropped");
+        assert!(matches!(
+            r.check_ceiling(),
+            Err(WomPcmError::InvalidConfig(_))
+        ));
+        let mut finished_late = EpochRecorder::new(10);
+        finished_late.on_finish(last + 2);
+        assert!(finished_late.series().is_empty());
+        assert!(finished_late.check_ceiling().is_err());
     }
 
     #[test]

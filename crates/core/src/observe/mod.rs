@@ -43,7 +43,8 @@ pub use epoch::{EpochCounters, EpochRecorder, EpochSeries};
 pub use event::{Event, WriteClass};
 pub use export::{push_epoch_jsonl, write_csv, write_jsonl};
 
-use pcm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::error::WomPcmError;
+use pcm_sim::snap::{SnapError, SnapReader, SnapWriter};
 use pcm_sim::Cycle;
 
 /// The engine's observer slot: off by default, an epoch recorder when
@@ -92,22 +93,31 @@ impl ObserverSink {
             Self::Epochs(r) => Some(r.into_series()),
         }
     }
-}
 
-/// The `Option` layout: a flag, then the recorder when one is attached.
-impl Snap for ObserverSink {
-    const MIN_BYTES: usize = <Option<EpochRecorder>>::MIN_BYTES;
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        let recorder = match self {
-            Self::Off => None,
-            Self::Epochs(r) => Some(r),
-        };
-        w.put_presence(recorder, EpochRecorder::save_state);
+    /// Fails once the run outgrows the attached recorder's series (see
+    /// [`EpochRecorder::check_ceiling`]).
+    pub(crate) fn check_ceiling(&self) -> Result<(), WomPcmError> {
+        match self {
+            Self::Off => Ok(()),
+            Self::Epochs(r) => r.check_ceiling(),
+        }
     }
 
-    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(r.take::<Option<_>>()?.map_or(Self::Off, Self::Epochs))
+    /// Appends the recorder's state when one is attached. Whether one is
+    /// attached is fixed by the configuration, so no flag is written.
+    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
+        if let Self::Epochs(r) = self {
+            r.save_state(w);
+        }
+    }
+
+    /// Restores state written by [`save_state`](Self::save_state) into
+    /// this sink, built from the same configuration.
+    pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        match self {
+            Self::Off => Ok(()),
+            Self::Epochs(recorder) => recorder.load_state(r),
+        }
     }
 }
 

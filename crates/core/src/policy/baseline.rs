@@ -26,7 +26,7 @@ pub(super) fn on_write(core: &mut EngineCore, addr: u64) -> Result<WriteAction, 
         .decoder()
         .decode(addr)
         .flat_row(&core.config().mem.geometry);
-    if core.try_coalesce(false, row_id) {
+    if core.try_coalesce(row_id) {
         return Ok(WriteAction::Coalesced);
     }
     Ok(WriteAction::Main {

@@ -68,8 +68,7 @@ impl RefreshDriver {
                 "refresh completion from arrays the driver does not refresh".into(),
             ));
         }
-        let (arrays, _) = core.side_arrays(side)?;
-        let d = arrays.decoder().decode(c.addr);
+        let d = core.side_arrays(side)?.decoder().decode(c.addr);
         core.note_refresh_row(side, d.rank, d.bank, d.row, c);
         if c.preempted {
             return Ok(None); // the row stays exhausted in its table
@@ -89,7 +88,7 @@ impl RefreshDriver {
             return Ok(());
         }
         let ranks = core.config().mem.geometry.ranks;
-        let (arrays, _) = core.side_arrays(self.side)?;
+        let arrays = core.side_arrays(self.side)?;
         self.idle_scratch.clear();
         self.idle_scratch
             .extend((0..ranks).filter(|&r| arrays.rank_queue_empty(r)));
@@ -110,16 +109,16 @@ impl RefreshDriver {
     /// Serializes the refresh engine. The tick-time scratch vectors are
     /// transient and not written.
     pub(super) fn save_state(&self, w: &mut SnapWriter) {
-        w.put(&self.engine);
+        self.engine.save_state(w);
     }
 
-    /// Restores state written by [`save_state`](Self::save_state).
+    /// Restores state written by [`save_state`](Self::save_state) into
+    /// this driver's engine, built from the same configuration.
     ///
     /// # Errors
     ///
     /// Propagates payload truncation and structural corruption.
     pub(super) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.engine = r.take()?;
-        Ok(())
+        self.engine.load_state(r)
     }
 }

@@ -92,7 +92,7 @@ impl WcpcmPolicy {
         // Coalescing requires the pending cache-row write to hold
         // the same bank's data (a tag conflict must evict instead).
         let tag_matches = self.cache.peek_tag(d.rank, d.row) == Some(d.bank);
-        if tag_matches && core.try_coalesce(true, cache_key) {
+        if tag_matches && core.try_coalesce(cache_key) {
             return Ok(WriteAction::Coalesced);
         }
         let budget_col = super::budget_column(core.config(), &d);
@@ -181,12 +181,12 @@ impl WcpcmPolicy {
     }
 
     pub(super) fn save_state(&self, w: &mut SnapWriter) {
-        w.put(&self.cache);
+        self.cache.save_state(w);
         self.refresh.save_state(w);
     }
 
     pub(super) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), WomPcmError> {
-        self.cache = r.take()?;
+        self.cache.load_state(r)?;
         self.refresh.load_state(r)?;
         Ok(())
     }

@@ -121,7 +121,7 @@ impl WomCodePolicy {
         core.check_write(addr)?;
         let d = core.decoder().decode(addr);
         let row_id = d.flat_row(&core.config().mem.geometry);
-        if core.try_coalesce(false, row_id) {
+        if core.try_coalesce(row_id) {
             return Ok(WriteAction::Coalesced);
         }
         let budget_col = super::budget_column(core.config(), &d);
@@ -189,27 +189,25 @@ impl WomCodePolicy {
         }
     }
 
+    /// Appends the WOM budgets, then the hidden-page table and the
+    /// refresh driver when the configuration built them.
     pub(super) fn save_state(&self, w: &mut SnapWriter) {
-        w.put(&self.wom);
-        w.put_presence(self.hidden.as_ref(), HiddenPageTable::save_state);
-        w.put_presence(self.refresh.as_ref(), RefreshDriver::save_state);
+        self.wom.save_state(w);
+        if let Some(hidden) = &self.hidden {
+            hidden.save_state(w);
+        }
+        if let Some(driver) = &self.refresh {
+            driver.save_state(w);
+        }
     }
 
     pub(super) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), WomPcmError> {
-        self.wom = r.take()?;
-        r.take_presence(
-            self.hidden.is_some(),
-            "hidden-page presence disagrees with the configuration",
-        )?;
-        if let Some(h) = &mut self.hidden {
-            *h = HiddenPageTable::load_state(h.geometry(), r)?;
+        self.wom.load_state(r)?;
+        if let Some(hidden) = &mut self.hidden {
+            hidden.load_state(r)?;
         }
-        r.take_presence(
-            self.refresh.is_some(),
-            "refresh-driver presence disagrees with the configuration",
-        )?;
-        if let Some(d) = &mut self.refresh {
-            d.load_state(r)?;
+        if let Some(driver) = &mut self.refresh {
+            driver.load_state(r)?;
         }
         Ok(())
     }

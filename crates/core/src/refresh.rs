@@ -66,8 +66,10 @@ impl Default for RefreshConfig {
 }
 
 /// One bank's row address table: the most recent rows that reached the
-/// rewrite limit, FIFO-evicted at the configured depth.
-#[derive(Debug, Clone, Default)]
+/// rewrite limit, FIFO-evicted at the configured depth. Its buffer is
+/// sized to that depth when the engine is built, and restore refills it
+/// in place, so recording a row never allocates.
+#[derive(Debug, Clone)]
 struct RowAddressTable {
     rows: VecDeque<u32>,
 }
@@ -114,16 +116,17 @@ impl RowAddressTable {
 /// // A demand alpha-write tells the engine row 7 of (rank 0, bank 1) is
 /// // exhausted; the next idle period plans its refresh.
 /// engine.record_exhausted(0, 1, 7);
-/// let plan = engine.plan(&[0, 1]).expect("rank 0 has refreshable work");
-/// assert_eq!(plan.rank, 0);
-/// assert_eq!(plan.rows, vec![(1, 7)]);
+/// let mut rows = Vec::new();
+/// let rank = engine.plan_into(&[0, 1], &mut rows);
+/// assert_eq!(rank, Some(0), "rank 0 has refreshable work");
+/// assert_eq!(rows, [(1, 7)]);
 /// # Ok(())
 /// # }
 /// ```
 ///
 /// The engine is driven by its owner (the WOM-PCM system): the owner
 /// reports exhausted rows via [`record_exhausted`](RefreshEngine::record_exhausted),
-/// asks for a refresh plan each period via [`plan`](RefreshEngine::plan)
+/// asks for a refresh plan each period via [`plan_into`](RefreshEngine::plan_into)
 /// (passing the currently idle ranks), and reports each completed
 /// refresh via [`row_refreshed`](RefreshEngine::row_refreshed); a
 /// preempted row stays in its table.
@@ -143,15 +146,6 @@ pub struct RefreshEngine {
     pending_banks: Vec<u32>,
     /// Non-empty tables across the channel (the sum of `pending_banks`).
     pending_total: u32,
-}
-
-/// A refresh plan for one rank: the rows to refresh, one per listed bank.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RefreshPlan {
-    /// Target rank.
-    pub rank: u32,
-    /// `(bank, row)` pairs to refresh in burst mode.
-    pub rows: Vec<(u32, u32)>,
 }
 
 impl RefreshEngine {
@@ -176,7 +170,11 @@ impl RefreshEngine {
             config,
             ranks,
             banks_per_rank,
-            tables: vec![RowAddressTable::default(); (ranks * banks_per_rank) as usize],
+            tables: (0..ranks * banks_per_rank)
+                .map(|_| RowAddressTable {
+                    rows: VecDeque::with_capacity(config.table_depth),
+                })
+                .collect(),
             cursor: 0,
             pending_banks: vec![0; ranks as usize],
             pending_total: 0,
@@ -252,21 +250,11 @@ impl RefreshEngine {
     }
 
     /// Picks the refresh target for this period from `idle_ranks`
-    /// (round-robin, threshold-filtered) and returns the plan, if any.
-    ///
-    /// Convenience wrapper over [`plan_into`](Self::plan_into) that
-    /// allocates the row list; periodic callers should pass a reused
-    /// scratch buffer to `plan_into` instead.
-    pub fn plan(&mut self, idle_ranks: &[u32]) -> Option<RefreshPlan> {
-        let mut rows = Vec::new();
-        self.plan_into(idle_ranks, &mut rows)
-            .map(|rank| RefreshPlan { rank, rows })
-    }
-
-    /// Allocation-free [`plan`](Self::plan): fills `rows` with the
-    /// target rank's `(bank, row)` pairs (clearing it first) and returns
-    /// the rank, or `None` (with `rows` cleared) when no idle rank
-    /// qualifies.
+    /// (round-robin, threshold-filtered): fills `rows` with the target
+    /// rank's `(bank, row)` pairs (clearing it first) and returns the
+    /// rank, or `None` (with `rows` cleared) when no idle rank qualifies.
+    /// Periodic callers pass a reused buffer, so planning allocates
+    /// nothing.
     ///
     /// The plan lists the *oldest* recorded row of every non-empty bank
     /// table in the target rank. Rows stay recorded until
@@ -302,72 +290,53 @@ impl RefreshEngine {
         }
         None
     }
-}
 
-/// The configuration, the dimensions and the cursor, then each bank's
-/// row address table (one per bank, with no count). The derived
-/// `pending_banks` / `pending_total` counters are *not* written:
-/// `load_state` recomputes them from the tables.
-impl Snap for RefreshEngine {
-    const MIN_BYTES: usize = usize::MIN_BYTES + u8::MIN_BYTES + 3 * u32::MIN_BYTES;
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.put(&self.config.table_depth);
-        w.put(&self.config.threshold_pct);
-        w.put(&self.ranks);
-        w.put(&self.banks_per_rank);
+    /// Appends the round-robin cursor, then each bank's row address table
+    /// (one per bank, with no count). The configuration and the
+    /// dimensions are not written, and neither are the derived
+    /// `pending_banks` / `pending_total` counters: `load_state`
+    /// recomputes them from the tables.
+    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
         w.put(&self.cursor);
         for table in &self.tables {
             w.put(&table.rows);
         }
     }
 
-    /// Rejects parameters a fresh engine would reject, and more bank
-    /// tables than the payload can hold.
-    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let config = RefreshConfig {
-            table_depth: r.take()?,
-            threshold_pct: r.take()?,
-        };
-        let ranks: u32 = r.take()?;
-        let banks_per_rank: u32 = r.take()?;
-        let cursor: u32 = r.take()?;
-        if config.validate().is_err() || ranks == 0 || banks_per_rank == 0 || cursor >= ranks {
+    /// Restores state written by [`save_state`](Self::save_state) into
+    /// this engine, built from the same configuration. Each table is
+    /// refilled in place, so it keeps the depth-sized buffer
+    /// [`new`](Self::new) gave it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates payload truncation; [`SnapError::Corrupt`] for a
+    /// cursor past the ranks or a table deeper than `table_depth`.
+    pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.cursor = r.take()?;
+        if self.cursor >= self.ranks {
             return Err(SnapError::Corrupt("refresh engine parameters"));
         }
-        // Each bank's row-address table costs at least its 8-byte length,
-        // so the dimensions are bounded by the payload before anything is
-        // sized from them (`ranks <= bank_count` bounds `pending_banks`).
-        let bank_count = (ranks as usize)
-            .checked_mul(banks_per_rank as usize)
-            .filter(|&n| n <= r.remaining() / <VecDeque<u32>>::MIN_BYTES)
-            .ok_or(SnapError::Corrupt("refresh tables exceed the payload"))?;
-        let mut tables = Vec::with_capacity(bank_count);
-        let mut pending_banks = vec![0u32; ranks as usize];
-        let mut pending_total = 0u32;
-        for flat in 0..bank_count {
-            let rows: VecDeque<u32> = r.take()?;
-            if rows.len() > config.table_depth {
+        self.pending_banks.fill(0);
+        self.pending_total = 0;
+        let banks_per_rank = self.banks_per_rank as usize;
+        for (flat, table) in self.tables.iter_mut().enumerate() {
+            let len = r.take_len(u32::MIN_BYTES)?;
+            if len > self.config.table_depth {
                 return Err(SnapError::Corrupt("row address table overflows depth"));
             }
-            if !rows.is_empty() {
-                let rank = flat / banks_per_rank as usize;
-                if let Some(slot) = pending_banks.get_mut(rank) {
-                    *slot += 1;
-                }
-                pending_total += 1;
+            table.rows.clear();
+            for _ in 0..len {
+                table.rows.push_back(r.take()?);
             }
-            tables.push(RowAddressTable { rows });
+            if len > 0 {
+                if let Some(pending) = self.pending_banks.get_mut(flat / banks_per_rank) {
+                    *pending += 1;
+                }
+                self.pending_total += 1;
+            }
         }
-        Ok(Self {
-            config,
-            ranks,
-            banks_per_rank,
-            tables,
-            cursor,
-            pending_banks,
-            pending_total,
-        })
+        Ok(())
     }
 }
 
@@ -379,29 +348,60 @@ mod tests {
         RefreshEngine::new(RefreshConfig::paper(), 2, 4).unwrap()
     }
 
-    #[test]
-    fn load_state_bounds_the_table_count_by_the_payload() {
-        let config = RefreshConfig::paper();
+    /// The plan [`RefreshEngine::plan_into`] makes, as `(rank, rows)`.
+    fn plan(e: &mut RefreshEngine, idle_ranks: &[u32]) -> Option<(u32, Vec<(u32, u32)>)> {
+        let mut rows = Vec::new();
+        e.plan_into(idle_ranks, &mut rows).map(|rank| (rank, rows))
+    }
+
+    fn saved(e: &RefreshEngine) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        w.put(&config.table_depth);
-        w.put(&config.threshold_pct);
-        w.put(&u32::MAX); // ranks
-        w.put(&u32::MAX); // banks_per_rank
-        w.put(&0u32); // cursor
-        let bytes = w.into_bytes();
-        assert_eq!(bytes.len(), 21);
-        let mut r = SnapReader::new(&bytes);
-        assert!(matches!(
-            RefreshEngine::load_state(&mut r),
-            Err(SnapError::Corrupt(_))
-        ));
+        e.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    fn restored(bytes: &[u8]) -> Result<RefreshEngine, SnapError> {
+        let mut e = engine();
+        let mut r = SnapReader::new(bytes);
+        e.load_state(&mut r)?;
+        r.finish().map(|()| e)
+    }
+
+    #[test]
+    fn restore_rebuilds_the_counters_and_checks_the_run_state() {
+        let mut e = engine(); // 2 ranks × 4 banks, depth 5
+        e.record_exhausted(0, 1, 5);
+        e.record_exhausted(1, 3, 6);
+        e.record_exhausted(1, 3, 7);
+        assert_eq!(plan(&mut e, &[0]).map(|(rank, _)| rank), Some(0));
+        let bytes = saved(&e);
+        let mut back = restored(&bytes).expect("restores");
+        assert_eq!((back.cursor, back.pending_total), (1, 2));
+        assert_eq!(back.pending_banks, [1, 1]);
+        assert!(back.tables.iter().all(|t| t.rows.capacity() >= 5));
+        assert_eq!(plan(&mut back, &[0, 1]), Some((1, vec![(3, 6)])));
+
+        let mut tampered = bytes.clone();
+        tampered[..4].copy_from_slice(&2u32.to_le_bytes()); // cursor = ranks
+        assert_eq!(
+            restored(&tampered).err(),
+            Some(SnapError::Corrupt("refresh engine parameters"))
+        );
+        // A sixth row in the last bank's table.
+        let mut deep = bytes[..bytes.len() - 2 * 4 - 8].to_vec();
+        deep.extend(6u64.to_le_bytes());
+        (1..=6u32).for_each(|row| deep.extend(row.to_le_bytes()));
+        assert_eq!(
+            restored(&deep).err(),
+            Some(SnapError::Corrupt("row address table overflows depth"))
+        );
     }
 
     #[test]
     fn empty_engine_plans_nothing() {
         let mut e = engine();
-        assert_eq!(e.plan(&[0, 1]), None);
-        assert_eq!(e.plan(&[]), None);
+        assert_eq!(plan(&mut e, &[0, 1]), None);
+        assert_eq!(plan(&mut e, &[]), None);
     }
 
     #[test]
@@ -410,17 +410,15 @@ mod tests {
         e.record_exhausted(0, 0, 10);
         e.record_exhausted(0, 0, 11);
         e.record_exhausted(0, 2, 20);
-        let plan = e.plan(&[0]).unwrap();
-        assert_eq!(plan.rank, 0);
-        assert_eq!(plan.rows, vec![(0, 10), (2, 20)]);
+        assert_eq!(plan(&mut e, &[0]), Some((0, vec![(0, 10), (2, 20)])));
     }
 
     #[test]
     fn busy_ranks_are_skipped() {
         let mut e = engine();
         e.record_exhausted(0, 0, 1);
-        assert_eq!(e.plan(&[1]), None, "rank 0 has work but is not idle");
-        assert!(e.plan(&[0]).is_some());
+        assert_eq!(plan(&mut e, &[1]), None, "rank 0 has work but is not idle");
+        assert!(plan(&mut e, &[0]).is_some());
     }
 
     #[test]
@@ -428,14 +426,12 @@ mod tests {
         let mut e = engine();
         e.record_exhausted(0, 0, 1);
         e.record_exhausted(1, 0, 2);
-        let first = e.plan(&[0, 1]).unwrap();
-        assert_eq!(first.rank, 0);
+        let mut rank = || plan(&mut e, &[0, 1]).map(|(rank, _)| rank);
+        assert_eq!(rank(), Some(0));
         // Rank 0's row was NOT yet confirmed refreshed, but the cursor
         // advanced, so rank 1 goes next.
-        let second = e.plan(&[0, 1]).unwrap();
-        assert_eq!(second.rank, 1);
-        let third = e.plan(&[0, 1]).unwrap();
-        assert_eq!(third.rank, 0, "wraps back");
+        assert_eq!(rank(), Some(1));
+        assert_eq!(rank(), Some(0), "wraps back");
     }
 
     #[test]
@@ -452,8 +448,7 @@ mod tests {
         e.record_exhausted(0, 0, 1);
         e.record_exhausted(0, 0, 2);
         e.record_exhausted(0, 0, 3); // evicts row 1
-        let plan = e.plan(&[0]).unwrap();
-        assert_eq!(plan.rows, vec![(0, 2)]);
+        assert_eq!(plan(&mut e, &[0]), Some((0, vec![(0, 2)])));
     }
 
     #[test]
@@ -471,8 +466,7 @@ mod tests {
         e.record_exhausted(0, 0, 2);
         e.record_exhausted(0, 0, 1); // refreshes recency of row 1
         e.record_exhausted(0, 0, 3); // evicts row 2, not row 1
-        let plan = e.plan(&[0]).unwrap();
-        assert_eq!(plan.rows, vec![(0, 1)]);
+        assert_eq!(plan(&mut e, &[0]), Some((0, vec![(0, 1)])));
     }
 
     #[test]
@@ -480,7 +474,7 @@ mod tests {
         let mut e = engine();
         e.record_exhausted(0, 1, 5);
         e.row_refreshed(0, 1, 5);
-        assert_eq!(e.plan(&[0]), None);
+        assert_eq!(plan(&mut e, &[0]), None);
     }
 
     #[test]
@@ -497,13 +491,12 @@ mod tests {
         .unwrap();
         e.record_exhausted(0, 0, 1);
         assert_eq!(
-            e.plan(&[0]),
+            plan(&mut e, &[0]),
             None,
             "1 of 4 banks is below the 50% threshold"
         );
         e.record_exhausted(0, 1, 2);
-        let plan = e.plan(&[0]).unwrap();
-        assert_eq!(plan.rows.len(), 2);
+        assert_eq!(plan(&mut e, &[0]), Some((0, vec![(0, 1), (1, 2)])));
     }
 
     #[test]
@@ -518,9 +511,9 @@ mod tests {
         )
         .unwrap();
         e.record_exhausted(0, 0, 1);
-        assert_eq!(e.plan(&[0]), None);
+        assert_eq!(plan(&mut e, &[0]), None);
         e.record_exhausted(0, 1, 1);
-        assert!(e.plan(&[0]).is_some());
+        assert!(plan(&mut e, &[0]).is_some());
     }
 
     #[test]
@@ -569,21 +562,18 @@ mod tests {
     }
 
     #[test]
-    fn plan_into_matches_plan_and_reuses_the_buffer() {
-        let mut a = engine();
-        let mut b = engine();
-        for e in [&mut a, &mut b] {
-            e.record_exhausted(0, 0, 10);
-            e.record_exhausted(0, 2, 20);
-            e.record_exhausted(1, 1, 30);
-        }
+    fn plan_into_clears_and_reuses_the_buffer() {
+        let mut e = engine();
+        e.record_exhausted(0, 0, 10);
+        e.record_exhausted(0, 2, 20);
+        e.record_exhausted(1, 1, 30);
         let mut scratch = vec![(9, 9); 8]; // stale content must not leak
-        let rank = a.plan_into(&[0, 1], &mut scratch);
-        let plan = b.plan(&[0, 1]).unwrap();
-        assert_eq!(rank, Some(plan.rank));
-        assert_eq!(scratch, plan.rows);
+        let buffer = scratch.as_ptr();
+        assert_eq!(e.plan_into(&[0, 1], &mut scratch), Some(0));
+        assert_eq!(scratch, [(0, 10), (2, 20)]);
+        assert_eq!(scratch.as_ptr(), buffer, "the buffer is reused");
         // A no-plan call clears the buffer instead of leaving stale rows.
-        assert_eq!(a.plan_into(&[], &mut scratch), None);
+        assert_eq!(e.plan_into(&[], &mut scratch), None);
         assert!(scratch.is_empty());
     }
 
@@ -604,8 +594,8 @@ mod tests {
         /// plan/confirm rounds (each plan reports the oldest row).
         fn drain(e: &mut RefreshEngine) -> Vec<u32> {
             let mut rows = Vec::new();
-            while let Some(plan) = e.plan(&[0]) {
-                let &(bank, row) = &plan.rows[0];
+            while let Some((_, planned)) = plan(e, &[0]) {
+                let &(bank, row) = &planned[0];
                 rows.push(row);
                 e.row_refreshed(0, bank, row);
             }

@@ -617,6 +617,22 @@ mod tests {
     }
 
     #[test]
+    fn a_far_future_record_fails_the_feed_instead_of_aborting() {
+        let spec = SessionSpec::tiny(Architecture::Baseline).epoch_cycles(10_000);
+        let mut s = Session::open(spec).unwrap();
+        let records = [
+            TraceRecord::new(0, 0, TraceOp::Read),
+            TraceRecord::new(1 << 50, 0x40, TraceOp::Read),
+        ];
+        let err = s
+            .feed(&records)
+            .expect_err("the series cannot span the gap");
+        assert!(matches!(err, WomPcmError::InvalidConfig(_)), "{err:?}");
+        assert!(err.to_string().contains("widen epoch_cycles"), "{err}");
+        assert!(s.epochs().unwrap().len() <= EpochSeries::MAX_EPOCHS);
+    }
+
+    #[test]
     fn feed_rejects_regressing_cycles() {
         let mut s = Session::open(SessionSpec::tiny(Architecture::Baseline)).unwrap();
         s.feed(&[TraceRecord::new(10, 0, TraceOp::Read)]).unwrap();

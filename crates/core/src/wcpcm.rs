@@ -10,7 +10,7 @@
 //! because only one bank's worth of rows per rank is duplicated.
 
 use crate::wom_state::{WomStateTable, WriteKind};
-use pcm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use pcm_sim::snap::{SnapError, SnapReader, SnapWriter};
 
 /// What happened on a WOM-cache write lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -265,15 +265,6 @@ impl WomCache {
         self.wom.mark_refreshed(id);
     }
 
-    /// Marks a cache row as PCM-refreshed: erased and immediately
-    /// rewritten with its data in the first-write pattern, so exactly one
-    /// write generation is consumed ("the 'refreshed' PCM row can be
-    /// immediately written by the pattern of the second write", §3.2).
-    pub fn mark_pcm_refreshed(&mut self, rank: u32, row: u32) {
-        let id = self.wom_id(rank, row);
-        self.wom.mark_copied(id);
-    }
-
     /// Flushes a cache row: invalidates the entry (returning the bank
     /// whose data must be written back to main memory, if any) and erases
     /// the wits to the full-budget state. Unlike main-memory rows, a write
@@ -291,56 +282,36 @@ impl WomCache {
     pub fn valid_entries(&self) -> usize {
         self.tags.iter().filter(|t| t.is_some()).count()
     }
-}
 
-/// The dimensions, one `Option` tag per cache row, the WOM state, then
-/// the counters.
-impl Snap for WomCache {
-    const MIN_BYTES: usize = 3 * u32::MIN_BYTES + WomStateTable::MIN_BYTES + CacheStats::MIN_BYTES;
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.put(&self.ranks);
-        w.put(&self.banks_per_rank);
-        w.put(&self.rows);
+    /// Appends one `Option` tag per cache row, the rows' WOM state, then
+    /// the counters. The dimensions come from the configuration, so they
+    /// are not written.
+    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
         for tag in &self.tags {
             w.put(tag);
         }
-        w.put(&self.wom);
+        self.wom.save_state(w);
         w.put(&self.stats);
     }
 
-    /// Rejects zero-sized dimensions, more tags than the payload can
-    /// hold, and out-of-range tags.
-    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let ranks: u32 = r.take()?;
-        let banks_per_rank: u32 = r.take()?;
-        let rows: u32 = r.take()?;
-        if ranks == 0 || banks_per_rank == 0 || rows == 0 {
-            return Err(SnapError::Corrupt("cache dimensions"));
-        }
-        // Each tag costs at least its one-byte valid flag, so the
-        // dimensions are bounded by the payload before anything is sized
-        // from them.
-        let entries = (ranks as usize)
-            .checked_mul(rows as usize)
-            .filter(|&n| n <= r.remaining() / <Option<u32>>::MIN_BYTES)
-            .ok_or(SnapError::Corrupt("cache tags exceed the payload"))?;
-        let mut tags = Vec::with_capacity(entries);
-        for _ in 0..entries {
-            let tag: Option<u32> = r.take()?;
-            if tag.is_some_and(|bank| bank >= banks_per_rank) {
+    /// Restores state written by [`save_state`](Self::save_state) into
+    /// this cache, built from the same configuration.
+    ///
+    /// # Errors
+    ///
+    /// Propagates payload truncation and WOM-state corruption;
+    /// [`SnapError::Corrupt`] for a tag naming a bank past
+    /// `banks_per_rank`.
+    pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        for tag in &mut self.tags {
+            *tag = r.take()?;
+            if tag.is_some_and(|bank| bank >= self.banks_per_rank) {
                 return Err(SnapError::Corrupt("cache tag out of range"));
             }
-            tags.push(tag);
         }
-        Ok(Self {
-            ranks,
-            banks_per_rank,
-            rows,
-            tags,
-            wom: r.take()?,
-            stats: r.take()?,
-        })
+        self.wom.load_state(r)?;
+        self.stats = r.take()?;
+        Ok(())
     }
 }
 
@@ -353,18 +324,30 @@ mod tests {
     }
 
     #[test]
-    fn load_state_bounds_the_tag_count_by_the_payload() {
+    fn load_state_rejects_a_tag_past_the_banks() {
+        let mut c = cache();
+        c.write(1, 3, 15, 0);
         let mut w = SnapWriter::new();
-        w.put(&u32::MAX); // ranks
-        w.put(&4u32); // banks_per_rank
-        w.put(&u32::MAX); // rows
-        w.put(&false);
-        let bytes = w.into_bytes();
-        assert_eq!(bytes.len(), 13);
-        let mut r = SnapReader::new(&bytes);
+        c.save_state(&mut w);
+        let mut bytes = w.into_bytes();
+        let restore = |bytes: &[u8]| {
+            let mut fresh = cache();
+            let mut r = SnapReader::new(bytes);
+            fresh
+                .load_state(&mut r)
+                .and_then(|()| r.finish())
+                .map(|()| fresh)
+        };
+        let back = restore(&bytes).expect("restores");
+        assert_eq!((back.peek_tag(1, 15), back.valid_entries()), (Some(3), 1));
+        // 31 empty tags (one byte each), then rank 1, row 15: a valid
+        // flag and bank 3 of 4.
+        let at = 32;
+        assert_eq!(bytes[at - 1..at + 4], [1, 3, 0, 0, 0]);
+        bytes[at] = 4;
         assert!(matches!(
-            WomCache::load_state(&mut r),
-            Err(SnapError::Corrupt(_))
+            restore(&bytes),
+            Err(SnapError::Corrupt("cache tag out of range"))
         ));
     }
 

@@ -13,7 +13,7 @@
 //! proves the mapping stays a bijection and actually levels wear.
 
 use crate::error::WomPcmError;
-use pcm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use pcm_sim::snap::{SnapError, SnapReader, SnapWriter};
 
 /// Start-Gap remapping over a region of `rows` logical rows backed by
 /// `rows + 1` physical rows.
@@ -142,39 +142,33 @@ impl StartGap {
             Some((from, to))
         }
     }
-}
 
-impl Snap for StartGap {
-    const MIN_BYTES: usize = 6 * u64::MIN_BYTES;
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.put(&self.rows);
-        w.put(&self.gap_move_interval);
+    /// Appends the run state: `start`, `gap`, the writes since the last
+    /// move and the move count. The row count and the interval come from
+    /// the configuration, so they are not written.
+    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
         w.put(&self.start);
         w.put(&self.gap);
         w.put(&self.since_move);
         w.put(&self.moves);
     }
 
-    /// Rejects a state that breaks the mapping invariants.
-    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let sg = Self {
-            rows: r.take()?,
-            gap_move_interval: r.take()?,
-            start: r.take()?,
-            gap: r.take()?,
-            since_move: r.take()?,
-            moves: r.take()?,
-        };
-        if sg.rows < 2
-            || sg.gap_move_interval == 0
-            || sg.start >= sg.rows
-            || sg.gap > sg.rows
-            || sg.since_move >= sg.gap_move_interval
-        {
+    /// Restores state written by [`save_state`](Self::save_state) into
+    /// this remapper, built from the same configuration.
+    ///
+    /// # Errors
+    ///
+    /// Propagates payload truncation; [`SnapError::Corrupt`] for a start
+    /// or gap outside this remapper's rows, or a write count that has
+    /// reached its interval.
+    pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let (start, gap, since_move) = (r.take()?, r.take()?, r.take()?);
+        if start >= self.rows || gap > self.rows || since_move >= self.gap_move_interval {
             return Err(SnapError::Corrupt("start-gap state"));
         }
-        Ok(sg)
+        (self.start, self.gap, self.since_move) = (start, gap, since_move);
+        self.moves = r.take()?;
+        Ok(())
     }
 }
 
@@ -244,6 +238,36 @@ mod tests {
             sg.physical_rows(),
             "a hot logical row must visit every physical slot"
         );
+    }
+
+    #[test]
+    fn load_state_rejects_state_outside_the_rows_and_interval() {
+        let mut sg = StartGap::new(8, 4).unwrap();
+        for _ in 0..11 {
+            sg.record_write();
+        }
+        let mut w = SnapWriter::new();
+        sg.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let restore = |bytes: &[u8]| {
+            let mut fresh = StartGap::new(8, 4).unwrap();
+            let mut r = SnapReader::new(bytes);
+            fresh
+                .load_state(&mut r)
+                .and_then(|()| r.finish())
+                .map(|()| fresh)
+        };
+        assert_eq!(restore(&bytes), Ok(sg));
+        // start, gap and since_move, each one past its bound.
+        for (field, bad) in [(0, 8u64), (1, 9), (2, 4)] {
+            let mut tampered = bytes.clone();
+            tampered[field * 8..field * 8 + 8].copy_from_slice(&bad.to_le_bytes());
+            assert_eq!(
+                restore(&tampered),
+                Err(SnapError::Corrupt("start-gap state")),
+                "field {field}"
+            );
+        }
     }
 
     #[test]

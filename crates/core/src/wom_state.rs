@@ -18,7 +18,7 @@
 //! costs memory proportional to the trace footprint only.
 
 use crate::rowmap::RowMap;
-use pcm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use pcm_sim::snap::{SnapError, SnapReader, SnapWriter};
 
 /// What state untouched (cold) cells are assumed to hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -318,42 +318,26 @@ impl WomStateTable {
     pub fn tracked_rows(&self) -> usize {
         self.rows.len()
     }
-}
 
-pcm_sim::snap_tags!(ColdPolicy {
-    Erased = 0,
-    Dirty = 1,
-    SteadyState = 2,
-});
-
-/// Rows in ascending key order as their key and one count byte per
-/// column, so identical states produce identical bytes.
-impl Snap for WomStateTable {
-    const MIN_BYTES: usize = 2 * u32::MIN_BYTES + ColdPolicy::MIN_BYTES + usize::MIN_BYTES;
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.put(&self.rewrite_limit);
-        w.put(&self.columns);
-        w.put(&self.cold);
+    /// Appends the tracked rows in ascending key order, each as its key
+    /// and one count byte per column, so identical states produce
+    /// identical bytes. The rewrite limit, the column count and the cold
+    /// policy come from the configuration, so they are not written.
+    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
         self.rows.save_with(w, |w, _, counts| w.put_bytes(counts));
     }
 
-    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let rewrite_limit: u32 = r.take()?;
-        if !(1..=254).contains(&rewrite_limit) {
-            return Err(SnapError::Corrupt("WOM rewrite limit out of range"));
-        }
-        let columns: u32 = r.take()?;
-        if columns == 0 {
-            return Err(SnapError::Corrupt("WOM table with zero columns"));
-        }
-        let cols = columns as usize;
-        Ok(Self {
-            rewrite_limit,
-            columns,
-            cold: r.take()?,
-            rows: RowMap::load_with(r, cols, |r, _| r.take_bytes(cols).map(Box::from))?,
-        })
+    /// Restores rows written by [`save_state`](Self::save_state) into
+    /// this table, built from the same configuration.
+    ///
+    /// # Errors
+    ///
+    /// Propagates payload truncation, and [`RowMap`]'s check that row
+    /// keys strictly ascend.
+    pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let cols = self.columns as usize;
+        self.rows = RowMap::load_with(r, cols, |r, _| r.take_bytes(cols).map(Box::from))?;
+        Ok(())
     }
 }
 
@@ -574,9 +558,11 @@ mod copy_tests {
             "an untracked erased row stays untracked"
         );
         let mut w = SnapWriter::new();
-        w.put(&t);
+        t.save_state(&mut w);
         let bytes = w.into_bytes();
-        let back: WomStateTable = SnapReader::new(&bytes).take().expect("decodes");
+        let mut back = WomStateTable::new(2, 4);
+        back.load_state(&mut SnapReader::new(&bytes))
+            .expect("decodes");
         assert_eq!(
             back.rows.get(9).map(|row| &row[..]),
             Some(&[0; 4][..]),

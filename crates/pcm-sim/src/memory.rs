@@ -191,18 +191,6 @@ impl MemorySystem {
         self.write_q.len()
     }
 
-    /// Whether another read can be enqueued without [`SimError::QueueFull`].
-    #[must_use]
-    pub fn can_accept_read(&self) -> bool {
-        self.read_q.len() < self.config.read_queue_capacity
-    }
-
-    /// Whether another write can be enqueued without [`SimError::QueueFull`].
-    #[must_use]
-    pub fn can_accept_write(&self) -> bool {
-        self.write_q.len() < self.config.write_queue_capacity
-    }
-
     /// True when every bank of `rank` is idle and no demand access for the
     /// rank is queued — the paper's criterion for a PCM-refresh target.
     ///
@@ -239,6 +227,19 @@ impl MemorySystem {
             "rank {rank} out of range"
         );
         self.queued_per_rank[rank as usize] == 0
+    }
+
+    /// True when the controller has nothing left to do: no access or
+    /// refresh batch is queued, no bank is running an operation, and
+    /// every completion has been drained. A preempted refresh row's stale
+    /// pending entry does not count: its bank no longer serves it.
+    #[must_use]
+    pub fn is_idle(&self) -> bool {
+        self.read_q.is_empty()
+            && self.write_q.is_empty()
+            && self.refresh_q.is_empty()
+            && self.out.is_empty()
+            && self.banks.iter().all(|b| b.in_flight(self.now).is_none())
     }
 
     /// Whether `(rank, bank)` is free at the current cycle.
@@ -745,13 +746,16 @@ impl MemorySystem {
     // ------------------------------------------------------------------
 
     /// Serializes the mid-flight controller state that restore cannot
-    /// derive (not the configuration, which the restorer must hold). The
+    /// derive (not the configuration, which the restorer must hold, so
+    /// the banks are written one per configured bank with no count). The
     /// pending heap is written in `(finish, id)` order, so identical
     /// states produce identical bytes whatever the heap's array layout.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.put(&self.now);
         w.put(&self.next_id);
-        w.put(&self.banks);
+        for bank in &self.banks {
+            w.put(bank);
+        }
         w.put(&self.bus_free_at);
         w.put(&self.bus_wake);
         save_txn_queue(&self.read_q, w);
@@ -768,25 +772,25 @@ impl MemorySystem {
     }
 
     /// Restores state written by [`save_state`](Self::save_state) into a
-    /// freshly built system of the *same configuration*.
+    /// freshly built system of the *same configuration*. The read and
+    /// write queues are refilled in place, so they keep the capacities
+    /// [`new`](Self::new) gave them.
     ///
     /// # Errors
     ///
-    /// [`SnapError`] on truncation, bad enum tags, a bank count that
-    /// contradicts this system's configuration, or a state the controller
-    /// never reaches (such as a bank running an operation not pending).
+    /// [`SnapError`] on truncation, bad enum tags, or a state the
+    /// controller never reaches (such as a bank running an operation not
+    /// pending).
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.now = r.take()?;
         self.next_id = r.take()?;
-        let banks: Vec<BankState> = r.take()?;
-        if banks.len() != self.banks.len() {
-            return Err(SnapError::Corrupt("bank count differs from the config"));
+        for bank in &mut self.banks {
+            *bank = r.take()?;
         }
-        self.banks = banks;
         self.bus_free_at = r.take()?;
         self.bus_wake = r.take()?;
-        self.read_q = load_txn_queue(r, &self.decoder)?;
-        self.write_q = load_txn_queue(r, &self.decoder)?;
+        load_txn_queue(r, &self.decoder, &mut self.read_q)?;
+        load_txn_queue(r, &self.decoder, &mut self.write_q)?;
         self.refresh_q = r.take()?;
         let mut pending: Vec<Completion> = r.take()?;
         self.out = r.take()?;
@@ -878,19 +882,21 @@ fn save_txn_queue(q: &VecDeque<Queued>, w: &mut SnapWriter) {
     }
 }
 
-/// Decoded addresses are not in the payload; they are recomputed.
+/// Refills `q` in place; decoded addresses are not in the payload, they
+/// are recomputed.
 fn load_txn_queue(
     r: &mut SnapReader<'_>,
     decoder: &AddressDecoder,
-) -> Result<VecDeque<Queued>, SnapError> {
+    q: &mut VecDeque<Queued>,
+) -> Result<(), SnapError> {
     let len = r.take_len(Transaction::MIN_BYTES)?;
-    let mut q = VecDeque::with_capacity(len);
+    q.clear();
     for _ in 0..len {
         let txn: Transaction = r.take()?;
         let at = decoder.decode(txn.addr);
         q.push_back(Queued { txn, at });
     }
-    Ok(q)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1365,12 +1371,33 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_mismatched_geometry() {
-        let bytes = saved(&tiny_system());
-        let mut cfg = MemConfig::tiny();
-        cfg.geometry.ranks = 1;
-        let mut b = MemorySystem::new(cfg).unwrap();
-        assert!(b.restore_state(&mut SnapReader::new(&bytes)).is_err());
+    fn restore_keeps_the_configured_queue_capacities() {
+        let b = restored(&saved(&busy_system())).unwrap();
+        assert_eq!((b.read_q.len(), b.write_q.len()), (0, 1));
+        assert!(b.read_q.capacity() >= b.config.read_queue_capacity);
+        assert!(b.write_q.capacity() >= b.config.write_queue_capacity);
+    }
+
+    #[test]
+    fn idle_once_nothing_runs_and_every_completion_is_drained() {
+        let mut mem = tiny_system();
+        assert!(mem.is_idle());
+        mem.enqueue_rank_refresh(0, &[(0, 5)]).unwrap();
+        mem.advance_to(2).unwrap();
+        assert!(!mem.is_idle(), "the refresh row runs");
+        // A write to bank 0 preempts the row; its stale pending entry
+        // outlives the write.
+        let a = addr_of(&mem, 0, 0, 3, 0);
+        mem.enqueue(MemOp::Write, a, ServiceClass::Write).unwrap();
+        let write_done = mem.now() + TimingParams::paper_pcm().write_cycles();
+        assert!(!mem.is_idle(), "the preempted row is not drained yet");
+        assert_eq!(mem.advance_to(write_done - 1).unwrap().count(), 1);
+        assert!(!mem.is_idle(), "the write runs");
+        let done = mem.advance_to(write_done).unwrap();
+        assert!(!done.as_slice().is_empty());
+        drop(done);
+        assert_eq!(mem.pending.len(), 1, "the preempted row's stale entry");
+        assert!(mem.is_idle());
     }
 
     #[test]

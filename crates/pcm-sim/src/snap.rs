@@ -6,9 +6,8 @@
 //! and read by [`SnapReader::take`]. The impls here fix the layout once:
 //! integers little-endian at their width, `usize` as a `u64`, `f64` as
 //! its exact bits, `bool` as one byte, `Option` as that flag then the
-//! value, tuples and arrays field by field, and `Vec`, `VecDeque`,
-//! `BTreeMap` and `BTreeSet` as a `u64` length then their elements in
-//! order. A struct's impl is its field list in declaration order
+//! value, tuples and arrays field by field, and `Vec`, `VecDeque` and
+//! `BTreeMap` as a `u64` length then their elements in order. A struct's impl is its field list in declaration order
 //! ([`snap_fields!`](crate::snap_fields)), so two identical simulation
 //! states serialize to identical bytes — the property the resumable-run
 //! determinism tests pin.
@@ -20,7 +19,7 @@
 //! errors are always typed [`SnapError`]s with an exact byte offset.
 
 use core::fmt;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Errors produced while decoding a snapshot payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,16 +172,6 @@ impl SnapWriter {
         value.save_state(self);
     }
 
-    /// Appends `value` in the `Option` layout, with `save` writing the
-    /// value: for state restored in place into an instance built from
-    /// the configuration (read back with [`SnapReader::take_presence`]).
-    pub fn put_presence<T>(&mut self, value: Option<&T>, save: impl FnOnce(&T, &mut Self)) {
-        self.put(&value.is_some());
-        if let Some(v) = value {
-            save(v, self);
-        }
-    }
-
     /// Appends raw bytes (callers write their own length prefix when the
     /// length is not implied by the schema).
     pub fn put_bytes(&mut self, bytes: &[u8]) {
@@ -239,20 +228,6 @@ impl<'a> SnapReader<'a> {
         T::load_state(self)
     }
 
-    /// Decodes a [`SnapWriter::put_presence`] flag, which must equal
-    /// `expected`: whether the configuration built the value.
-    ///
-    /// # Errors
-    ///
-    /// Truncation, or [`SnapError::Corrupt`] with `what` on a mismatch.
-    pub fn take_presence(&mut self, expected: bool, what: &'static str) -> Result<(), SnapError> {
-        if self.take::<bool>()? == expected {
-            Ok(())
-        } else {
-            Err(SnapError::Corrupt(what))
-        }
-    }
-
     /// Consumes `n` raw bytes.
     ///
     /// # Errors
@@ -298,9 +273,9 @@ impl<'a> SnapReader<'a> {
     /// Consumes a length-prefixed section of entries saved in strictly
     /// ascending key order, and collects it into `C`: `entry` decodes an
     /// entry, `key` gives its ordering key, and `min_entry_bytes` bounds
-    /// the length as in [`take_len`](Self::take_len). A `BTreeMap` or
-    /// `BTreeSet` collected from sorted entries is bulk-built with no
-    /// per-key search.
+    /// the length as in [`take_len`](Self::take_len). A `BTreeMap`
+    /// collected from sorted entries is bulk-built with no per-key
+    /// search.
     ///
     /// # Errors
     ///
@@ -470,7 +445,10 @@ impl<T: Snap> Snap for Option<T> {
     const MIN_BYTES: usize = bool::MIN_BYTES;
 
     fn save_state(&self, w: &mut SnapWriter) {
-        w.put_presence(self.as_ref(), T::save_state);
+        w.put(&self.is_some());
+        if let Some(v) = self {
+            w.put(v);
+        }
     }
 
     fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -571,22 +549,6 @@ impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
     }
 }
 
-/// Keys in order; restored through [`SnapReader::take_sorted`].
-impl<T: Snap + Ord> Snap for BTreeSet<T> {
-    const MIN_BYTES: usize = u64::MIN_BYTES;
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.put(&self.len());
-        for v in self {
-            w.put(v);
-        }
-    }
-
-    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        r.take_sorted(T::MIN_BYTES, |v| v, SnapReader::take)
-    }
-}
-
 /// Encodes `value` alone.
 #[cfg(test)]
 pub(crate) fn encode<T: Snap>(value: &T) -> Vec<u8> {
@@ -655,7 +617,6 @@ mod tests {
         let two = [&2u64.to_le_bytes()[..], &[5, 6]].concat();
         assert_eq!(encode(&vec![5u8, 6]), two);
         assert_eq!(encode(&VecDeque::from([5u8, 6])), two);
-        assert_eq!(encode(&BTreeSet::from([6u8, 5])), two);
         let one = [&1u64.to_le_bytes()[..], &[5, 6]].concat();
         assert_eq!(encode(&BTreeMap::from([(5u8, 6u8)])), one);
     }
@@ -677,7 +638,6 @@ mod tests {
         assert_min_bytes::<Vec<u64>>();
         assert_min_bytes::<VecDeque<u32>>();
         assert_min_bytes::<BTreeMap<u64, u64>>();
-        assert_min_bytes::<BTreeSet<u64>>();
         assert_min_bytes::<MemOp>();
         assert_min_bytes::<ServiceClass>();
         assert_min_bytes::<Transaction>();
@@ -710,22 +670,6 @@ mod tests {
         assert_eq!(
             SnapReader::new(&[2u8]).take::<Option<u8>>(),
             corrupt.map(|_| None)
-        );
-    }
-
-    #[test]
-    fn presence_must_match_the_configuration() {
-        let mut w = SnapWriter::new();
-        w.put_presence(Some(&9u32), u32::save_state);
-        w.put_presence(None::<&u32>, u32::save_state);
-        let bytes = w.into_bytes();
-        assert_eq!(bytes, encode(&(Some(9u32), None::<u32>)));
-        let mut r = SnapReader::new(&bytes);
-        r.take_presence(true, "first").unwrap();
-        assert_eq!(r.take::<u32>().unwrap(), 9);
-        assert_eq!(
-            r.take_presence(true, "second"),
-            Err(SnapError::Corrupt("second"))
         );
     }
 
@@ -819,8 +763,6 @@ mod tests {
         assert_eq!(encode(&map), section(&[1, 5, u64::MAX]));
         assert!(take_map(&section(&[])).unwrap().is_empty());
         let bytes = encode(&vec![3u64, 9]);
-        let set: BTreeSet<u64> = SnapReader::new(&bytes).take().unwrap();
-        assert_eq!(set.into_iter().collect::<Vec<_>>(), [3, 9]);
         let listed: Vec<u64> = SnapReader::new(&bytes)
             .take_sorted(8, |k| k, SnapReader::take)
             .unwrap();
@@ -834,13 +776,12 @@ mod tests {
                 matches!(take_map(&section(keys)), Err(SnapError::Corrupt(_))),
                 "keys {keys:?}"
             );
-            let set = encode(&keys.to_vec());
+            let listed = encode(&keys.to_vec());
+            let taken: Result<Vec<u64>, _> =
+                SnapReader::new(&listed).take_sorted(8, |k| k, SnapReader::take);
             assert!(
-                matches!(
-                    SnapReader::new(&set).take::<BTreeSet<u64>>(),
-                    Err(SnapError::Corrupt(_))
-                ),
-                "set keys {keys:?}"
+                matches!(taken, Err(SnapError::Corrupt(_))),
+                "listed keys {keys:?}"
             );
         }
     }

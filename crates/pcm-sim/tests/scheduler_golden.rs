@@ -23,18 +23,18 @@ const CHECKPOINT_EVERY: usize = 500;
 /// `(preset, policy, write_pausing) -> (completions, stats, snapshots)`.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, &str, bool, [u64; 3])] = &[
-    ("tiny", "FrFcfs", true, [0xe5e8ed616dca03aa, 0xcfd3f36469b80732, 0xd8eee0bb63ee4d8e]),
-    ("tiny", "FrFcfs", false, [0x73eac0f0118cbfa2, 0x7eff1e238db1442d, 0xd473976c85207b9b]),
-    ("tiny", "StrictFcfs", true, [0x54d26a3f70d589d2, 0x90c6b376090fd012, 0x83232be5ff7df01d]),
-    ("tiny", "StrictFcfs", false, [0x88e14a098629f8f1, 0x5386d13a40c832bf, 0xd3058376120d0db6]),
-    ("tiny", "ReadAlwaysFirst", true, [0x6bf097fc14ee8ed4, 0xcd9ea61eb0c68910, 0x5831710575998300]),
-    ("tiny", "ReadAlwaysFirst", false, [0xa262e54a448f7ddd, 0x4624eeaa382dfaf0, 0x34c5dadf4682640c]),
-    ("paper", "FrFcfs", true, [0x8918797d7ecd1814, 0x3f9c20a2202e1f84, 0x7f785eed6545ba6a]),
-    ("paper", "FrFcfs", false, [0x58e9b21c39076ba4, 0x293ce91ffce98126, 0x301a700f01aaad66]),
-    ("paper", "StrictFcfs", true, [0x74165e489b361dc7, 0xd382f4e6c7517bd2, 0xb341708da799e74b]),
-    ("paper", "StrictFcfs", false, [0x7247d026b2b398ad, 0x9737de58622d6d85, 0xfe97ce0d1fd36612]),
-    ("paper", "ReadAlwaysFirst", true, [0xd6fe21c13634b606, 0xbc857954db0e69f6, 0x4780e7ca71828034]),
-    ("paper", "ReadAlwaysFirst", false, [0xd0d27c57378c0583, 0x638bde6e093e0937, 0x9bf437e6cb262d29]),
+    ("tiny", "FrFcfs", true, [0xe5e8ed616dca03aa, 0xcfd3f36469b80732, 0x96d86a4d3d5a40b6]),
+    ("tiny", "FrFcfs", false, [0x73eac0f0118cbfa2, 0x7eff1e238db1442d, 0xc863ca6bcbea7873]),
+    ("tiny", "StrictFcfs", true, [0x54d26a3f70d589d2, 0x90c6b376090fd012, 0x995137c743626d15]),
+    ("tiny", "StrictFcfs", false, [0x88e14a098629f8f1, 0x5386d13a40c832bf, 0xa2270c66ea10bd0e]),
+    ("tiny", "ReadAlwaysFirst", true, [0x6bf097fc14ee8ed4, 0xcd9ea61eb0c68910, 0x20afe3f7581b91e8]),
+    ("tiny", "ReadAlwaysFirst", false, [0xa262e54a448f7ddd, 0x4624eeaa382dfaf0, 0x83ffc3db6fb32bc4]),
+    ("paper", "FrFcfs", true, [0x8918797d7ecd1814, 0x3f9c20a2202e1f84, 0xe6f9abb96d24da10]),
+    ("paper", "FrFcfs", false, [0x58e9b21c39076ba4, 0x293ce91ffce98126, 0x25cf4c0308f28164]),
+    ("paper", "StrictFcfs", true, [0x74165e489b361dc7, 0xd382f4e6c7517bd2, 0x017e740900f04301]),
+    ("paper", "StrictFcfs", false, [0x7247d026b2b398ad, 0x9737de58622d6d85, 0x49b71e5c7cd0e7a8]),
+    ("paper", "ReadAlwaysFirst", true, [0xd6fe21c13634b606, 0xbc857954db0e69f6, 0x1bfa6f6a6450caba]),
+    ("paper", "ReadAlwaysFirst", false, [0xd0d27c57378c0583, 0x638bde6e093e0937, 0x5173f2a3fae9d94b]),
 ];
 
 struct Fnv(u64);

@@ -273,12 +273,6 @@ impl<C: WomCode> BlockCodec<C> {
         Kernel::Lanes
     }
 
-    /// The precompiled symbol tables, when the geometry allowed them.
-    #[must_use]
-    pub fn symbol_lut(&self) -> Option<&SymbolLut> {
-        self.lut.as_deref()
-    }
-
     /// The symbol code used per chunk.
     #[must_use]
     pub fn code(&self) -> &C {

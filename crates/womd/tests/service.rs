@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use pcm_trace::binary::encode_records_into;
 use pcm_trace::synth::benchmarks;
-use pcm_trace::TraceRecord;
+use pcm_trace::{TraceOp, TraceRecord};
 use wom_pcm::observe::write_jsonl;
 use wom_pcm::session::{Session, SessionSpec};
 use wom_pcm::Architecture;
@@ -251,6 +251,46 @@ fn full_queue_returns_busy_without_blocking_or_dropping() {
     assert_eq!(total, records.len() as u64);
     let (solo_debug, _) = solo_run(&spec, &records, &[]);
     assert_eq!(debug, solo_debug);
+}
+
+#[test]
+fn a_far_future_record_fails_its_tenant_alone() {
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let spec = SessionSpec::tiny(Architecture::Baseline).epoch_cycles(10_000);
+    let records = trace("qsort", 4, 2_000);
+    service.open("gap", spec.clone(), &[]).unwrap();
+    service.open("ok", spec.clone(), &[]).unwrap();
+    // Two legal records 2^50 cycles apart: the epoch series cannot span
+    // the gap, and the session fails typed instead of sizing the series
+    // to it (which aborted the process, and every tenant with it).
+    let gap = vec![
+        TraceRecord::new(0, 0, TraceOp::Read),
+        TraceRecord::new(1 << 50, 0x40, TraceOp::Read),
+    ];
+    service.feed("gap", gap).unwrap();
+    service.feed("ok", records.clone()).unwrap();
+    loop {
+        match service.next_event("gap", WAIT).unwrap() {
+            Some(SessionEvent::Epoch { .. }) => {}
+            Some(SessionEvent::Error { kind, message }) => {
+                assert_eq!(kind, "sim");
+                assert!(message.contains("epoch"), "{message}");
+                break;
+            }
+            other => panic!("expected the gap tenant to fail, got {other:?}"),
+        }
+    }
+    let (debug, _, total) = collect(service.finish_wait("ok", WAIT).unwrap());
+    assert_eq!(total, records.len() as u64);
+    let (solo_debug, _) = solo_run(&spec, &records, &[]);
+    assert_eq!(
+        debug, solo_debug,
+        "the other tenant finishes as it would solo"
+    );
 }
 
 #[test]

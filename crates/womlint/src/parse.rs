@@ -127,18 +127,6 @@ impl FileItems {
     pub fn struct_named(&self, name: &str) -> Option<&StructDef> {
         self.structs.iter().find(|s| s.name == name)
     }
-
-    /// All methods of `owner` named `name` (cfg-gated duplicates are all
-    /// returned).
-    pub fn methods_of<'a>(
-        &'a self,
-        owner: &'a str,
-        name: &'a str,
-    ) -> impl Iterator<Item = &'a FnDef> {
-        self.fns
-            .iter()
-            .filter(move |f| f.name == name && f.owner.as_deref() == Some(owner))
-    }
 }
 
 /// Keywords that can directly precede `(` without forming a call.
