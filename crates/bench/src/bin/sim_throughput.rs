@@ -13,7 +13,7 @@
 //! (`crates/bench/fixtures/sim_throughput_observed.jsonl`). The timed
 //! runs themselves always use the disabled (no-op) observer.
 
-use pcm_trace::stream::{TraceSource, TraceSpec};
+use pcm_trace::stream::TraceSpec;
 use pcm_trace::synth::benchmarks;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -48,11 +48,10 @@ fn run_case(
     records: usize,
     shards: u32,
 ) -> Outcome {
-    // One streaming source per case, reset between reps: the timed loop
-    // measures the simulator fed at O(chunk) trace-side memory, the same
-    // shape every production run now uses. Sharded reps re-open their
-    // per-shard sources inside `run` instead.
-    let mut source = spec.open().expect("benchmark trace sources open");
+    // One streaming source per rep, opened before its timer starts: the
+    // timed loop measures the simulator fed at O(chunk) trace-side
+    // memory, the same shape every production run now uses. Sharded reps
+    // open their per-shard sources inside `run` instead.
     let sharded = [Job {
         config: cfg.clone(),
         trace: spec.clone(),
@@ -64,10 +63,8 @@ fn run_case(
         ..RunOptions::default()
     };
     let mut best = f64::INFINITY;
-    for rep in 0..REPS {
-        if rep > 0 {
-            source.reset().expect("benchmark trace sources reset");
-        }
+    for _ in 0..REPS {
+        let mut source = spec.open().expect("benchmark trace sources open");
         // Wall-clock is the quantity measured here; the `Instant::now`
         // ban targets simulation code, not the benchmark harness.
         #[allow(clippy::disallowed_methods)]

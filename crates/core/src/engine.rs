@@ -4,10 +4,11 @@
 //! clock, trace ingestion and ordering checks, the main-memory and
 //! WOM-cache [`MemorySystem`]s, back-pressure stalling, write-coalescing
 //! windows, victim-writeback and wear-leveling plumbing, the functional
-//! data checker, and [`RunMetrics`] accumulation. Everything
-//! architecture-*specific* — WOM budget tables, the PCM-refresh engine,
-//! the WOM-cache policy — lives in the closed [`Policy`] enum and
-//! reaches the shared machinery through [`EngineCore`].
+//! data checker, and [`RunMetrics`], the fold of the events it emits.
+//! Everything architecture-*specific* — WOM budget tables, the
+//! PCM-refresh engine, the WOM-cache policy — lives in the closed
+//! [`Policy`] enum and reaches the shared machinery through
+//! [`EngineCore`].
 //!
 //! The engine never matches on
 //! [`Architecture`](crate::arch::Architecture): a record costs one
@@ -22,6 +23,7 @@ use crate::metrics::RunMetrics;
 use crate::observe::{EpochRecorder, EpochSeries, Event, ObserverSink, WriteClass};
 use crate::policy::{ArraySide, Policy, ReadAction, WriteAction};
 use crate::rowmap::RowMap;
+use crate::wcpcm::CacheStats;
 use crate::wear_leveling::StartGap;
 use pcm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use pcm_sim::{
@@ -181,6 +183,8 @@ pub(crate) struct EngineCore {
     config: SystemConfig,
     main: MemorySystem,
     cache_mem: Option<MemorySystem>,
+    /// The next staggered refresh tick: the first point
+    /// `period + k·stagger` after the clock (see [`Engine::advance`]).
     next_refresh_at: Cycle,
     /// Ids of internal main-memory traffic still in flight (wear-leveling
     /// row copies and hidden-page companions), whose completions are not
@@ -232,7 +236,6 @@ impl EngineCore {
             None => None,
         };
         let period = config.mem.timing.refresh_period_cycles();
-        let clock_ns = config.mem.timing.clock_ns;
         Ok(Self {
             main,
             cache_mem,
@@ -243,7 +246,8 @@ impl EngineCore {
             pending_victims: VecDeque::new(),
             merge_windows: Vec::new(),
             metrics: RunMetrics {
-                clock_ns,
+                clock_ns: config.mem.timing.clock_ns,
+                cache: config.arch.uses_cache().then(CacheStats::default),
                 ..RunMetrics::default()
             },
             observer: match config.epoch_cycles {
@@ -280,48 +284,16 @@ impl EngineCore {
         &self.metrics
     }
 
-    /// Reports one instrumentation event to the attached observer. A
-    /// single predicted branch and no work when observation is off;
-    /// events are `Copy`, so emitting never allocates.
+    /// Reports one event: folds it into [`RunMetrics`], the only way a
+    /// run count changes, then hands it to the attached observer, so the
+    /// run totals and any epoch series are folds of the same stream. The
+    /// observer costs a single predicted branch and no work when
+    /// observation is off; events are `Copy`, so emitting never
+    /// allocates.
     #[inline]
     pub fn emit(&mut self, event: Event) {
+        self.metrics.record(&event);
         self.observer.on_event(&event);
-    }
-
-    /// Records the outcome of one planned row refresh: updates the
-    /// refresh counters *and* emits the [`Event::RefreshRow`] event in
-    /// one step, so per-epoch series always reconcile with
-    /// [`RunMetrics`]. The refresh driver calls this for every settled
-    /// refresh.
-    pub fn note_refresh_row(
-        &mut self,
-        side: ArraySide,
-        rank: u32,
-        bank: u32,
-        row: u32,
-        c: &Completion,
-    ) {
-        if c.preempted {
-            self.metrics.refreshes_preempted += 1;
-        } else {
-            self.metrics.refreshes_completed += 1;
-        }
-        self.observer.on_event(&Event::RefreshRow {
-            cycle: c.finish,
-            side,
-            rank,
-            bank,
-            row,
-            preempted: c.preempted,
-        });
-    }
-
-    /// Records one hidden-page companion access (counter plus
-    /// [`Event::HiddenPageAccess`]).
-    pub fn note_hidden_page_access(&mut self) {
-        self.metrics.hidden_page_accesses += 1;
-        let cycle = self.main.now();
-        self.observer.on_event(&Event::HiddenPageAccess { cycle });
     }
 
     /// The memory arrays of `side`.
@@ -361,9 +333,8 @@ impl EngineCore {
         rows: &[(u32, u32)],
     ) -> Result<(), WomPcmError> {
         self.side_arrays(side)?.enqueue_rank_refresh(rank, rows)?;
-        let cycle = self.main.now();
-        self.observer.on_event(&Event::RefreshBurst {
-            cycle,
+        self.emit(Event::RefreshBurst {
+            cycle: self.now(),
             side,
             rank,
             rows: rows.len() as u32,
@@ -462,14 +433,9 @@ impl EngineCore {
         if self.window_of(row_key).is_err() {
             return false;
         }
-        self.metrics.coalesced_writes += 1;
-        let burst = self.config.mem.timing.burst_cycles();
-        self.metrics.writes.record(burst);
-        self.metrics.write_hist.record(burst);
-        let cycle = self.now();
-        self.observer.on_event(&Event::WriteCompleted {
-            cycle,
-            latency: burst,
+        self.emit(Event::WriteCompleted {
+            cycle: self.now(),
+            latency: self.config.mem.timing.burst_cycles(),
             class: WriteClass::Coalesced,
         });
         true
@@ -519,14 +485,15 @@ impl EngineCore {
     /// varies between two `submit` calls). Parts the configuration builds
     /// (the WOM-cache arrays, the Start-Gap remappers, the data checker
     /// and the epoch recorder) are written only when it builds them, with
-    /// no presence flag. Collections iterate in their deterministic (key)
-    /// order, so the same state always produces the same bytes.
+    /// no presence flag. The next refresh tick is not written: restore
+    /// derives it from the clock. Collections iterate in their
+    /// deterministic (key) order, so the same state always produces the
+    /// same bytes.
     pub(crate) fn save_state(&self, w: &mut SnapWriter) {
         self.main.save_state(w);
         if let Some(cache) = &self.cache_mem {
             cache.save_state(w);
         }
-        w.put(&self.next_refresh_at);
         w.put(&self.internal_ids);
         for sg in self.start_gaps.iter().flatten() {
             sg.save_state(w);
@@ -536,7 +503,7 @@ impl EngineCore {
         }
         w.put(&self.pending_victims);
         w.put(&self.merge_windows);
-        w.put(&self.metrics);
+        self.metrics.save_state(w);
         self.observer.save_state(w);
         w.put(&self.last_record_cycle);
     }
@@ -549,13 +516,17 @@ impl EngineCore {
     /// # Errors
     ///
     /// Returns [`WomPcmError::Snapshot`] for truncated or corrupt
-    /// payloads.
+    /// payloads, including a clock with no refresh tick after it.
     pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), WomPcmError> {
         self.main.restore_state(r)?;
         if let Some(cache) = &mut self.cache_mem {
             cache.restore_state(r)?;
         }
-        self.next_refresh_at = r.take()?;
+        if self.config.arch.uses_refresh() {
+            self.next_refresh_at = self
+                .refresh_tick_after(self.now())
+                .ok_or(SnapError::Corrupt("no refresh tick after the clock"))?;
+        }
         self.internal_ids = r.take_sorted(TransactionId::MIN_BYTES, |id| id, SnapReader::take)?;
         for sg in self.start_gaps.iter_mut().flatten() {
             sg.load_state(r)?;
@@ -566,39 +537,50 @@ impl EngineCore {
         self.pending_victims = r.take()?;
         self.merge_windows =
             r.take_sorted(<(u64, Cycle)>::MIN_BYTES, |(key, _)| key, SnapReader::take)?;
-        self.metrics = r.take()?;
+        self.metrics.load_state(r)?;
         self.observer.load_state(r)?;
         self.last_record_cycle = r.take()?;
         Ok(())
     }
 
+    /// The refresh schedule: the per-rank period, and the stagger
+    /// between ticks (one tick per rank per period).
+    fn refresh_schedule(&self) -> (Cycle, Cycle) {
+        let period = self.config.mem.timing.refresh_period_cycles();
+        let stagger = (period / Cycle::from(self.config.mem.geometry.ranks)).max(1);
+        (period, stagger)
+    }
+
+    /// The first staggered refresh tick after `cycle`: the least
+    /// `period + k·stagger` (`k ≥ 0`) past it. `None` when that tick
+    /// overflows a [`Cycle`].
+    fn refresh_tick_after(&self, cycle: Cycle) -> Option<Cycle> {
+        let (period, stagger) = self.refresh_schedule();
+        match cycle.checked_sub(period) {
+            None => Some(period),
+            Some(past) => (past / stagger + 1)
+                .checked_mul(stagger)
+                .and_then(|k| k.checked_add(period)),
+        }
+    }
+
     fn record_demand(&mut self, c: &Completion) {
-        match c.op {
-            MemOp::Read => {
-                self.metrics.reads.record(c.latency());
-                self.metrics.read_hist.record(c.latency());
-                self.observer.on_event(&Event::ReadCompleted {
-                    cycle: c.finish,
-                    latency: c.latency(),
-                });
-            }
-            MemOp::Write => {
-                self.metrics.writes.record(c.latency());
-                self.metrics.write_hist.record(c.latency());
-                let class = if c.class == ServiceClass::ResetOnlyWrite {
-                    self.metrics.fast_writes += 1;
+        let latency = c.latency();
+        self.emit(match c.op {
+            MemOp::Read => Event::ReadCompleted {
+                cycle: c.finish,
+                latency,
+            },
+            MemOp::Write => Event::WriteCompleted {
+                cycle: c.finish,
+                latency,
+                class: if c.class == ServiceClass::ResetOnlyWrite {
                     WriteClass::Fast
                 } else {
-                    self.metrics.slow_writes += 1;
                     WriteClass::Slow
-                };
-                self.observer.on_event(&Event::WriteCompleted {
-                    cycle: c.finish,
-                    latency: c.latency(),
-                    class,
-                });
-            }
-        }
+                },
+            },
+        });
     }
 }
 
@@ -735,21 +717,20 @@ impl Engine {
         let now = self.now();
         self.core.observer.on_finish(now);
         self.core.observer.check_ceiling()?;
-        // Take the accumulated metrics, finalize in place, and store one
-        // clone back — no policy's `finish` reads `core.metrics`.
-        let mut result = std::mem::take(&mut self.core.metrics);
-        self.policy.finish(&mut result);
-        result.energy = self.core.main.stats().energy;
-        result.wear_main = self.core.main.wear().summary();
-        if let Some(check) = &self.core.data_check {
+        // Copy in the totals counted elsewhere: energy and wear by the
+        // memory systems, verified reads by the data checker.
+        let core = &mut self.core;
+        let result = &mut core.metrics;
+        result.energy = core.main.stats().energy;
+        result.wear_main = core.main.wear().summary();
+        if let Some(check) = &core.data_check {
             result.data_reads_verified = check.reads_verified;
         }
-        if let Some(cm) = &self.core.cache_mem {
+        if let Some(cm) = &core.cache_mem {
             result.energy.merge(&cm.stats().energy);
             result.wear_cache = Some(cm.wear().summary());
         }
-        self.core.metrics = result.clone();
-        Ok(result)
+        Ok(result.clone())
     }
 
     // ------------------------------------------------------------------
@@ -763,15 +744,31 @@ impl Engine {
     /// staggered: with a 4000 ns period and 16 ranks, a check fires every
     /// 250 ns, each visiting the next rank in round-robin order, so every
     /// rank is considered once per period.
+    ///
+    /// When another tick is due before `cycle` but this one left the
+    /// system drained, this tick enqueued nothing, and every later tick
+    /// before `cycle` would find the same idle arrays and plan the same
+    /// nothing, so the schedule jumps to the first tick after `cycle`: a
+    /// far-future record costs one tick, not one per stagger.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WomPcmError::InvalidConfig`] when `cycle` has no refresh
+    /// tick after it within the range of a [`Cycle`].
     fn advance(&mut self, cycle: Cycle) -> Result<(), WomPcmError> {
         if self.core.config.arch.uses_refresh() {
-            let period = self.core.config.mem.timing.refresh_period_cycles();
-            let stagger = (period / Cycle::from(self.core.config.mem.geometry.ranks)).max(1);
+            let (_, stagger) = self.core.refresh_schedule();
             while self.core.next_refresh_at <= cycle {
                 let at = self.core.next_refresh_at;
                 self.advance_all_to(at)?;
                 self.policy.on_tick(&mut self.core)?;
-                self.core.next_refresh_at += stagger;
+                let mut next = at.checked_add(stagger);
+                if next.is_some_and(|next| next <= cycle) && self.core.is_drained() {
+                    next = self.core.refresh_tick_after(cycle);
+                }
+                self.core.next_refresh_at = next.ok_or_else(|| {
+                    WomPcmError::InvalidConfig("the clock runs past the last refresh tick".into())
+                })?;
             }
         }
         self.advance_all_to(cycle)
@@ -809,7 +806,6 @@ impl Engine {
             // With a WOM-cache every demand write goes to the cache, so a
             // write that completes on main memory is a victim writeback.
             if c.op == MemOp::Write && self.core.cache_mem.is_some() {
-                self.core.metrics.victim_writebacks += 1;
                 self.core.emit(Event::VictimWriteback { cycle: c.finish });
                 return Ok(());
             }
@@ -896,7 +892,6 @@ impl Engine {
         let Some((from_row, to_row)) = sgs[flat].record_write() else {
             return Ok(());
         };
-        self.core.metrics.leveling_copies += 1;
         self.core.emit(Event::GapMove {
             cycle: self.core.main.now(),
             rank: d.rank,

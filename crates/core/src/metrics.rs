@@ -1,7 +1,9 @@
 //! Per-run results: the quantities Fig. 5–7 of the paper report.
 
+use crate::observe::{Event, WriteClass};
 use crate::wcpcm::CacheStats;
 use core::fmt;
+use pcm_sim::snap::{SnapError, SnapReader, SnapWriter};
 use pcm_sim::{EnergyTally, Histogram, LatencyHistogram, LatencySummary, MemOp, WearSummary};
 
 /// Results of driving one trace through one architecture.
@@ -38,7 +40,8 @@ pub struct RunMetrics {
     /// Reads checked against the functional data model (when
     /// `verify_data` is enabled); every one decoded correctly.
     pub data_reads_verified: u64,
-    /// WOM-cache hit/miss counters (WCPCM only).
+    /// WOM-cache hit/miss counters (`Some` exactly on a system with a
+    /// WOM-cache).
     pub cache: Option<CacheStats>,
     /// Array energy across main memory and (for WCPCM) the cache arrays.
     pub energy: EnergyTally,
@@ -172,28 +175,111 @@ impl RunMetrics {
             self.clock_ns = other.clock_ns;
         }
     }
-}
 
-pcm_sim::snap_fields!(RunMetrics {
-    reads: LatencySummary,
-    writes: LatencySummary,
-    read_hist: LatencyHistogram,
-    write_hist: LatencyHistogram,
-    fast_writes: u64,
-    slow_writes: u64,
-    coalesced_writes: u64,
-    victim_writebacks: u64,
-    refreshes_completed: u64,
-    refreshes_preempted: u64,
-    leveling_copies: u64,
-    hidden_page_accesses: u64,
-    data_reads_verified: u64,
-    cache: Option<CacheStats>,
-    energy: EnergyTally,
-    wear_main: WearSummary,
-    wear_cache: Option<WearSummary>,
-    clock_ns: f64,
-});
+    /// Folds one engine event into the running counters: the run-level
+    /// twin of [`EpochCounters::fold`](crate::observe::EpochCounters::fold).
+    /// The engine's `emit` calls it for every event before the observer
+    /// sees it, so it is the only way a run count changes.
+    pub(crate) fn record(&mut self, event: &Event) {
+        match *event {
+            Event::ReadCompleted { latency, .. } => {
+                self.reads.record(latency);
+                self.read_hist.record(latency);
+            }
+            Event::WriteCompleted { latency, class, .. } => {
+                self.writes.record(latency);
+                self.write_hist.record(latency);
+                match class {
+                    WriteClass::Fast => self.fast_writes += 1,
+                    WriteClass::Slow => self.slow_writes += 1,
+                    WriteClass::Coalesced => self.coalesced_writes += 1,
+                }
+            }
+            Event::RefreshRow { preempted, .. } => {
+                if preempted {
+                    self.refreshes_preempted += 1;
+                } else {
+                    self.refreshes_completed += 1;
+                }
+            }
+            Event::CacheRead { hit, .. } => {
+                if let Some(cache) = &mut self.cache {
+                    if hit {
+                        cache.read_hits += 1;
+                    } else {
+                        cache.read_misses += 1;
+                    }
+                }
+            }
+            Event::CacheWrite { hit, .. } => {
+                if let Some(cache) = &mut self.cache {
+                    if hit {
+                        cache.write_hits += 1;
+                    } else {
+                        cache.write_misses += 1;
+                    }
+                }
+            }
+            Event::VictimWriteback { .. } => self.victim_writebacks += 1,
+            Event::GapMove { .. } => self.leveling_copies += 1,
+            Event::HiddenPageAccess { .. } => self.hidden_page_accesses += 1,
+            Event::ReadIssued { .. }
+            | Event::WriteIssued { .. }
+            | Event::RefreshBurst { .. }
+            | Event::BudgetExhausted { .. } => {}
+        }
+    }
+
+    /// Appends the running counters, each once: the latency summaries
+    /// and histograms, the write classes, victims, refreshes, leveling
+    /// copies and hidden-page accesses, then the cache counters on a
+    /// system with a WOM-cache. The clock and the cache's presence are
+    /// configuration, and the energy, wear and verified-read totals are
+    /// set only by `finish`, so none of them is written.
+    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
+        w.put(&self.reads);
+        w.put(&self.writes);
+        w.put(&self.read_hist);
+        w.put(&self.write_hist);
+        w.put(&self.fast_writes);
+        w.put(&self.slow_writes);
+        w.put(&self.coalesced_writes);
+        w.put(&self.victim_writebacks);
+        w.put(&self.refreshes_completed);
+        w.put(&self.refreshes_preempted);
+        w.put(&self.leveling_copies);
+        w.put(&self.hidden_page_accesses);
+        if let Some(cache) = &self.cache {
+            w.put(cache);
+        }
+    }
+
+    /// Restores the counters written by [`save_state`](Self::save_state)
+    /// into these metrics, which the same configuration built (it fixes
+    /// the clock and whether the cache counters are present).
+    ///
+    /// # Errors
+    ///
+    /// Propagates payload truncation.
+    pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.reads = r.take()?;
+        self.writes = r.take()?;
+        self.read_hist = r.take()?;
+        self.write_hist = r.take()?;
+        self.fast_writes = r.take()?;
+        self.slow_writes = r.take()?;
+        self.coalesced_writes = r.take()?;
+        self.victim_writebacks = r.take()?;
+        self.refreshes_completed = r.take()?;
+        self.refreshes_preempted = r.take()?;
+        self.leveling_copies = r.take()?;
+        self.hidden_page_accesses = r.take()?;
+        if let Some(cache) = &mut self.cache {
+            *cache = r.take()?;
+        }
+        Ok(())
+    }
+}
 
 impl fmt::Display for RunMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -267,6 +353,43 @@ mod tests {
         m.fast_writes = 3;
         m.slow_writes = 1;
         assert!((m.fast_write_fraction() - 0.75).abs() < 1e-12);
+    }
+
+    /// The checkpoint section holds the running counters only: restoring
+    /// it keeps the clock and the cache's presence of the metrics the
+    /// configuration built.
+    #[test]
+    fn restore_keeps_the_configured_clock_and_cache() {
+        let mut saved = with_latency(100, 20);
+        saved.cache = Some(CacheStats {
+            read_hits: 3,
+            ..CacheStats::default()
+        });
+        saved.fast_writes = 7;
+        let mut w = SnapWriter::new();
+        saved.save_state(&mut w);
+        let bytes = w.into_bytes();
+
+        let mut restored = RunMetrics {
+            clock_ns: 2.5,
+            cache: Some(CacheStats::default()),
+            ..RunMetrics::default()
+        };
+        let mut r = SnapReader::new(&bytes);
+        restored.load_state(&mut r).expect("restores");
+        r.finish().expect("consumes the section");
+        assert_eq!(restored.clock_ns, 2.5, "the clock is configuration");
+        assert_eq!(
+            (restored.fast_writes, restored.cache, restored.writes),
+            (7, saved.cache, saved.writes)
+        );
+
+        // Without a WOM-cache the section carries no cache counters.
+        let mut uncached = RunMetrics::default();
+        let mut r = SnapReader::new(&bytes);
+        uncached.load_state(&mut r).expect("restores");
+        assert_eq!(r.remaining(), 4 * 8, "the four cache counters are left");
+        assert_eq!(uncached.cache, None);
     }
 
     #[test]

@@ -411,6 +411,72 @@ mod tests {
         Event::ReadCompleted { cycle, latency }
     }
 
+    /// Every variant, every write class and both values of each flag,
+    /// folded by this fold and by the run-level one: they agree on every
+    /// field they share.
+    #[test]
+    fn run_and_epoch_folds_agree() {
+        use crate::metrics::RunMetrics;
+        use crate::wcpcm::CacheStats;
+
+        let mut run = RunMetrics {
+            cache: Some(CacheStats::default()),
+            ..RunMetrics::default()
+        };
+        let mut e = EpochCounters::default();
+        for event in &crate::observe::event::one_of_each() {
+            run.record(event);
+            e.fold(event);
+        }
+        assert_eq!(
+            (run.reads.count, run.reads.total, &run.read_hist),
+            (e.reads_completed, e.read_cycles, &e.read_hist)
+        );
+        assert_eq!(
+            (run.writes.count, run.writes.total, &run.write_hist),
+            (e.writes_completed, e.write_cycles, &e.write_hist)
+        );
+        let run_counts = [
+            run.fast_writes,
+            run.slow_writes,
+            run.coalesced_writes,
+            run.refreshes_completed,
+            run.refreshes_preempted,
+            run.victim_writebacks,
+            run.leveling_copies,
+            run.hidden_page_accesses,
+        ];
+        let epoch_counts = [
+            e.fast_writes,
+            e.slow_writes,
+            e.coalesced_writes,
+            e.refreshes_completed,
+            e.refreshes_preempted,
+            e.victim_writebacks,
+            e.gap_moves,
+            e.hidden_page_accesses,
+        ];
+        assert_eq!(run_counts, epoch_counts);
+        assert_eq!(run_counts, [1; 8], "one of each");
+        let cache = run.cache.expect("the cache counts");
+        assert_eq!(
+            [
+                cache.read_hits,
+                cache.read_misses,
+                cache.write_hits,
+                cache.write_misses
+            ],
+            [
+                e.cache_read_hits,
+                e.cache_read_misses,
+                e.cache_write_hits,
+                e.cache_write_misses
+            ]
+        );
+        assert_eq!(cache.hit_rate(), 0.5, "one hit and one miss of each");
+        assert_eq!((run.reads.count, run.writes.count), (1, 3));
+    }
+
     #[test]
     fn events_on_an_epoch_edge_open_the_next_epoch() {
         let mut r = EpochRecorder::new(100);

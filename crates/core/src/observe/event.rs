@@ -159,62 +159,80 @@ impl Event {
     }
 }
 
+/// One event of every variant, with every [`WriteClass`] and both values
+/// of each flag, stamped with cycles 1, 2, 3, … in list order.
+#[cfg(test)]
+pub(super) fn one_of_each() -> Vec<Event> {
+    let mut events = vec![
+        Event::ReadIssued { cycle: 1, addr: 0 },
+        Event::WriteIssued { cycle: 2, addr: 0 },
+        Event::ReadCompleted {
+            cycle: 3,
+            latency: 22,
+        },
+        Event::RefreshBurst {
+            cycle: 4,
+            side: ArraySide::Main,
+            rank: 0,
+            rows: 3,
+        },
+        Event::VictimWriteback { cycle: 5 },
+        Event::GapMove {
+            cycle: 6,
+            rank: 0,
+            bank: 0,
+        },
+        Event::BudgetExhausted {
+            cycle: 7,
+            side: ArraySide::Cache,
+            rank: 0,
+            bank: 0,
+            row: 9,
+        },
+        Event::HiddenPageAccess { cycle: 8 },
+    ];
+    let classes = [
+        (120, WriteClass::Slow),
+        (40, WriteClass::Fast),
+        (4, WriteClass::Coalesced),
+    ];
+    for (latency, class) in classes {
+        let cycle = events.len() as Cycle + 1;
+        events.push(Event::WriteCompleted {
+            cycle,
+            latency,
+            class,
+        });
+    }
+    for flag in [false, true] {
+        let cycle = events.len() as Cycle + 1;
+        events.push(Event::RefreshRow {
+            cycle,
+            side: ArraySide::Main,
+            rank: 0,
+            bank: 1,
+            row: 2,
+            preempted: flag,
+        });
+        events.push(Event::CacheRead {
+            cycle: cycle + 1,
+            hit: flag,
+        });
+        events.push(Event::CacheWrite {
+            cycle: cycle + 2,
+            hit: flag,
+        });
+    }
+    events
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn cycle_accessor_covers_every_variant() {
-        let events = [
-            Event::ReadIssued { cycle: 1, addr: 0 },
-            Event::WriteIssued { cycle: 2, addr: 0 },
-            Event::ReadCompleted {
-                cycle: 3,
-                latency: 22,
-            },
-            Event::WriteCompleted {
-                cycle: 4,
-                latency: 120,
-                class: WriteClass::Slow,
-            },
-            Event::RefreshBurst {
-                cycle: 5,
-                side: ArraySide::Main,
-                rank: 0,
-                rows: 3,
-            },
-            Event::RefreshRow {
-                cycle: 6,
-                side: ArraySide::Main,
-                rank: 0,
-                bank: 1,
-                row: 2,
-                preempted: false,
-            },
-            Event::CacheRead {
-                cycle: 7,
-                hit: true,
-            },
-            Event::CacheWrite {
-                cycle: 8,
-                hit: false,
-            },
-            Event::VictimWriteback { cycle: 9 },
-            Event::GapMove {
-                cycle: 10,
-                rank: 0,
-                bank: 0,
-            },
-            Event::BudgetExhausted {
-                cycle: 11,
-                side: ArraySide::Cache,
-                rank: 0,
-                bank: 0,
-                row: 9,
-            },
-            Event::HiddenPageAccess { cycle: 12 },
-        ];
-        for (i, e) in events.iter().enumerate() {
+        for (i, e) in one_of_each().iter().enumerate() {
             assert_eq!(e.cycle(), i as u64 + 1);
         }
     }

@@ -28,7 +28,6 @@ use crate::arch::Architecture;
 use crate::config::SystemConfig;
 use crate::engine::EngineCore;
 use crate::error::WomPcmError;
-use crate::metrics::RunMetrics;
 use pcm_sim::{Completion, DecodedAddr, ServiceClass, SnapReader, SnapWriter};
 use refresh::RefreshDriver;
 use wcpcm::WcpcmPolicy;
@@ -66,7 +65,7 @@ pub(crate) enum ReadAction {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum WriteAction {
     /// Absorbed into an open coalescing window; the policy has already
-    /// recorded the merged write's metrics via
+    /// emitted the merged write's completion via
     /// [`EngineCore::try_coalesce`].
     Coalesced,
     /// Issue a write to main memory.
@@ -212,13 +211,6 @@ impl Policy {
     pub(crate) fn on_wear_level_copy(&mut self, core: &mut EngineCore, dest: DecodedAddr) {
         if let Self::WomCode(p) = self {
             p.on_wear_level_copy(core, dest);
-        }
-    }
-
-    /// Contributes policy-owned statistics to the finalized metrics.
-    pub(crate) fn finish(&self, result: &mut RunMetrics) {
-        if let Self::Wcpcm(p) = self {
-            p.finish(result);
         }
     }
 

@@ -5,6 +5,7 @@
 use super::ArraySide;
 use crate::engine::EngineCore;
 use crate::error::WomPcmError;
+use crate::observe::Event;
 use crate::refresh::{RefreshConfig, RefreshEngine};
 use pcm_sim::snap::{SnapError, SnapReader, SnapWriter};
 use pcm_sim::Completion;
@@ -69,7 +70,14 @@ impl RefreshDriver {
             ));
         }
         let d = core.side_arrays(side)?.decoder().decode(c.addr);
-        core.note_refresh_row(side, d.rank, d.bank, d.row, c);
+        core.emit(Event::RefreshRow {
+            cycle: c.finish,
+            side,
+            rank: d.rank,
+            bank: d.bank,
+            row: d.row,
+            preempted: c.preempted,
+        });
         if c.preempted {
             return Ok(None); // the row stays exhausted in its table
         }

@@ -6,7 +6,6 @@ use super::{ArraySide, ReadAction, WriteAction};
 use crate::config::SystemConfig;
 use crate::engine::EngineCore;
 use crate::error::WomPcmError;
-use crate::metrics::RunMetrics;
 use crate::observe::Event;
 use crate::wcpcm::{CacheWriteOutcome, WomCache};
 use crate::wom_state::BudgetGranularity;
@@ -174,10 +173,6 @@ impl WcpcmPolicy {
             core.check_refresh_row(rank, victim_bank, row)?;
         }
         Ok(())
-    }
-
-    pub(super) fn finish(&self, result: &mut RunMetrics) {
-        result.cache = Some(*self.cache.stats());
     }
 
     pub(super) fn save_state(&self, w: &mut SnapWriter) {

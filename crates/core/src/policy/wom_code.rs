@@ -94,7 +94,7 @@ impl WomCodePolicy {
             column: 0,
             ..d
         })?;
-        core.note_hidden_page_access();
+        core.emit(Event::HiddenPageAccess { cycle: core.now() });
         Ok(Some(companion))
     }
 

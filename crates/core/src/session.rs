@@ -632,6 +632,28 @@ mod tests {
         assert!(s.epochs().unwrap().len() <= EpochSeries::MAX_EPOCHS);
     }
 
+    /// A far-future record on a refresh architecture costs one refresh
+    /// tick once the system drains, not one per stagger across the gap.
+    #[test]
+    fn a_far_future_record_skips_the_idle_refresh_ticks() {
+        for arch in [Architecture::WomCodeRefresh, Architecture::Wcpcm] {
+            let mut s = Session::open(SessionSpec::tiny(arch)).unwrap();
+            let records = [
+                TraceRecord::new(0, 0, TraceOp::Write),
+                TraceRecord::new(1 << 50, 0x40, TraceOp::Write),
+            ];
+            // Times the test itself; nothing simulated reads the clock.
+            #[allow(clippy::disallowed_methods)]
+            let start = std::time::Instant::now();
+            s.feed(&records).unwrap();
+            let m = s.finish().unwrap();
+            let took = start.elapsed();
+            assert!(took.as_secs_f64() < 1.0, "{arch:?} took {took:?}");
+            assert_eq!(m.writes.count, 2, "{arch:?}");
+            assert!(s.now() > 1 << 50, "{arch:?}");
+        }
+    }
+
     #[test]
     fn feed_rejects_regressing_cycles() {
         let mut s = Session::open(SessionSpec::tiny(Architecture::Baseline)).unwrap();

@@ -14,7 +14,7 @@
 //! ```text
 //! offset  size  field
 //!      0     7  magic  b"WOMSNAP"
-//!      7     1  format version (0x03)
+//!      7     1  format version (0x04)
 //!      8     1  architecture tag (0..=3)
 //!      9     8  config fingerprint (FNV-1a over the Debug rendering)
 //!     17     8  trace records consumed before the snapshot
@@ -24,12 +24,15 @@
 //!   41+N     4  CRC-32 (IEEE, reflected) of the payload
 //! ```
 //!
-//! Version `0x03`, the only one read, writes only live run state
-//! (DESIGN.md §12): nothing the configuration fixes (no presence flags,
-//! dimensions or limits — every configured part restores into the
-//! instance the configuration built), nothing restore can derive, and no
-//! closed coalescing window. A `0x01` or `0x02` container fails with
-//! [`SnapshotError::UnsupportedVersion`].
+//! Version `0x04`, the only one read, writes only live run state
+//! (DESIGN.md §12), and each live count once: nothing the configuration
+//! fixes (no presence flags, dimensions, limits or clock period — every
+//! configured part restores into the instance the configuration built),
+//! nothing restore can derive (such as the next refresh tick), nothing
+//! set only when a run finishes (the energy, wear and verified-read
+//! totals of `RunMetrics`), and no closed coalescing window. Each
+//! controller's wear is one (row, writes) list. A `0x01`, `0x02` or
+//! `0x03` container fails with [`SnapshotError::UnsupportedVersion`].
 //!
 //! The config fingerprint rejects restoring a snapshot into a system
 //! built from a different [`SystemConfig`] — the payload layout depends
@@ -46,7 +49,7 @@ use pcm_sim::snap::{crc32, SnapError, SnapReader, SnapWriter};
 /// File magic prefix; the 8th container byte is the format version.
 const MAGIC: &[u8; 7] = b"WOMSNAP";
 /// Current (and only) container format version.
-const VERSION: u8 = 0x03;
+const VERSION: u8 = 0x04;
 /// Fixed header length: magic + version + arch + fingerprint +
 /// records-consumed + payload length.
 const HEADER_BYTES: usize = 7 + 1 + 1 + 8 + 8 + 8;
@@ -346,7 +349,7 @@ mod tests {
 
     #[test]
     fn smallest_values_encode_to_at_least_min_bytes() {
-        use crate::{CacheStats, EpochCounters, RowMap, RunMetrics};
+        use crate::{CacheStats, EpochCounters, RowMap};
         use pcm_sim::snap::Snap;
 
         fn check<T: Snap>(smallest: &T) {
@@ -363,7 +366,6 @@ mod tests {
             assert_eq!(again.into_bytes(), bytes, "{name}");
         }
         check(&CacheStats::default());
-        check(&RunMetrics::default());
         check(&EpochCounters::default());
         check(&RowMap::<u32>::new());
     }

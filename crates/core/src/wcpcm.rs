@@ -48,7 +48,9 @@ impl CacheWriteOutcome {
     }
 }
 
-/// Hit/miss counters of a [`WomCache`].
+/// Hit/miss counters of the WOM-cache: the fold of the engine's
+/// `CacheRead` and `CacheWrite` events into
+/// [`RunMetrics::cache`](crate::RunMetrics::cache).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Write lookups that hit (invalid entry or tag match).
@@ -137,7 +139,6 @@ pub struct WomCache {
     tags: Vec<Option<u32>>,
     /// WOM write budget of each cache row (flat id `rank * rows + row`).
     wom: WomStateTable,
-    stats: CacheStats,
 }
 
 impl WomCache {
@@ -169,7 +170,6 @@ impl WomCache {
             rows,
             tags: vec![None; (ranks * rows) as usize],
             wom: WomStateTable::new(rewrite_limit, columns),
-            stats: CacheStats::default(),
         }
     }
 
@@ -178,12 +178,6 @@ impl WomCache {
     #[must_use]
     pub fn selector_bits(&self) -> u32 {
         self.banks_per_rank.next_power_of_two().trailing_zeros() + 1
-    }
-
-    /// Hit/miss counters.
-    #[must_use]
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
     }
 
     fn index(&self, rank: u32, row: u32) -> usize {
@@ -211,19 +205,17 @@ impl WomCache {
         match self.tags[idx] {
             Some(victim_bank) if victim_bank != bank => {
                 self.tags[idx] = Some(bank);
-                self.stats.write_misses += 1;
                 CacheWriteOutcome::Miss { victim_bank, kind }
             }
             _ => {
                 self.tags[idx] = Some(bank);
-                self.stats.write_hits += 1;
                 CacheWriteOutcome::Hit { kind }
             }
         }
     }
 
     /// The bank whose data currently occupies a cache row, if the entry
-    /// is valid — without touching hit/miss statistics.
+    /// is valid.
     ///
     /// # Panics
     ///
@@ -239,16 +231,9 @@ impl WomCache {
     /// # Panics
     ///
     /// Panics if `rank`, `bank`, or `row` are out of range.
-    pub fn read(&mut self, rank: u32, bank: u32, row: u32) -> bool {
+    pub fn read(&self, rank: u32, bank: u32, row: u32) -> bool {
         assert!(bank < self.banks_per_rank, "bank {bank} out of range");
-        let idx = self.index(rank, row);
-        let hit = self.tags[idx] == Some(bank);
-        if hit {
-            self.stats.read_hits += 1;
-        } else {
-            self.stats.read_misses += 1;
-        }
-        hit
+        self.tags[self.index(rank, row)] == Some(bank)
     }
 
     /// Whether any column of a cache row has exhausted its WOM budget
@@ -283,15 +268,14 @@ impl WomCache {
         self.tags.iter().filter(|t| t.is_some()).count()
     }
 
-    /// Appends one `Option` tag per cache row, the rows' WOM state, then
-    /// the counters. The dimensions come from the configuration, so they
-    /// are not written.
+    /// Appends one `Option` tag per cache row, then the rows' WOM state.
+    /// The dimensions come from the configuration, so they are not
+    /// written.
     pub(crate) fn save_state(&self, w: &mut SnapWriter) {
         for tag in &self.tags {
             w.put(tag);
         }
         self.wom.save_state(w);
-        w.put(&self.stats);
     }
 
     /// Restores state written by [`save_state`](Self::save_state) into
@@ -309,9 +293,7 @@ impl WomCache {
                 return Err(SnapError::Corrupt("cache tag out of range"));
             }
         }
-        self.wom.load_state(r)?;
-        self.stats = r.take()?;
-        Ok(())
+        self.wom.load_state(r)
     }
 }
 
@@ -359,7 +341,6 @@ mod tests {
             other => panic!("expected hit, got {other:?}"),
         }
         assert_eq!(c.valid_entries(), 1);
-        assert_eq!(c.stats().write_hits, 1);
     }
 
     #[test]
@@ -390,7 +371,6 @@ mod tests {
         // The new owner now hits on read.
         assert!(c.read(0, 2, 5));
         assert!(!c.read(0, 1, 5));
-        assert_eq!(c.stats().write_misses, 1);
     }
 
     #[test]
@@ -405,22 +385,22 @@ mod tests {
 
     #[test]
     fn reads_never_allocate() {
-        let mut c = cache();
+        let c = cache();
         assert!(!c.read(0, 0, 0));
         assert_eq!(c.valid_entries(), 0);
-        assert_eq!(c.stats().read_misses, 1);
     }
 
     #[test]
     fn hit_rates() {
-        let mut c = cache();
-        c.write(0, 0, 0, 0); // hit (invalid)
-        c.write(0, 1, 0, 0); // miss (evicts bank 0)
-        c.read(0, 1, 0); // hit
-        c.read(0, 0, 0); // miss
-        assert!((c.stats().write_hit_rate() - 0.5).abs() < 1e-12);
-        assert!((c.stats().read_hit_rate() - 0.5).abs() < 1e-12);
-        assert!((c.stats().hit_rate() - 0.5).abs() < 1e-12);
+        let stats = CacheStats {
+            write_hits: 1,
+            write_misses: 1,
+            read_hits: 1,
+            read_misses: 1,
+        };
+        assert!((stats.write_hit_rate() - 0.5).abs() < 1e-12);
+        assert!((stats.read_hit_rate() - 0.5).abs() < 1e-12);
+        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
         assert_eq!(CacheStats::default().write_hit_rate(), 1.0);
     }

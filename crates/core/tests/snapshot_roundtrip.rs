@@ -297,17 +297,32 @@ fn damaged_payloads_fail_with_typed_errors() {
 }
 
 #[test]
-fn version_1_and_2_containers_are_unsupported() {
+fn version_1_2_and_3_containers_are_unsupported() {
     let cfg = config(Architecture::Baseline);
     let mut container = checkpoint_at(&cfg, &trace(), SPLIT);
-    assert_eq!(container[7], 0x03, "the format version byte");
-    for old in [1, 2] {
+    assert_eq!(container[7], 0x04, "the format version byte");
+    for old in [1, 2, 3] {
         container[7] = old;
         assert!(matches!(
             Session::resume(cfg.clone(), &container),
             Err(WomPcmError::Snapshot(SnapshotError::UnsupportedVersion(v))) if v == old
         ));
     }
+}
+
+/// A CRC-valid checkpoint of a fresh `cfg` session with its controller
+/// clock moved to `clock`. Nothing is in flight in a fresh session, so
+/// the controller accepts any clock.
+fn fresh_checkpoint_at_clock(cfg: &SystemConfig, clock: u64) -> Vec<u8> {
+    let fresh = Session::open(cfg.clone()).expect("valid config");
+    let container = fresh.checkpoint().expect("checkpoints");
+    let env = snapshot::decode_container(&container).expect("decodes");
+    // The payload starts with the epoch poll cursor, then the controller
+    // clock.
+    let mut payload = env.payload.to_vec();
+    assert_eq!(payload[8..16], 0u64.to_le_bytes());
+    payload[8..16].copy_from_slice(&clock.to_le_bytes());
+    snapshot::encode_container(env.arch, env.fingerprint, 0, |w| w.put_bytes(&payload))
 }
 
 /// A CRC-valid checkpoint whose controller clock is moved 2^50 cycles
@@ -317,23 +332,30 @@ fn version_1_and_2_containers_are_unsupported() {
 #[test]
 fn a_far_future_restored_clock_fails_typed() {
     let cfg = config(Architecture::Baseline);
-    // Nothing is in flight in a fresh session, so restore accepts any
-    // clock.
-    let fresh = Session::open(cfg.clone()).expect("valid config");
-    let container = fresh.checkpoint().expect("checkpoints");
-    let env = snapshot::decode_container(&container).expect("decodes");
-    // The payload starts with the epoch poll cursor, then the controller
-    // clock.
-    let mut payload = env.payload.to_vec();
-    assert_eq!(payload[8..16], 0u64.to_le_bytes());
-    payload[8..16].copy_from_slice(&(1u64 << 50).to_le_bytes());
-    let moved = snapshot::encode_container(env.arch, env.fingerprint, 0, |w| w.put_bytes(&payload));
+    let moved = fresh_checkpoint_at_clock(&cfg, 1 << 50);
     let mut resumed = Session::resume(cfg, &moved).expect("restores");
     assert_eq!(resumed.now(), 1 << 50);
     let err = resumed
         .feed(&trace()[..1])
         .expect_err("the series cannot reach the restored clock");
     assert!(matches!(err, WomPcmError::InvalidConfig(_)), "{err:?}");
+}
+
+/// Restore derives the next refresh tick from the clock, so a clock with
+/// no tick after it within a `u64` is corrupt.
+#[test]
+fn a_restored_clock_past_the_last_refresh_tick_is_corrupt() {
+    for arch in [Architecture::WomCodeRefresh, Architecture::Wcpcm] {
+        let cfg = config(arch);
+        let moved = fresh_checkpoint_at_clock(&cfg, u64::MAX);
+        assert!(
+            matches!(
+                Session::resume(cfg, &moved),
+                Err(WomPcmError::Snapshot(SnapshotError::Corrupt(_)))
+            ),
+            "{arch:?}"
+        );
+    }
 }
 
 #[test]

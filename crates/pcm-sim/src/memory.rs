@@ -487,25 +487,22 @@ impl MemorySystem {
         let access_bits = u64::from(self.config.geometry.access_bytes) * 8;
         let row_bits = u64::from(self.config.geometry.row_bytes) * 8;
         match c.class {
-            ServiceClass::Read => self.stats.energy.read_pj += e.read_pj(access_bits),
+            ServiceClass::Read => {
+                self.stats.energy.read_pj += e.read_pj(access_bits);
+                return;
+            }
             ServiceClass::Write => {
                 self.stats.energy.full_write_pj += e.full_write_pj(access_bits);
-                let row = self.decoder.decode(c.addr).flat_row(&self.config.geometry);
-                self.wear.record_full_write(row);
             }
             ServiceClass::ResetOnlyWrite => {
                 self.stats.energy.reset_write_pj += e.reset_only_write_pj(access_bits);
-                let row = self.decoder.decode(c.addr).flat_row(&self.config.geometry);
-                self.wear.record_reset_write(row);
             }
-            ServiceClass::RankRefresh => {
-                if !c.preempted {
-                    self.stats.energy.refresh_pj += e.refresh_pj(row_bits);
-                    let row = self.decoder.decode(c.addr).flat_row(&self.config.geometry);
-                    self.wear.record_full_write(row);
-                }
-            }
+            ServiceClass::RankRefresh if c.preempted => return,
+            ServiceClass::RankRefresh => self.stats.energy.refresh_pj += e.refresh_pj(row_bits),
         }
+        // Every array write, whatever its kind, wears its row once.
+        let row = self.decoder.decode(c.addr).flat_row(&self.config.geometry);
+        self.wear.record_write(row);
     }
 
     fn service_cycles(&self, class: ServiceClass, flat_bank: usize, row: u32) -> Cycle {

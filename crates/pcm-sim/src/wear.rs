@@ -10,27 +10,27 @@
 
 use std::collections::BTreeMap;
 
-/// Per-row write-pulse counters, kept lazily for touched rows.
+/// Per-row array-write counters, kept lazily for touched rows: one count
+/// per row, whatever the write's kind.
 ///
 /// ```
 /// use pcm_sim::WearTracker;
 ///
 /// let mut wear = WearTracker::new();
-/// wear.record_full_write(3);
-/// wear.record_reset_write(3);
-/// wear.record_reset_write(9);
+/// wear.record_write(3);
+/// wear.record_write(3);
+/// wear.record_write(9);
 /// let s = wear.summary();
 /// assert_eq!((s.rows, s.writes, s.max), (2, 3, 2));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct WearTracker {
-    // Ordered maps, not hash maps: summaries reduce these counters with
-    // floating-point sums, and f64 rounding depends on iteration order.
-    // Deterministic order keeps run metrics bit-identical across runs.
-    /// Full (SET-bearing) writes per flat row id.
-    full: BTreeMap<u64, u64>,
-    /// RESET-only writes per flat row id.
-    reset_only: BTreeMap<u64, u64>,
+    // An ordered map, not a hash map: summaries reduce these counters
+    // with floating-point sums, and f64 rounding depends on iteration
+    // order. Deterministic order keeps run metrics bit-identical across
+    // runs.
+    /// Array writes (full, RESET-only or refresh) per flat row id.
+    writes: BTreeMap<u64, u64>,
 }
 
 /// Summary of a wear distribution.
@@ -56,51 +56,22 @@ impl WearTracker {
         Self::default()
     }
 
-    /// Records a full (SET-bearing) write to `row`.
-    pub fn record_full_write(&mut self, row: u64) {
-        *self.full.entry(row).or_insert(0) += 1;
+    /// Records one array write to `row`.
+    pub fn record_write(&mut self, row: u64) {
+        *self.writes.entry(row).or_insert(0) += 1;
     }
 
-    /// Records a RESET-only write to `row`.
-    pub fn record_reset_write(&mut self, row: u64) {
-        *self.reset_only.entry(row).or_insert(0) += 1;
-    }
-
-    /// Full writes recorded for `row`.
-    #[must_use]
-    pub fn full_writes(&self, row: u64) -> u64 {
-        self.full.get(&row).copied().unwrap_or(0)
-    }
-
-    /// RESET-only writes recorded for `row`.
-    #[must_use]
-    pub fn reset_writes(&self, row: u64) -> u64 {
-        self.reset_only.get(&row).copied().unwrap_or(0)
-    }
-
-    /// Summarizes total writes (both kinds) per row.
+    /// Summarizes the writes per row, in row order.
     #[must_use]
     pub fn summary(&self) -> WearSummary {
-        let mut totals: BTreeMap<u64, u64> = self.full.clone();
-        for (&row, &n) in &self.reset_only {
-            *totals.entry(row).or_insert(0) += n;
-        }
-        summarize(totals.values().copied())
-    }
-
-    /// Summarizes only the SET-bearing writes — the pulses most relevant
-    /// to melt-cycle endurance.
-    #[must_use]
-    pub fn full_write_summary(&self) -> WearSummary {
-        summarize(self.full.values().copied())
+        summarize(self.writes.values().copied())
     }
 }
 
-// Both counter maps in key order, so identical states produce identical
-// bytes; a repeated or out-of-order row is corrupt.
+// The (row, writes) list in row order, so identical states produce
+// identical bytes; a repeated or out-of-order row is corrupt.
 crate::snap_fields!(WearTracker {
-    full: BTreeMap<u64, u64>,
-    reset_only: BTreeMap<u64, u64>,
+    writes: BTreeMap<u64, u64>,
 });
 
 impl WearSummary {
@@ -180,18 +151,14 @@ mod tests {
     fn empty_tracker_is_all_zero() {
         let t = WearTracker::new();
         assert_eq!(t.summary(), WearSummary::default());
-        assert_eq!(t.full_writes(0), 0);
     }
 
     #[test]
     fn counts_accumulate_per_row() {
         let mut t = WearTracker::new();
-        t.record_full_write(1);
-        t.record_full_write(1);
-        t.record_reset_write(1);
-        t.record_reset_write(2);
-        assert_eq!(t.full_writes(1), 2);
-        assert_eq!(t.reset_writes(1), 1);
+        for row in [1, 1, 1, 2] {
+            t.record_write(row);
+        }
         let s = t.summary();
         assert_eq!(s.rows, 2);
         assert_eq!(s.writes, 4);
@@ -205,14 +172,14 @@ mod tests {
         let mut skewed = WearTracker::new();
         for row in 0..10 {
             for _ in 0..5 {
-                level.record_full_write(row);
+                level.record_write(row);
             }
         }
         for _ in 0..41 {
-            skewed.record_full_write(0);
+            skewed.record_write(0);
         }
         for row in 1..10 {
-            skewed.record_full_write(row);
+            skewed.record_write(row);
         }
         assert!(level.summary().cv < 1e-12, "uniform wear has zero cv");
         assert!(skewed.summary().cv > 1.0, "hot-row wear must show high cv");
@@ -226,14 +193,14 @@ mod tests {
         let mut combined = WearTracker::new();
         for row in 0..4u64 {
             for _ in 0..=(row * 3) {
-                a.record_full_write(row);
-                combined.record_full_write(row);
+                a.record_write(row);
+                combined.record_write(row);
             }
         }
         for row in 100..110u64 {
             for _ in 0..(row % 7 + 1) {
-                b.record_reset_write(row);
-                combined.record_reset_write(row);
+                b.record_write(row);
+                combined.record_write(row);
             }
         }
         let mut merged = a.summary();
@@ -249,8 +216,8 @@ mod tests {
     #[test]
     fn merge_disjoint_handles_empty_sides() {
         let mut t = WearTracker::new();
-        t.record_full_write(5);
-        t.record_full_write(5);
+        t.record_write(5);
+        t.record_write(5);
         let s = t.summary();
         let mut from_empty = WearSummary::default();
         from_empty.merge_disjoint(&s);
@@ -264,18 +231,21 @@ mod tests {
     fn tracker_snapshot_round_trip() {
         use crate::snap::{SnapReader, SnapWriter};
         let mut t = WearTracker::new();
-        t.record_full_write(3);
-        t.record_full_write(u64::MAX);
-        t.record_reset_write(3);
+        t.record_write(3);
+        t.record_write(u64::MAX);
+        t.record_write(3);
         let mut w = SnapWriter::new();
         w.put(&t);
         let bytes = w.into_bytes();
+        // A count, then one (row, writes) pair per row.
+        let pairs: Vec<u8> = [2, 3, 2, u64::MAX, 1]
+            .iter()
+            .flat_map(|v: &u64| v.to_le_bytes())
+            .collect();
+        assert_eq!(bytes, pairs);
         let mut r = SnapReader::new(&bytes);
         let back: WearTracker = r.take().unwrap();
         r.finish().unwrap();
-        assert_eq!(back.full_writes(3), 1);
-        assert_eq!(back.full_writes(u64::MAX), 1);
-        assert_eq!(back.reset_writes(3), 1);
         let mut w2 = SnapWriter::new();
         w2.put(&back);
         assert_eq!(w2.into_bytes(), bytes, "re-encode is byte-identical");
@@ -287,7 +257,6 @@ mod tests {
         for rows in [[5u64, 5], [9, 2]] {
             let mut w = SnapWriter::new();
             w.put(&rows.map(|row| (row, 1u64)).to_vec());
-            w.put(&0usize);
             let bytes = w.into_bytes();
             assert!(
                 matches!(
@@ -297,19 +266,5 @@ mod tests {
                 "rows {rows:?}"
             );
         }
-    }
-
-    #[test]
-    fn full_write_summary_excludes_reset_writes() {
-        let mut t = WearTracker::new();
-        t.record_full_write(0);
-        t.record_reset_write(0);
-        t.record_reset_write(1);
-        let full = t.full_write_summary();
-        assert_eq!(full.writes, 1);
-        assert_eq!(full.rows, 1);
-        let all = t.summary();
-        assert_eq!(all.writes, 3);
-        assert_eq!(all.rows, 2);
     }
 }

@@ -1,20 +1,20 @@
-//! Streaming trace sources: lazy, chunked, deterministically resettable.
+//! Streaming trace sources: lazy, chunked, deterministically replayable.
 //!
 //! Every consumer used to materialize a full `Vec<TraceRecord>` before the
 //! engine saw a single record, capping endurance studies at traces that
 //! fit in RAM. A [`TraceSource`] instead hands out records a chunk at a
 //! time from a reused internal buffer, so trace-side memory stays
-//! `O(chunk)` regardless of trace length, and [`reset`](TraceSource::reset)
-//! rewinds to the first record so multi-architecture sweeps and repeated
-//! benchmark runs replay the *identical* stream.
+//! `O(chunk)` regardless of trace length, and every source opened from
+//! one [`TraceSpec`] yields the *identical* stream, so multi-architecture
+//! sweeps and repeated benchmark runs replay it by opening it again.
 //!
 //! The concrete sources:
 //!
 //! * [`SliceSource`] — borrows an already-materialized slice (the
 //!   compatibility path; also what trace transforms produce);
-//! * [`IterSource`] — adapts any `Clone` iterator of records, notably the
+//! * [`IterSource`] — adapts any iterator of records, notably the
 //!   synthetic generators ([`WorkloadProfile::generate_stream`] and the
-//!   datacenter generators), keeping a pristine copy for reset;
+//!   datacenter generators);
 //! * [`BinaryStreamSource`] — chunked reader for the binary container,
 //!   validating the version-2 record-count footer up front so truncation
 //!   is reported before the first record is consumed. Bytes that arrive
@@ -80,20 +80,17 @@ impl From<BinaryTraceError> for TraceStreamError {
     }
 }
 
-/// A lazy, chunked, resettable stream of trace records.
+/// A lazy, chunked stream of trace records.
 ///
-/// The contract:
+/// [`next_chunk`](Self::next_chunk) yields a non-empty slice of records
+/// in trace order, valid until the next call on the same source, or
+/// `Ok(None)` at end of stream. The slice borrows an internal buffer —
+/// implementations must not allocate per record.
 ///
-/// * [`next_chunk`](Self::next_chunk) yields a non-empty slice of records
-///   in trace order, valid until the next call on the same source, or
-///   `Ok(None)` at end of stream. The slice borrows an internal buffer —
-///   implementations must not allocate per record.
-/// * [`reset`](Self::reset) rewinds to the first record; a reset source
-///   replays the byte-identical record sequence (determinism is what lets
-///   the benchmark harness time repeated runs of one source and the
-///   parallel runner replay one spec per cell).
-/// * [`len_hint`](Self::len_hint) is the total records a fresh (or newly
-///   reset) source will yield, when known.
+/// A source is read once. To replay a stream, open it again: every
+/// [`TraceSpec::open`] yields the byte-identical record sequence
+/// (determinism is what lets the benchmark harness time repeated runs of
+/// one spec and the parallel runner replay one spec per cell).
 pub trait TraceSource {
     /// Returns the next chunk of records, or `None` at end of stream.
     ///
@@ -101,18 +98,6 @@ pub trait TraceSource {
     ///
     /// Returns [`TraceStreamError`] on I/O failure or malformed input.
     fn next_chunk(&mut self) -> Result<Option<&[TraceRecord]>, TraceStreamError>;
-
-    /// Rewinds the source to its first record.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceStreamError`] if the underlying reader cannot seek.
-    fn reset(&mut self) -> Result<(), TraceStreamError>;
-
-    /// Total records a fresh source yields, if known up front.
-    fn len_hint(&self) -> Option<u64> {
-        None
-    }
 }
 
 /// Chunked view over an already-materialized record slice.
@@ -148,32 +133,18 @@ impl TraceSource for SliceSource<'_> {
         self.pos = end;
         Ok(if out.is_empty() { None } else { Some(out) })
     }
-
-    fn reset(&mut self) -> Result<(), TraceStreamError> {
-        self.pos = 0;
-        Ok(())
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.records.len() as u64)
-    }
 }
 
-/// Adapts a deterministic `Clone` iterator into a bounded source.
-///
-/// Keeps a pristine copy of the iterator so [`reset`](TraceSource::reset)
-/// replays the identical stream without regenerating shared state.
+/// Adapts a record iterator into a bounded source.
 #[derive(Debug, Clone)]
 pub struct IterSource<I> {
-    fresh: I,
     iter: I,
-    total: u64,
     remaining: u64,
     buf: Vec<TraceRecord>,
     chunk: usize,
 }
 
-impl<I: Iterator<Item = TraceRecord> + Clone> IterSource<I> {
+impl<I: Iterator<Item = TraceRecord>> IterSource<I> {
     /// Bounds `iter` to `records` items with the default chunk size.
     #[must_use]
     pub fn new(iter: I, records: u64) -> Self {
@@ -185,9 +156,7 @@ impl<I: Iterator<Item = TraceRecord> + Clone> IterSource<I> {
     pub fn with_chunk_records(iter: I, records: u64, chunk: usize) -> Self {
         let chunk = chunk.max(1);
         Self {
-            fresh: iter.clone(),
             iter,
-            total: records,
             remaining: records,
             buf: Vec::with_capacity(chunk),
             chunk,
@@ -195,7 +164,7 @@ impl<I: Iterator<Item = TraceRecord> + Clone> IterSource<I> {
     }
 }
 
-impl<I: Iterator<Item = TraceRecord> + Clone> TraceSource for IterSource<I> {
+impl<I: Iterator<Item = TraceRecord>> TraceSource for IterSource<I> {
     fn next_chunk(&mut self) -> Result<Option<&[TraceRecord]>, TraceStreamError> {
         if self.remaining == 0 {
             return Ok(None);
@@ -214,16 +183,6 @@ impl<I: Iterator<Item = TraceRecord> + Clone> TraceSource for IterSource<I> {
         } else {
             Some(&self.buf)
         })
-    }
-
-    fn reset(&mut self) -> Result<(), TraceStreamError> {
-        self.iter = self.fresh.clone();
-        self.remaining = self.total;
-        Ok(())
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.total)
     }
 }
 
@@ -378,16 +337,6 @@ impl<R: Read + Seek> TraceSource for BinaryStreamSource<R> {
         self.pos += n as u64;
         Ok(Some(&self.records))
     }
-
-    fn reset(&mut self) -> Result<(), TraceStreamError> {
-        self.reader.seek(SeekFrom::Start(HEADER_BYTES))?;
-        self.pos = 0;
-        Ok(())
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.total)
-    }
 }
 
 /// A workload profile from either catalog: the paper's SPEC / MiBench /
@@ -485,20 +434,6 @@ impl TraceSource for ProfileSource {
             Self::Datacenter(s) => s.next_chunk(),
         }
     }
-
-    fn reset(&mut self) -> Result<(), TraceStreamError> {
-        match self {
-            Self::Suite(s) => s.reset(),
-            Self::Datacenter(s) => s.reset(),
-        }
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        match self {
-            Self::Suite(s) => s.len_hint(),
-            Self::Datacenter(s) => s.len_hint(),
-        }
-    }
 }
 
 /// A cloneable, sendable *description* of a trace source.
@@ -541,16 +476,6 @@ impl TraceSpec {
         }
     }
 
-    /// Records the spec will yield, when known without opening a file.
-    #[must_use]
-    pub fn records_hint(&self) -> Option<u64> {
-        match self {
-            Self::Records(v) => Some(v.len() as u64),
-            Self::Profile { records, .. } => Some(*records),
-            Self::BinaryFile(_) => None,
-        }
-    }
-
     /// Opens a fresh source for this spec.
     ///
     /// # Errors
@@ -590,22 +515,6 @@ impl TraceSource for SpecSource<'_> {
             Self::File(s) => s.next_chunk(),
         }
     }
-
-    fn reset(&mut self) -> Result<(), TraceStreamError> {
-        match self {
-            Self::Slice(s) => s.reset(),
-            Self::Profile(s) => s.reset(),
-            Self::File(s) => s.reset(),
-        }
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        match self {
-            Self::Slice(s) => s.len_hint(),
-            Self::Profile(s) => s.len_hint(),
-            Self::File(s) => s.len_hint(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -624,14 +533,13 @@ mod tests {
     }
 
     #[test]
-    fn slice_source_round_trips_and_resets() {
+    fn slice_source_round_trips_and_reopens() {
         let records = benchmarks::by_name("qsort").unwrap().generate(3, 1000);
         let mut s = SliceSource::with_chunk_records(&records, 64);
-        assert_eq!(s.len_hint(), Some(1000));
         assert_eq!(drain(&mut s), records);
         assert!(s.next_chunk().unwrap().is_none());
-        s.reset().unwrap();
-        assert_eq!(drain(&mut s), records);
+        let mut again = SliceSource::with_chunk_records(&records, 64);
+        assert_eq!(drain(&mut again), records);
     }
 
     #[test]
@@ -640,21 +548,23 @@ mod tests {
         let materialized = p.generate(9, 5000);
         let mut s = IterSource::with_chunk_records(p.generator(9), 5000, 77);
         assert_eq!(drain(&mut s), materialized);
-        s.reset().unwrap();
-        assert_eq!(drain(&mut s), materialized);
+        let mut again = IterSource::with_chunk_records(p.generator(9), 5000, 77);
+        assert_eq!(drain(&mut again), materialized);
     }
 
     #[test]
-    fn binary_stream_source_round_trips_and_resets() {
+    fn binary_stream_source_round_trips_and_reopens() {
         let records = benchmarks::by_name("mad").unwrap().generate(5, 3000);
         let mut bytes = Vec::new();
         write_binary(&mut bytes, records.iter().copied()).unwrap();
-        let mut s =
-            BinaryStreamSource::with_chunk_records(Cursor::new(bytes), 100).expect("valid file");
+        let open = || {
+            BinaryStreamSource::with_chunk_records(Cursor::new(bytes.clone()), 100)
+                .expect("valid file")
+        };
+        let mut s = open();
         assert_eq!(s.total_records(), 3000);
         assert_eq!(drain(&mut s), records);
-        s.reset().unwrap();
-        assert_eq!(drain(&mut s), records);
+        assert_eq!(drain(&mut open()), records);
     }
 
     #[test]

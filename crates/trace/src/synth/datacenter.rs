@@ -4,7 +4,8 @@
 //! behaviour; modern PCM proposals are evaluated against server-side
 //! patterns whose *write structure* is very different. This module adds
 //! five production-shaped generators, each a deterministic, infinite,
-//! `Clone` iterator (so [`crate::stream::IterSource`] can reset it):
+//! `Clone` iterator that [`crate::stream::IterSource`] bounds into a
+//! trace source:
 //!
 //! * [`kv_zipf`] — a key-value store under a YCSB-style scrambled-zipfian
 //!   key distribution: a few keys absorb most updates, concentrating WOM
@@ -295,7 +296,7 @@ fn mix64(z: u64) -> u64 {
 /// Gray's bounded-zipfian sampler (the YCSB formulation): `sample`
 /// returns a 0-based rank in `[0, n)` where rank r has probability
 /// ∝ 1/(r+1)^θ. The harmonic sum is precomputed at construction so
-/// cloning (and therefore source reset) never recomputes it.
+/// cloning never recomputes it.
 #[derive(Debug, Clone)]
 struct Zipf {
     n: u64,

@@ -175,8 +175,8 @@ impl WorkloadProfile {
         self.generator(seed).take(n).collect()
     }
 
-    /// Lazy counterpart of [`generate`](Self::generate): a chunked,
-    /// resettable [`crate::stream::TraceSource`] yielding the identical
+    /// Lazy counterpart of [`generate`](Self::generate): a chunked
+    /// [`crate::stream::TraceSource`] yielding the identical
     /// `records` records without materializing them.
     ///
     /// # Panics

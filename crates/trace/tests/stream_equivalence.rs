@@ -52,9 +52,9 @@ fn every_datacenter_profile_streams_identical_to_materialized() {
 }
 
 #[test]
-fn reset_replays_every_profile_exactly() {
-    // One representative per family plus every datacenter shape: reset
-    // must restart the stream from record zero, bit-for-bit.
+fn reopening_replays_every_profile_exactly() {
+    // One representative per family plus every datacenter shape: a
+    // reopened source restarts the stream from record zero, bit-for-bit.
     for name in [
         "qsort",
         "464.h264ref",
@@ -65,11 +65,10 @@ fn reset_replays_every_profile_exactly() {
         "multi_tenant",
     ] {
         let profile = TraceProfile::by_name(name).expect("bundled profile");
-        let mut source = profile.source(9, 4_321).expect("bundled profiles validate");
-        let first = drain(&mut source);
-        source.reset().expect("profile sources reset");
-        let second = drain(&mut source);
-        assert_eq!(first, second, "{name} replay after reset");
+        let open = || profile.source(9, 4_321).expect("bundled profiles validate");
+        let first = drain(&mut open());
+        let second = drain(&mut open());
+        assert_eq!(first, second, "{name} replay after reopening");
         assert_eq!(first.len(), 4_321, "{name} record count");
     }
 }
@@ -82,14 +81,14 @@ fn binary_container_streams_identical_to_eager_generation() {
     let mut bytes = Vec::new();
     write_binary(&mut bytes, records.iter().copied()).expect("vec write");
 
-    let mut source = BinaryStreamSource::new(Cursor::new(&bytes[..])).expect("container opens");
+    let open = || BinaryStreamSource::new(Cursor::new(&bytes[..])).expect("container opens");
+    let mut source = open();
     assert_eq!(source.total_records(), 7_777);
     let streamed = drain(&mut source);
     assert_eq!(records, streamed);
 
-    // Reset replays the file from the first record.
-    source.reset().expect("file sources reset");
-    assert_eq!(drain(&mut source), records);
+    // Reopening replays the file from the first record.
+    assert_eq!(drain(&mut open()), records);
 }
 
 #[test]
@@ -186,7 +185,6 @@ fn spec_round_trips_records_profiles_and_files() {
     write_binary(&mut bytes, records.iter().copied()).expect("vec write");
     std::fs::write(&path, &bytes).expect("temp file");
     let spec = TraceSpec::BinaryFile(path.clone());
-    assert_eq!(spec.records_hint(), None, "hint is resolved at open");
     assert_eq!(drain(&mut spec.open().expect("file opens")), records);
     assert_eq!(drain(&mut spec.open().expect("file reopens")), records);
     std::fs::remove_dir_all(&dir).expect("temp cleanup");
