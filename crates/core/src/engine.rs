@@ -3,8 +3,10 @@
 //! [`Engine`] owns everything every architecture needs — the simulated
 //! clock, trace ingestion and ordering checks, the main-memory and
 //! WOM-cache [`MemorySystem`]s, back-pressure stalling, write-coalescing
-//! windows, victim-writeback and wear-leveling plumbing, the functional
-//! data checker, and [`RunMetrics`], the fold of the events it emits.
+//! windows, victim-writeback and wear-leveling plumbing, the hooks of the
+//! functional data checker (which runs on a thread of its own, see
+//! [`crate::data_check`]), and [`RunMetrics`], the fold of the events it
+//! emits.
 //! Everything architecture-*specific* — WOM budget tables, the
 //! PCM-refresh engine, the WOM-cache policy — lives in the closed
 //! [`Policy`] enum and reaches the shared machinery through
@@ -17,12 +19,11 @@
 //! [`ArraySide`].
 
 use crate::config::SystemConfig;
+use crate::data_check::Checker;
 use crate::error::WomPcmError;
-use crate::functional::FunctionalMemory;
 use crate::metrics::RunMetrics;
 use crate::observe::{EpochRecorder, EpochSeries, Event, ObserverSink, WriteClass};
 use crate::policy::{ArraySide, Policy, ReadAction, WriteAction};
-use crate::rowmap::RowMap;
 use crate::wcpcm::CacheStats;
 use crate::wear_leveling::StartGap;
 use pcm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
@@ -32,139 +33,10 @@ use pcm_sim::{
 };
 use pcm_trace::{TraceOp, TraceRecord};
 use std::collections::VecDeque;
-use wom_code::{Inverted, Rs23Code};
 
 /// Cycles the system stalls before retrying when a controller queue is
 /// full (models CPU-side back-pressure).
 const STALL_QUANTUM: Cycle = 32;
-
-/// Line size of the functional data checker.
-const CHECK_LINE_BYTES: usize = 64;
-
-/// [`DataCheck::payload`]'s line multiplier (the 64-bit golden ratio).
-const PAYLOAD_LINE_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
-/// [`DataCheck::payload`]'s mixing multiplier.
-const PAYLOAD_MIX_MUL: u64 = 0xBF58_476D_1CE4_E5B9;
-
-/// Functional shadow of main memory: real WOM-encoded cells per 64-byte
-/// line, plus a reference for the last data written to each line.
-///
-/// The reference is that write's sequence number, 8 bytes per line in
-/// memory and in a checkpoint: the data is
-/// [`payload`](Self::payload)`(line, seq)`, rebuilt whenever a read check
-/// or a refresh rewrite needs it.
-#[derive(Debug)]
-struct DataCheck {
-    mem: FunctionalMemory<Inverted<Rs23Code>>,
-    /// Sequence number of the last write per line, in the page-grained
-    /// store (line ids are dense and clustered).
-    expected: RowMap<u64>,
-    /// Writes so far: the sequence number of the latest one.
-    seq: u64,
-    reads_verified: u64,
-    /// Reused decode target so verified reads don't allocate.
-    line_buf: [u8; CHECK_LINE_BYTES],
-}
-
-impl DataCheck {
-    fn new() -> Self {
-        Self {
-            mem: FunctionalMemory::new(Inverted::new(Rs23Code::new()), CHECK_LINE_BYTES)
-                .expect("64-byte lines tile the RS code"),
-            expected: RowMap::new(),
-            seq: 0,
-            reads_verified: 0,
-            line_buf: [0u8; CHECK_LINE_BYTES],
-        }
-    }
-
-    fn line_of(addr: u64) -> u64 {
-        addr / CHECK_LINE_BYTES as u64
-    }
-
-    /// Deterministic per-write payload: unique per (line, sequence).
-    fn payload(line: u64, seq: u64) -> [u8; CHECK_LINE_BYTES] {
-        let mut data = [0u8; CHECK_LINE_BYTES];
-        let mut z = line.wrapping_mul(PAYLOAD_LINE_MUL).wrapping_add(seq);
-        for chunk in data.chunks_mut(8) {
-            z = (z ^ (z >> 30)).wrapping_mul(PAYLOAD_MIX_MUL);
-            chunk.copy_from_slice(&z.to_le_bytes()[..chunk.len()]);
-        }
-        data
-    }
-
-    /// Writes fresh data through the real codec.
-    fn on_write(&mut self, addr: u64) -> Result<(), WomPcmError> {
-        let line = Self::line_of(addr);
-        self.seq += 1;
-        self.mem.write(line, &Self::payload(line, self.seq))?;
-        self.expected.insert(line, self.seq);
-        Ok(())
-    }
-
-    /// Refreshes one line (§3.2): its data is read out (from the
-    /// reference) and rewritten as the first write of freshly erased
-    /// cells. Never-written lines have no data to preserve and are
-    /// skipped. So are lines written once since their last erase: their
-    /// cells already hold the first-write encode of the reference, which
-    /// is exactly what the rewrite would leave.
-    fn refresh_line(&mut self, line: u64) -> Result<(), WomPcmError> {
-        if let Some(&seq) = self.expected.get(line) {
-            if self.mem.writes_done(line) != 1 {
-                self.mem.rewrite(line, &Self::payload(line, seq))?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Decodes the cells and checks them against the reference.
-    fn on_read(&mut self, addr: u64) -> Result<(), WomPcmError> {
-        let line = Self::line_of(addr);
-        if let Some(&seq) = self.expected.get(line) {
-            if !self.mem.read_into(line, &mut self.line_buf) {
-                return Err(WomPcmError::Internal("written line vanished".into()));
-            }
-            if self.line_buf != Self::payload(line, seq) {
-                // womlint::allow(hotpath/transitive, reason = "corruption error path: allocates once, then the run aborts")
-                return Err(WomPcmError::Internal(format!(
-                    "data corruption at line {line:#x}: cells decode differently from the last write"
-                )));
-            }
-            self.reads_verified += 1;
-        }
-        Ok(())
-    }
-
-    /// Serializes the cells, then each line's reference sequence number
-    /// in ascending line order, then the write and read counters.
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.mem.save_state(w);
-        w.put(&self.expected);
-        w.put(&self.seq);
-        w.put(&self.reads_verified);
-    }
-
-    /// Restores state written by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// Propagates payload truncation; [`SnapError::Corrupt`] when a
-    /// reference is no write's: sequence number 0 (writes count from 1)
-    /// or one newer than the saved write counter.
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.mem.load_state(r)?;
-        self.expected = r.take()?;
-        self.seq = r.take()?;
-        let written = 1..=self.seq;
-        if !self.expected.values().all(|seq| written.contains(seq)) {
-            return Err(SnapError::Corrupt(
-                "data-check reference is no write's sequence number",
-            ));
-        }
-        self.reads_verified = r.take()?;
-        Ok(())
-    }
-}
 
 /// The architecture-agnostic engine state, shared with policies.
 ///
@@ -193,10 +65,10 @@ pub(crate) struct EngineCore {
     internal_ids: Vec<TransactionId>,
     /// Per-flat-main-bank Start-Gap remappers, when wear leveling is on.
     start_gaps: Option<Vec<StartGap>>,
-    /// Functional data checker, when `verify_data` is on.
-    /// Boxed so the (large, rarely enabled) checker does not bloat
-    /// `EngineCore` for the common verify-free runs.
-    data_check: Option<Box<DataCheck>>,
+    /// The functional data checker's thread, when `verify_data` is on:
+    /// the `check_*` hooks queue its ops, and it applies them in engine
+    /// order.
+    checker: Option<Checker>,
     pending_victims: VecDeque<u64>,
     /// Open write-coalescing windows, ascending by row key: rows with an
     /// array write still pending, each with the cycle its window closes.
@@ -236,13 +108,18 @@ impl EngineCore {
             None => None,
         };
         let period = config.mem.timing.refresh_period_cycles();
+        let checker = if config.verify_data {
+            Some(Checker::spawn(*main.decoder())?)
+        } else {
+            None
+        };
         Ok(Self {
             main,
             cache_mem,
             next_refresh_at: period,
             internal_ids: Vec::new(),
             start_gaps,
-            data_check: config.verify_data.then(|| Box::new(DataCheck::new())),
+            checker,
             pending_victims: VecDeque::new(),
             merge_windows: Vec::new(),
             metrics: RunMetrics {
@@ -363,56 +240,48 @@ impl EngineCore {
             .encode(DecodedAddr { row: physical, ..d })?)
     }
 
-    /// Runs the functional data checker's write hook (no-op when
+    /// Queues the functional data checker's write hook (no-op when
     /// verification is off).
     ///
     /// # Errors
     ///
-    /// Propagates codec errors.
+    /// [`WomPcmError::Internal`] when the checker thread has stopped; a
+    /// failed check is returned by [`Engine::sync_check`].
     pub fn check_write(&mut self, addr: u64) -> Result<(), WomPcmError> {
-        if let Some(check) = &mut self.data_check {
-            check.on_write(addr)?;
+        if let Some(checker) = &mut self.checker {
+            checker.on_write(addr)?;
         }
         Ok(())
     }
 
-    /// Runs the functional data checker's read hook (no-op when
+    /// Queues the functional data checker's read hook (no-op when
     /// verification is off).
     ///
     /// # Errors
     ///
-    /// Returns a data-corruption error when the cells decode differently
-    /// from the last write.
+    /// [`WomPcmError::Internal`] when the checker thread has stopped; a
+    /// data-corruption error is returned by [`Engine::sync_check`].
     pub fn check_read(&mut self, addr: u64) -> Result<(), WomPcmError> {
-        if let Some(check) = &mut self.data_check {
-            check.on_read(addr)?;
+        if let Some(checker) = &mut self.checker {
+            checker.on_read(addr)?;
         }
         Ok(())
     }
 
-    /// Re-initializes every line of a refreshed main-memory row in the
-    /// functional checker: one [`FunctionalMemory::rewrite`] per written
-    /// line that is not already in its first-write pattern (no-op when
-    /// verification is off).
+    /// Queues the re-initialization of every line of a refreshed
+    /// main-memory row in the functional checker: one
+    /// [`FunctionalMemory::rewrite`](crate::FunctionalMemory::rewrite)
+    /// per written line that is not already in its first-write pattern
+    /// (no-op when verification is off).
     ///
     /// # Errors
     ///
-    /// Returns an error when the functional refresh itself fails — that
-    /// is a simulator bug, not a configuration error.
+    /// [`WomPcmError::Internal`] when the checker thread has stopped; a
+    /// failed rewrite (a simulator bug, not a configuration error) is
+    /// returned by [`Engine::sync_check`].
     pub fn check_refresh_row(&mut self, rank: u32, bank: u32, row: u32) -> Result<(), WomPcmError> {
-        let g = self.config.mem.geometry;
-        let decoder = *self.main.decoder();
-        if let Some(check) = &mut self.data_check {
-            for column in 0..g.columns_per_row() {
-                let d = DecodedAddr {
-                    rank,
-                    bank,
-                    row,
-                    column,
-                };
-                let addr = decoder.encode(d)?;
-                check.refresh_line(DataCheck::line_of(addr))?;
-            }
+        if let Some(checker) = &mut self.checker {
+            checker.on_refresh_row(rank, bank, row)?;
         }
         Ok(())
     }
@@ -488,8 +357,12 @@ impl EngineCore {
     /// no presence flag. The next refresh tick is not written: restore
     /// derives it from the clock. Collections iterate in their
     /// deterministic (key) order, so the same state always produces the
-    /// same bytes.
-    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
+    /// same bytes. The data checker is written as of its last sync.
+    ///
+    /// # Errors
+    ///
+    /// [`WomPcmError::Internal`] when the data checker panicked.
+    pub(crate) fn save_state(&self, w: &mut SnapWriter) -> Result<(), WomPcmError> {
         self.main.save_state(w);
         if let Some(cache) = &self.cache_mem {
             cache.save_state(w);
@@ -498,14 +371,15 @@ impl EngineCore {
         for sg in self.start_gaps.iter().flatten() {
             sg.save_state(w);
         }
-        if let Some(check) = &self.data_check {
-            check.save_state(w);
+        if let Some(checker) = &self.checker {
+            checker.save_state(w)?;
         }
         w.put(&self.pending_victims);
         w.put(&self.merge_windows);
         self.metrics.save_state(w);
         self.observer.save_state(w);
         w.put(&self.last_record_cycle);
+        Ok(())
     }
 
     /// Restores state written by [`save_state`](Self::save_state) into
@@ -531,8 +405,8 @@ impl EngineCore {
         for sg in self.start_gaps.iter_mut().flatten() {
             sg.load_state(r)?;
         }
-        if let Some(check) = &mut self.data_check {
-            check.load_state(r)?;
+        if let Some(checker) = &mut self.checker {
+            checker.load_state(r)?;
         }
         self.pending_victims = r.take()?;
         self.merge_windows =
@@ -642,13 +516,19 @@ impl Engine {
     /// Appends the engine's complete mid-run state — memory systems,
     /// in-flight bookkeeping, metrics, epoch series, and the policy's
     /// architecture state — to a snapshot payload. Call between
-    /// [`submit`](Self::submit)s; [`Session::checkpoint`] writes it
-    /// straight into a `WOMSNAP` container.
+    /// [`submit`](Self::submit)s, after [`sync_check`](Self::sync_check);
+    /// [`Session::checkpoint`] writes it straight into a `WOMSNAP`
+    /// container.
+    ///
+    /// # Errors
+    ///
+    /// [`WomPcmError::Internal`] when the data checker panicked.
     ///
     /// [`Session::checkpoint`]: crate::session::Session::checkpoint
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.core.save_state(w);
+    pub fn save_state(&self, w: &mut SnapWriter) -> Result<(), WomPcmError> {
+        self.core.save_state(w)?;
         self.policy.save_state(w);
+        Ok(())
     }
 
     /// Restores state written by [`save_state`](Self::save_state) into
@@ -668,8 +548,24 @@ impl Engine {
         self.policy.load_state(r)
     }
 
+    /// Waits until the data checker has applied every op queued so far
+    /// (no-op when verification is off).
+    ///
+    /// # Errors
+    ///
+    /// The first check that failed since the last sync;
+    /// [`WomPcmError::Internal`] when the checker thread stopped or
+    /// panicked.
+    pub fn sync_check(&mut self) -> Result<(), WomPcmError> {
+        match &mut self.core.checker {
+            Some(checker) => checker.sync(),
+            None => Ok(()),
+        }
+    }
+
     /// Feeds one trace record to the engine, advancing simulated time to
-    /// its arrival cycle first.
+    /// its arrival cycle first. Its data checks are queued: the caller
+    /// syncs ([`sync_check`](Self::sync_check)) for their outcome.
     ///
     /// # Errors
     ///
@@ -694,15 +590,41 @@ impl Engine {
         self.core.observer.check_ceiling()
     }
 
-    /// Completes all outstanding work and returns the final metrics.
+    /// Completes all outstanding work and returns the final metrics. The
+    /// data checker is synced on every path, as after a feed.
     ///
     /// # Errors
     ///
-    /// Propagates simulator errors (none are expected during a drain),
-    /// returns [`WomPcmError::Internal`] if outstanding work never drains,
-    /// and [`WomPcmError::InvalidConfig`] when the run outgrows its epoch
-    /// series.
+    /// A failed data check (it comes from earlier records than any drain
+    /// error, so it is returned first); simulator errors (none are
+    /// expected during a drain); [`WomPcmError::Internal`] if outstanding
+    /// work never drains; and [`WomPcmError::InvalidConfig`] when the run
+    /// outgrows its epoch series.
     pub fn finish(&mut self) -> Result<RunMetrics, WomPcmError> {
+        let drained = self.drain_all();
+        self.sync_check()?;
+        drained?;
+        let now = self.now();
+        self.core.observer.on_finish(now);
+        self.core.observer.check_ceiling()?;
+        // Copy in the totals counted elsewhere: energy and wear by the
+        // memory systems, verified reads by the data checker.
+        let core = &mut self.core;
+        let result = &mut core.metrics;
+        result.energy = core.main.stats().energy;
+        result.wear_main = core.main.wear().summary();
+        if let Some(checker) = &core.checker {
+            result.data_reads_verified = checker.reads_verified()?;
+        }
+        if let Some(cm) = &core.cache_mem {
+            result.energy.merge(&cm.stats().energy);
+            result.wear_cache = Some(cm.wear().summary());
+        }
+        Ok(result.clone())
+    }
+
+    /// Advances until every array is idle and no victim waits.
+    fn drain_all(&mut self) -> Result<(), WomPcmError> {
         let mut guard = 0u64;
         while !self.core.is_drained() {
             let next = self.now() + 1_000;
@@ -714,23 +636,7 @@ impl Engine {
                 ));
             }
         }
-        let now = self.now();
-        self.core.observer.on_finish(now);
-        self.core.observer.check_ceiling()?;
-        // Copy in the totals counted elsewhere: energy and wear by the
-        // memory systems, verified reads by the data checker.
-        let core = &mut self.core;
-        let result = &mut core.metrics;
-        result.energy = core.main.stats().energy;
-        result.wear_main = core.main.wear().summary();
-        if let Some(check) = &core.data_check {
-            result.data_reads_verified = check.reads_verified;
-        }
-        if let Some(cm) = &core.cache_mem {
-            result.energy.merge(&cm.stats().energy);
-            result.wear_cache = Some(cm.wear().summary());
-        }
-        Ok(result.clone())
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -964,137 +870,9 @@ impl EngineCore {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::snapshot::SnapshotError;
-
-    #[test]
-    fn data_check_failures_are_internal_errors() {
-        let mut check = DataCheck::new();
-        check.on_write(0x40).expect("writes through the codec");
-        check.on_read(0x40).expect("cells decode to the last write");
-
-        let line = DataCheck::line_of(0x40);
-        let seq = *check.expected.get(line).expect("line was written");
-        check.expected.insert(line, seq + 1);
-        let err = check
-            .on_read(0x40)
-            .expect_err("reference no longer matches");
-        assert!(matches!(err, WomPcmError::Internal(_)), "{err:?}");
-        assert_eq!(
-            err.to_string(),
-            "internal invariant violated: data corruption at line 0x1: \
-             cells decode differently from the last write"
-        );
-
-        // A reference for a line whose cells were never written.
-        check.expected.insert(7, 1);
-        let err = check.on_read(7 * 64).expect_err("no cells to decode");
-        assert!(matches!(err, WomPcmError::Internal(_)), "{err:?}");
-        assert_eq!(
-            err.to_string(),
-            "internal invariant violated: written line vanished"
-        );
-    }
-
-    fn cell_bytes(mem: &FunctionalMemory<Inverted<Rs23Code>>) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        mem.save_state(&mut w);
-        w.into_bytes()
-    }
-
-    #[test]
-    fn refresh_skips_exactly_the_lines_a_rewrite_would_leave_unchanged() {
-        let mut check = DataCheck::new();
-        check.on_write(0x40).expect("line 1 at generation 1");
-        check.on_write(0x80).expect("line 2 at generation 1");
-        check.on_write(0x80).expect("line 2 at generation 2");
-        for _ in 0..3 {
-            check
-                .on_write(0xC0)
-                .expect("line 3 at generation 1 after an alpha-write");
-        }
-        let untouched = cell_bytes(&check.mem);
-        let mut forced = check.mem.clone();
-        for line in [1, 2, 3] {
-            let seq = *check.expected.get(line).expect("line was written");
-            forced
-                .rewrite(line, &DataCheck::payload(line, seq))
-                .expect("rewrites");
-        }
-
-        for line in [1, 3] {
-            check.refresh_line(line).expect("refreshes");
-            assert_eq!(check.mem.writes_done(line), 1);
-        }
-        assert_eq!(
-            cell_bytes(&check.mem),
-            untouched,
-            "a generation-1 line already holds its first-write cells"
-        );
-        assert_eq!(check.mem.writes_done(2), 2);
-        check.refresh_line(2).expect("refreshes");
-        assert_eq!(check.mem.writes_done(2), 1, "rewritten to generation 1");
-        assert_eq!(
-            cell_bytes(&check.mem),
-            cell_bytes(&forced),
-            "same cells and generations as rewriting both lines"
-        );
-        for addr in [0x40, 0x80, 0xC0] {
-            check.on_read(addr).expect("the line verifies");
-        }
-        assert_eq!(check.reads_verified, 3);
-    }
-
-    /// A checker with three written lines, saved.
-    fn saved_check() -> Vec<u8> {
-        let mut check = DataCheck::new();
-        for addr in [0x40, 0x80, 0x40, 0x1000] {
-            check.on_write(addr).expect("writes through the codec");
-        }
-        let mut w = SnapWriter::new();
-        check.save_state(&mut w);
-        w.into_bytes()
-    }
-
-    fn restore(bytes: &[u8]) -> Result<DataCheck, WomPcmError> {
-        let mut check = DataCheck::new();
-        let mut r = SnapReader::new(bytes);
-        check.load_state(&mut r)?;
-        r.finish()?;
-        Ok(check)
-    }
-
-    #[test]
-    fn data_check_restore_validates_reference_sequence_numbers() {
-        let bytes = saved_check();
-        let restored = restore(&bytes).expect("restores");
-        let references: Vec<(u64, u64)> = restored
-            .expected
-            .iter()
-            .map(|(line, &seq)| (line, seq))
-            .collect();
-        assert_eq!(references, vec![(1, 3), (2, 2), (64, 4)]);
-        assert_eq!(restored.seq, 4);
-
-        // The payload ends with the references (a count, then each line
-        // and its sequence number) and the write and read counters.
-        let tail: Vec<u8> = [3u64, 1, 3, 2, 2, 64, 4, 4, 0]
-            .iter()
-            .flat_map(|v| v.to_le_bytes())
-            .collect();
-        assert!(bytes.ends_with(&tail), "8 bytes per reference");
-        // Line 2's reference as write 0, which no write has, or as one
-        // the saved counter has not reached.
-        let at = bytes.len() - 5 * 8;
-        for seq in [0u64, 5] {
-            let mut tampered = bytes.clone();
-            tampered[at..at + 8].copy_from_slice(&seq.to_le_bytes());
-            let err = restore(&tampered).expect_err("reference out of range");
-            assert!(
-                matches!(err, WomPcmError::Snapshot(SnapshotError::Corrupt(_))),
-                "seq {seq}: {err:?}"
-            );
-        }
+impl Engine {
+    /// The data checker, when verification is on.
+    pub(crate) fn checker(&self) -> Option<&Checker> {
+        self.core.checker.as_ref()
     }
 }

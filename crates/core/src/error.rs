@@ -46,6 +46,9 @@ pub enum WomPcmError {
     /// error. Returned instead of panicking so a broken invariant aborts
     /// one run of a parallel sweep, not the whole process.
     Internal(String),
+    /// The operating system refused the thread a verified session runs
+    /// its data checker on.
+    Spawn(std::io::Error),
 }
 
 impl fmt::Display for WomPcmError {
@@ -63,6 +66,7 @@ impl fmt::Display for WomPcmError {
                 write!(f, "session operation `{op}` is invalid in state {state}")
             }
             Self::Internal(what) => write!(f, "internal invariant violated: {what}"),
+            Self::Spawn(e) => write!(f, "cannot start the data checker thread: {e}"),
         }
     }
 }
@@ -74,6 +78,7 @@ impl std::error::Error for WomPcmError {
             Self::Code(e) => Some(e),
             Self::Trace(e) => Some(e),
             Self::Snapshot(e) => Some(e),
+            Self::Spawn(e) => Some(e),
             _ => None,
         }
     }

@@ -165,11 +165,13 @@ impl HiddenPageTable {
     ///   expansion, but dynamic reconfiguration can over-commit).
     pub fn recruit(&mut self, bank: u32, row: u32) -> Result<u32, WomPcmError> {
         if bank >= self.geometry.total_banks() {
+            // womlint::allow(hotpath/transitive, reason = "out-of-range error path: allocates once, then the run aborts")
             return Err(WomPcmError::InvalidConfig(format!(
                 "bank {bank} out of range"
             )));
         }
         if row >= self.visible_rows {
+            // womlint::allow(hotpath/transitive, reason = "out-of-range error path: allocates once, then the run aborts")
             return Err(WomPcmError::InvalidConfig(format!(
                 "row {row} is not a visible row (visible rows: {})",
                 self.visible_rows
@@ -184,6 +186,7 @@ impl HiddenPageTable {
             Some(h) => h,
             None => {
                 let fresh = self.free[bank as usize].pop().ok_or_else(|| {
+                    // womlint::allow(hotpath/transitive, reason = "exhausted-pool error path: allocates once, then the run aborts")
                     WomPcmError::InvalidConfig(format!("hidden pool of bank {bank} exhausted"))
                 })?;
                 self.partial[bank as usize] = Some(fresh);

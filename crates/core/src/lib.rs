@@ -56,6 +56,7 @@
 pub mod arch;
 pub mod builder;
 pub mod config;
+mod data_check;
 mod engine;
 pub mod error;
 pub mod functional;

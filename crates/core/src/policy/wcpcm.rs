@@ -62,6 +62,7 @@ impl WcpcmPolicy {
         // verification, so logical == physical in main memory).
         core.check_read(addr)?;
         let d = core.decoder().decode(addr);
+        // womlint::allow(hotpath/transitive, reason = "WomCache::read is a tag lookup, not io::Read: it allocates nothing")
         let hit = self.cache.read(d.rank, d.bank, d.row);
         core.emit(Event::CacheRead {
             cycle: core.now(),

@@ -201,12 +201,14 @@ pub struct Session {
 }
 
 impl Session {
-    /// Opens a fresh session.
+    /// Opens a fresh session. With `verify_data` on, this starts the
+    /// session's data checker thread, which dropping the session joins.
     ///
     /// # Errors
     ///
     /// Returns [`WomPcmError::InvalidConfig`] for inconsistent
-    /// configuration parameters.
+    /// configuration parameters, and [`WomPcmError::Spawn`] when the
+    /// data checker thread cannot be started.
     pub fn open(spec: impl Into<SessionSpec>) -> Result<Self, WomPcmError> {
         let spec = spec.into();
         Ok(Self {
@@ -236,7 +238,7 @@ impl Session {
     ///
     /// Returns [`WomPcmError::Snapshot`] for foreign bytes, truncation,
     /// checksum failure, or a checkpoint taken under a different
-    /// configuration; [`WomPcmError::InvalidConfig`] for a bad spec.
+    /// configuration; as [`open`](Self::open) for the spec.
     pub fn resume(spec: impl Into<SessionSpec>, container: &[u8]) -> Result<Self, WomPcmError> {
         let spec = spec.into();
         let envelope = snapshot::decode_container(container)?;
@@ -308,19 +310,31 @@ impl Session {
     /// Feeds a batch of trace records, advancing simulated time to each
     /// record's arrival cycle.
     ///
+    /// With `verify_data` on, the data checker runs behind the engine on
+    /// its own thread and catches up before the feed returns, on every
+    /// path: a failed check is returned by the feed whose records caused
+    /// it, ahead of any engine error (the check comes from an earlier
+    /// record). [`records_fed`](Self::records_fed) counts the records the
+    /// engine took, so after a failed check it includes the rest of the
+    /// batch, which the engine took before the checker reported.
+    ///
     /// # Errors
     ///
     /// * [`WomPcmError::SessionState`] unless the session is open.
     /// * [`WomPcmError::TraceOrder`] when record cycles decrease (also
     ///   across batches — a session is one totally-ordered trace).
     /// * Simulator errors for malformed addresses.
+    /// * [`WomPcmError::Internal`] for a failed data check, or a data
+    ///   checker that stopped.
     pub fn feed(&mut self, records: &[TraceRecord]) -> Result<(), WomPcmError> {
         self.ensure_open("feed")?;
-        for record in records {
+        let fed = records.iter().try_for_each(|record| {
             self.engine.submit(*record)?;
             self.records_fed += 1;
-        }
-        Ok(())
+            Ok(())
+        });
+        self.engine.sync_check()?;
+        fed
     }
 
     /// Drains a streaming [`TraceSource`] into the session; trace-side
@@ -333,6 +347,14 @@ impl Session {
     /// source itself fails (I/O error, truncated container, bad record).
     pub fn feed_source<S: TraceSource>(&mut self, source: &mut S) -> Result<u64, WomPcmError> {
         self.ensure_open("feed_source")?;
+        let fed = self.submit_source(source);
+        self.engine.sync_check()?;
+        fed
+    }
+
+    /// Submits every record of `source`; [`feed_source`](Self::feed_source)
+    /// syncs the data checker after it.
+    fn submit_source<S: TraceSource>(&mut self, source: &mut S) -> Result<u64, WomPcmError> {
         let mut fed: u64 = 0;
         while let Some(chunk) = source.next_chunk()? {
             for record in chunk {
@@ -396,18 +418,21 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`WomPcmError::SessionState`] unless the session is open.
+    /// [`WomPcmError::SessionState`] unless the session is open;
+    /// [`WomPcmError::Internal`] when the data checker panicked.
     pub fn checkpoint(&self) -> Result<Vec<u8>, WomPcmError> {
         self.ensure_open("checkpoint")?;
-        Ok(snapshot::encode_container(
+        let mut saved = Ok(());
+        let container = snapshot::encode_container(
             self.engine.config().arch,
             self.fingerprint,
             self.records_fed,
             |w| {
                 w.put(&self.epochs_polled);
-                self.engine.save_state(w);
+                saved = self.engine.save_state(w);
             },
-        ))
+        );
+        saved.map(|()| container)
     }
 
     /// Completes all outstanding work and returns the final metrics;
@@ -416,8 +441,10 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`WomPcmError::SessionState`] when already finished; simulator
-    /// errors are propagated (none are expected during a drain).
+    /// [`WomPcmError::SessionState`] when already finished; a failed data
+    /// check of the drain's refresh rewrites, as for
+    /// [`feed`](Self::feed); simulator errors are propagated (none are
+    /// expected during a drain).
     pub fn finish(&mut self) -> Result<RunMetrics, WomPcmError> {
         self.ensure_open("finish")?;
         let metrics = self.engine.finish()?;
@@ -651,6 +678,98 @@ mod tests {
             assert!(took.as_secs_f64() < 1.0, "{arch:?} took {took:?}");
             assert_eq!(m.writes.count, 2, "{arch:?}");
             assert!(s.now() > 1 << 50, "{arch:?}");
+        }
+    }
+
+    fn verified(arch: Architecture) -> Session {
+        SystemBuilder::tiny(arch).verify_data(true).open().unwrap()
+    }
+
+    fn checker(s: &Session) -> &crate::data_check::Checker {
+        s.engine.checker().expect("verified session")
+    }
+
+    /// `n` writes, one per line, 10 cycles apart from cycle 0.
+    fn line_writes(n: u64) -> Vec<TraceRecord> {
+        (0..n)
+            .map(|i| TraceRecord::new(i * 10, i * 64, TraceOp::Write))
+            .collect()
+    }
+
+    /// The checker runs behind the engine, but the read of a corrupted
+    /// line fails the feed that holds it, blocks of ops before that feed
+    /// ends, and no later call.
+    #[test]
+    fn a_corrupted_reference_fails_the_feed_that_reads_it() {
+        let mut s = verified(Architecture::WomCode);
+        let writes = line_writes(400);
+        s.feed(&writes[..1]).unwrap();
+        checker(&s).corrupt_reference(0);
+        let mut batch = writes[1..].to_vec();
+        batch.insert(100, TraceRecord::new(batch[99].cycle, 0, TraceOp::Read));
+        let err = s.feed(&batch).expect_err("line 0 no longer verifies");
+        assert!(matches!(err, WomPcmError::Internal(_)), "{err:?}");
+        assert!(
+            err.to_string().contains("data corruption at line 0x0"),
+            "{err}"
+        );
+        assert_eq!(s.records_fed(), 401, "the engine took the whole batch");
+        assert_eq!(
+            checker(&s).writes_applied(),
+            400,
+            "the checker applied the ops after the failure too"
+        );
+        s.feed(&[TraceRecord::new(10_000, 0x40, TraceOp::Read)])
+            .expect("the failure was returned once");
+    }
+
+    /// An engine error mid-feed still returns with the checker caught up,
+    /// and a failed check from an earlier record wins over it.
+    #[test]
+    fn an_engine_error_mid_feed_returns_with_the_checker_synced() {
+        let writes = line_writes(300);
+        let past = TraceRecord::new(5, 0, TraceOp::Read);
+        let mut batch = writes.clone();
+        batch.push(past);
+        let mut s = verified(Architecture::WomCodeRefresh);
+        let err = s.feed(&batch).expect_err("the last record is out of order");
+        assert!(matches!(err, WomPcmError::TraceOrder { .. }), "{err:?}");
+        assert_eq!(s.records_fed(), 300);
+        assert_eq!(checker(&s).writes_applied(), 300);
+        let mut clean = verified(Architecture::WomCodeRefresh);
+        clean.feed(&writes).unwrap();
+        assert_eq!(s.checkpoint().unwrap(), clean.checkpoint().unwrap());
+
+        let mut s = verified(Architecture::WomCodeRefresh);
+        s.feed(&writes[..1]).unwrap();
+        checker(&s).corrupt_reference(0);
+        let mut batch = writes[1..].to_vec();
+        batch.insert(50, TraceRecord::new(batch[49].cycle, 0, TraceOp::Read));
+        batch.push(past);
+        let err = s.feed(&batch).expect_err("two failures");
+        assert!(
+            err.to_string().contains("data corruption at line 0x0"),
+            "{err}"
+        );
+    }
+
+    /// A checker that panicked while holding its lock stops its thread;
+    /// every later call is an `Internal` error and dropping the session
+    /// joins the thread, with no hang.
+    #[test]
+    fn a_panicked_checker_fails_every_call_without_hanging() {
+        let mut s = verified(Architecture::Wcpcm);
+        s.feed(&line_writes(10)).unwrap();
+        checker(&s).poison();
+        let read = [TraceRecord::new(1_000, 0x40, TraceOp::Read)];
+        let outcomes = [
+            s.feed(&read),
+            s.checkpoint().map(drop),
+            s.finish().map(drop),
+        ];
+        for outcome in outcomes {
+            let err = outcome.expect_err("the checker is gone");
+            assert!(matches!(err, WomPcmError::Internal(_)), "{err:?}");
         }
     }
 
