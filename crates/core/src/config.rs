@@ -52,10 +52,13 @@ pub struct SystemConfig {
     pub(crate) charge_hidden_page_traffic: bool,
     /// Functional data verification: carry real WOM-encoded cell contents
     /// alongside the timing simulation and assert that every read decodes
-    /// to the last written data. Costs memory proportional to the write
-    /// footprint; supported for the non-cached architectures (the WCPCM
-    /// protocol is model-checked separately) and incompatible with wear
-    /// leveling (relocated rows would invalidate the reference keys).
+    /// to the last written data, through RESET-only rewrites, §3.2
+    /// refresh rewrites and WCPCM flushes. Supported for every
+    /// architecture (the golden `*-verified.womsnap` checkpoints pin the
+    /// checker's cells for the baseline, WOM-code PCM with refresh and
+    /// WCPCM). Costs memory proportional to the write footprint and one
+    /// checker thread per session; incompatible with wear leveling
+    /// (relocated rows would invalidate the reference keys).
     pub(crate) verify_data: bool,
     /// Epoch width in cycles for the built-in observability recorder:
     /// `Some(n)` attaches an [`EpochRecorder`](crate::observe::EpochRecorder)

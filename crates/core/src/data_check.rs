@@ -3,13 +3,16 @@
 //!
 //! [`DataCheck`] is a functional shadow of main memory: real WOM-encoded
 //! cells per 64-byte line, plus a reference for the last data written to
-//! each line. It is a pure sink. The engine tells it of three things, in
+//! each line. It is a pure sink, and a fold of the engine's event
+//! stream: of every event the engine emits, it takes three kinds, in
 //! engine order (a line written, a line read, a main-memory row
-//! refreshed), and it answers only with an error, or at the end of the run
-//! with the number of reads it verified. So it runs beside the timing
-//! simulation, one thread per verified session, behind a [`Checker`]:
+//! refreshed or filled by a WOM-cache flush), and it answers only with
+//! an error, or at the end of the run with the number of reads it
+//! verified. So it runs beside the timing simulation, one thread per
+//! verified session, behind a [`Checker`]:
 //!
-//! * each engine hook appends a `Copy` [`CheckOp`] to a block of
+//! * [`Checker::on_event`] maps each such event to a `Copy` [`CheckOp`]
+//!   and appends it to a block of
 //!   [`BLOCK_OPS`] ops, and a full block travels to the thread over a
 //!   bounded channel. The thread applies the block's ops in order, under
 //!   the lock of the state it shares with the engine, and hands the
@@ -24,11 +27,15 @@
 //! * the thread keeps the first failure in op order and goes on applying
 //!   the later ops, so its state keeps following the engine's; the next
 //!   sync returns the failure. A thread that stopped, or panicked while
-//!   holding the lock, makes every later call a
-//!   [`WomPcmError::Internal`] error, never a hang.
+//!   holding the lock, makes every later sync a
+//!   [`WomPcmError::Internal`] error, never a hang: emitting an event
+//!   cannot fail, so a full block that finds the thread gone is dropped
+//!   and the sync reports it.
 
 use crate::error::WomPcmError;
 use crate::functional::FunctionalMemory;
+use crate::observe::Event;
+use crate::policy::ArraySide;
 use crate::rowmap::RowMap;
 use pcm_sim::snap::{SnapError, SnapReader, SnapWriter};
 use pcm_sim::{AddressDecoder, DecodedAddr};
@@ -55,7 +62,7 @@ fn line_of(addr: u64) -> u64 {
     addr / CHECK_LINE_BYTES as u64
 }
 
-/// One engine hook, as the checker thread applies it.
+/// One checked event, as the checker thread applies it.
 #[derive(Debug, Clone, Copy)]
 enum CheckOp {
     /// Fresh data written to a line.
@@ -304,33 +311,51 @@ impl Checker {
         })
     }
 
-    /// Queues the write hook of the line holding `addr`. The three hooks
-    /// fail only when the checker thread has stopped
-    /// ([`WomPcmError::Internal`]); [`sync`](Self::sync) returns a failed
-    /// check.
-    pub fn on_write(&mut self, addr: u64) -> Result<(), WomPcmError> {
-        self.push(CheckOp::Write(line_of(addr)))
-    }
-
-    /// Queues the read check of the line holding `addr`.
-    pub fn on_read(&mut self, addr: u64) -> Result<(), WomPcmError> {
-        self.push(CheckOp::Read(line_of(addr)))
-    }
-
-    /// Queues the refresh of a main-memory row: one
-    /// [`FunctionalMemory::rewrite`] per written line of it that is not
-    /// already in its first-write pattern.
-    pub fn on_refresh_row(&mut self, rank: u32, bank: u32, row: u32) -> Result<(), WomPcmError> {
-        self.push(CheckOp::RefreshRow { rank, bank, row })
-    }
-
+    /// Folds one engine event into the op stream, queuing:
+    ///
+    /// * for a demand write or read, the write or the read check of the
+    ///   line holding its logical address (verification rejects wear
+    ///   leveling, so that is the line the arrays store);
+    /// * for a completed main-memory row refresh, and for a WOM-cache
+    ///   flush into a main-memory row, the refresh of that row: one
+    ///   [`FunctionalMemory::rewrite`] per written line of it that is not
+    ///   already in its first-write pattern.
+    ///
+    /// Every other event is ignored. A failed check is returned by the
+    /// next [`sync`](Self::sync), and so is a checker thread that has
+    /// stopped.
     #[inline]
-    fn push(&mut self, op: CheckOp) -> Result<(), WomPcmError> {
+    pub fn on_event(&mut self, event: &Event) {
+        let op = match *event {
+            Event::WriteIssued { addr, .. } => CheckOp::Write(line_of(addr)),
+            Event::ReadIssued { addr, .. } => CheckOp::Read(line_of(addr)),
+            Event::RefreshRow {
+                side: ArraySide::Main,
+                rank,
+                bank,
+                row,
+                preempted: false,
+                ..
+            }
+            | Event::CacheFlush {
+                rank, bank, row, ..
+            } => CheckOp::RefreshRow { rank, bank, row },
+            Event::RefreshRow { .. }
+            | Event::ReadCompleted { .. }
+            | Event::WriteCompleted { .. }
+            | Event::RefreshBurst { .. }
+            | Event::CacheRead { .. }
+            | Event::CacheWrite { .. }
+            | Event::VictimWriteback { .. }
+            | Event::GapMove { .. }
+            | Event::BudgetExhausted { .. }
+            | Event::HiddenPageAccess { .. } => return,
+        };
         self.block.push(op);
-        if self.block.len() >= BLOCK_OPS {
-            self.send_block()?;
+        if self.block.len() >= BLOCK_OPS && self.send_block().is_err() {
+            // The thread is gone: drop the block; the next sync reports it.
+            self.block.clear();
         }
-        Ok(())
     }
 
     /// Sends the current block to the thread and swaps in an empty one: a

@@ -3,10 +3,10 @@
 //! [`Engine`] owns everything every architecture needs — the simulated
 //! clock, trace ingestion and ordering checks, the main-memory and
 //! WOM-cache [`MemorySystem`]s, back-pressure stalling, write-coalescing
-//! windows, victim-writeback and wear-leveling plumbing, the hooks of the
+//! windows, victim-writeback and wear-leveling plumbing, and the one
+//! emit site whose folds are [`RunMetrics`], the epoch recorder and the
 //! functional data checker (which runs on a thread of its own, see
-//! [`crate::data_check`]), and [`RunMetrics`], the fold of the events it
-//! emits.
+//! [`crate::data_check`]).
 //! Everything architecture-*specific* — WOM budget tables, the
 //! PCM-refresh engine, the WOM-cache policy — lives in the closed
 //! [`Policy`] enum and reaches the shared machinery through
@@ -22,7 +22,7 @@ use crate::config::SystemConfig;
 use crate::data_check::Checker;
 use crate::error::WomPcmError;
 use crate::metrics::RunMetrics;
-use crate::observe::{EpochRecorder, EpochSeries, Event, ObserverSink, WriteClass};
+use crate::observe::{EpochRecorder, EpochSeries, Event, WriteClass};
 use crate::policy::{ArraySide, Policy, ReadAction, WriteAction};
 use crate::wcpcm::CacheStats;
 use crate::wear_leveling::StartGap;
@@ -65,9 +65,8 @@ pub(crate) struct EngineCore {
     internal_ids: Vec<TransactionId>,
     /// Per-flat-main-bank Start-Gap remappers, when wear leveling is on.
     start_gaps: Option<Vec<StartGap>>,
-    /// The functional data checker's thread, when `verify_data` is on:
-    /// the `check_*` hooks queue its ops, and it applies them in engine
-    /// order.
+    /// The functional data checker's thread, when `verify_data` is on: a
+    /// fold of [`emit`](Self::emit) that applies its ops in engine order.
     checker: Option<Checker>,
     pending_victims: VecDeque<u64>,
     /// Open write-coalescing windows, ascending by row key: rows with an
@@ -77,9 +76,9 @@ pub(crate) struct EngineCore {
     /// ones, so this holds a handful of entries.
     merge_windows: Vec<(u64, Cycle)>,
     metrics: RunMetrics,
-    /// Instrumentation sink (see [`crate::observe`]); `Off` by default,
-    /// so the demand hot path pays one predicted branch per event.
-    observer: ObserverSink,
+    /// The epoch recorder, when `epoch_cycles` is set (see
+    /// [`crate::observe`]): a fold of [`emit`](Self::emit).
+    recorder: Option<EpochRecorder>,
     last_record_cycle: Cycle,
     /// Completions of the current advance, moved out of the memory
     /// systems so their handlers can borrow the engine; reused so
@@ -127,10 +126,7 @@ impl EngineCore {
                 cache: config.arch.uses_cache().then(CacheStats::default),
                 ..RunMetrics::default()
             },
-            observer: match config.epoch_cycles {
-                Some(width) => ObserverSink::Epochs(EpochRecorder::new(width)),
-                None => ObserverSink::Off,
-            },
+            recorder: config.epoch_cycles.map(EpochRecorder::new),
             last_record_cycle: 0,
             completions: Vec::new(),
             config,
@@ -162,15 +158,26 @@ impl EngineCore {
     }
 
     /// Reports one event: folds it into [`RunMetrics`], the only way a
-    /// run count changes, then hands it to the attached observer, so the
-    /// run totals and any epoch series are folds of the same stream. The
-    /// observer costs a single predicted branch and no work when
-    /// observation is off; events are `Copy`, so emitting never
-    /// allocates.
-    #[inline]
+    /// run count changes, then into the epoch recorder and the data
+    /// checker when the configuration built them, so the run totals, any
+    /// epoch series and every data check are folds of the same stream.
+    /// An absent recorder or checker costs one predicted branch; events
+    /// are `Copy`, so emitting never allocates, and it cannot fail (a
+    /// failed data check surfaces at the next [`Engine::sync_check`]).
+    ///
+    /// Always inlined: at each emit site the event's variant is known, so
+    /// the checker's match folds away there. As a plain `#[inline]` hint
+    /// the three folds outgrew the inliner's budget, and every event paid
+    /// a call and a full match.
+    #[inline(always)]
     pub fn emit(&mut self, event: Event) {
         self.metrics.record(&event);
-        self.observer.on_event(&event);
+        if let Some(recorder) = &mut self.recorder {
+            recorder.on_event(&event);
+        }
+        if let Some(checker) = &mut self.checker {
+            checker.on_event(&event);
+        }
     }
 
     /// The memory arrays of `side`.
@@ -187,6 +194,14 @@ impl EngineCore {
                 .as_mut()
                 .ok_or_else(|| WomPcmError::Internal("architecture has no cache array".into())),
         }
+    }
+
+    /// Fails once the run outgrows the epoch recorder's series (see
+    /// [`EpochRecorder::check_ceiling`]); never without a recorder.
+    fn check_ceiling(&self) -> Result<(), WomPcmError> {
+        self.recorder
+            .as_ref()
+            .map_or(Ok(()), EpochRecorder::check_ceiling)
     }
 
     /// Whether every array is idle and no victim writeback waits for
@@ -238,52 +253,6 @@ impl EngineCore {
             .main
             .decoder()
             .encode(DecodedAddr { row: physical, ..d })?)
-    }
-
-    /// Queues the functional data checker's write hook (no-op when
-    /// verification is off).
-    ///
-    /// # Errors
-    ///
-    /// [`WomPcmError::Internal`] when the checker thread has stopped; a
-    /// failed check is returned by [`Engine::sync_check`].
-    pub fn check_write(&mut self, addr: u64) -> Result<(), WomPcmError> {
-        if let Some(checker) = &mut self.checker {
-            checker.on_write(addr)?;
-        }
-        Ok(())
-    }
-
-    /// Queues the functional data checker's read hook (no-op when
-    /// verification is off).
-    ///
-    /// # Errors
-    ///
-    /// [`WomPcmError::Internal`] when the checker thread has stopped; a
-    /// data-corruption error is returned by [`Engine::sync_check`].
-    pub fn check_read(&mut self, addr: u64) -> Result<(), WomPcmError> {
-        if let Some(checker) = &mut self.checker {
-            checker.on_read(addr)?;
-        }
-        Ok(())
-    }
-
-    /// Queues the re-initialization of every line of a refreshed
-    /// main-memory row in the functional checker: one
-    /// [`FunctionalMemory::rewrite`](crate::FunctionalMemory::rewrite)
-    /// per written line that is not already in its first-write pattern
-    /// (no-op when verification is off).
-    ///
-    /// # Errors
-    ///
-    /// [`WomPcmError::Internal`] when the checker thread has stopped; a
-    /// failed rewrite (a simulator bug, not a configuration error) is
-    /// returned by [`Engine::sync_check`].
-    pub fn check_refresh_row(&mut self, rank: u32, bank: u32, row: u32) -> Result<(), WomPcmError> {
-        if let Some(checker) = &mut self.checker {
-            checker.on_refresh_row(rank, bank, row)?;
-        }
-        Ok(())
     }
 
     /// Queues a victim writeback to main memory (issued as soon as the
@@ -377,7 +346,9 @@ impl EngineCore {
         w.put(&self.pending_victims);
         w.put(&self.merge_windows);
         self.metrics.save_state(w);
-        self.observer.save_state(w);
+        if let Some(recorder) = &self.recorder {
+            recorder.save_state(w);
+        }
         w.put(&self.last_record_cycle);
         Ok(())
     }
@@ -412,7 +383,9 @@ impl EngineCore {
         self.merge_windows =
             r.take_sorted(<(u64, Cycle)>::MIN_BYTES, |(key, _)| key, SnapReader::take)?;
         self.metrics.load_state(r)?;
-        self.observer.load_state(r)?;
+        if let Some(recorder) = &mut self.recorder {
+            recorder.load_state(r)?;
+        }
         self.last_record_cycle = r.take()?;
         Ok(())
     }
@@ -504,13 +477,13 @@ impl Engine {
     /// enabled (`SystemConfig::epoch_cycles`).
     #[must_use]
     pub fn epochs(&self) -> Option<&EpochSeries> {
-        self.core.observer.epochs()
+        self.core.recorder.as_ref().map(EpochRecorder::series)
     }
 
     /// Detaches and returns the recorded epoch series; observation is
     /// off afterwards. `None` when epoch observation was not enabled.
     pub fn take_epochs(&mut self) -> Option<EpochSeries> {
-        self.core.observer.take_epochs()
+        self.core.recorder.take().map(EpochRecorder::into_series)
     }
 
     /// Appends the engine's complete mid-run state — memory systems,
@@ -564,8 +537,9 @@ impl Engine {
     }
 
     /// Feeds one trace record to the engine, advancing simulated time to
-    /// its arrival cycle first. Its data checks are queued: the caller
-    /// syncs ([`sync_check`](Self::sync_check)) for their outcome.
+    /// its arrival cycle first. The data checks of the events it emits
+    /// are queued: the caller syncs ([`sync_check`](Self::sync_check))
+    /// for their outcome.
     ///
     /// # Errors
     ///
@@ -587,7 +561,7 @@ impl Engine {
             TraceOp::Read => self.submit_read(record.addr),
             TraceOp::Write => self.submit_write(record.addr),
         }?;
-        self.core.observer.check_ceiling()
+        self.core.check_ceiling()
     }
 
     /// Completes all outstanding work and returns the final metrics. The
@@ -605,8 +579,10 @@ impl Engine {
         self.sync_check()?;
         drained?;
         let now = self.now();
-        self.core.observer.on_finish(now);
-        self.core.observer.check_ceiling()?;
+        if let Some(recorder) = &mut self.core.recorder {
+            recorder.on_finish(now);
+        }
+        self.core.check_ceiling()?;
         // Copy in the totals counted elsewhere: energy and wear by the
         // memory systems, verified reads by the data checker.
         let core = &mut self.core;

@@ -178,8 +178,9 @@ impl RunMetrics {
 
     /// Folds one engine event into the running counters: the run-level
     /// twin of [`EpochCounters::fold`](crate::observe::EpochCounters::fold).
-    /// The engine's `emit` calls it for every event before the observer
-    /// sees it, so it is the only way a run count changes.
+    /// The engine's `emit` calls it for every event, before the epoch
+    /// recorder and the data checker fold it, so it is the only way a run
+    /// count changes.
     pub(crate) fn record(&mut self, event: &Event) {
         match *event {
             Event::ReadCompleted { latency, .. } => {
@@ -226,7 +227,8 @@ impl RunMetrics {
             Event::ReadIssued { .. }
             | Event::WriteIssued { .. }
             | Event::RefreshBurst { .. }
-            | Event::BudgetExhausted { .. } => {}
+            | Event::BudgetExhausted { .. }
+            | Event::CacheFlush { .. } => {}
         }
     }
 

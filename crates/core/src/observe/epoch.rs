@@ -111,6 +111,7 @@ impl EpochCounters {
             Event::GapMove { .. } => self.gap_moves += 1,
             Event::BudgetExhausted { .. } => self.budgets_exhausted += 1,
             Event::HiddenPageAccess { .. } => self.hidden_page_accesses += 1,
+            Event::CacheFlush { .. } => {}
         }
     }
 

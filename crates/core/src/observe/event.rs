@@ -3,7 +3,7 @@
 //! Every event is a small `Copy` value stamped with the simulated cycle
 //! it happened at, so emitting one costs a couple of register moves and
 //! never allocates — the engine hot path stays womlint-clean whether or
-//! not an observer is attached.
+//! not an epoch recorder or the data checker folds the stream.
 
 use crate::policy::ArraySide;
 use pcm_sim::Cycle;
@@ -103,6 +103,20 @@ pub enum Event {
         /// Whether the write hit an existing entry (a miss evicts).
         hit: bool,
     },
+    /// A completed WOM-cache refresh flushed a valid entry: its lines land
+    /// in main memory's row `(rank, bank, row)` in the first-write
+    /// pattern (WCPCM only). The data checker rewrites them; no counter
+    /// folds it.
+    CacheFlush {
+        /// Cycle the cache refresh retired.
+        cycle: Cycle,
+        /// Rank of the main-memory row receiving the entry.
+        rank: u32,
+        /// Bank of that row: the bank the entry's tag named.
+        bank: u32,
+        /// Row index within the bank.
+        row: u32,
+    },
     /// A WOM-cache victim row finished writing back to main memory.
     VictimWriteback {
         /// Cycle the writeback retired.
@@ -151,6 +165,7 @@ impl Event {
             | Event::RefreshRow { cycle, .. }
             | Event::CacheRead { cycle, .. }
             | Event::CacheWrite { cycle, .. }
+            | Event::CacheFlush { cycle, .. }
             | Event::VictimWriteback { cycle }
             | Event::GapMove { cycle, .. }
             | Event::BudgetExhausted { cycle, .. }
@@ -190,6 +205,12 @@ pub(super) fn one_of_each() -> Vec<Event> {
             row: 9,
         },
         Event::HiddenPageAccess { cycle: 8 },
+        Event::CacheFlush {
+            cycle: 9,
+            rank: 0,
+            bank: 1,
+            row: 2,
+        },
     ];
     let classes = [
         (120, WriteClass::Slow),

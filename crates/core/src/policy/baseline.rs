@@ -2,8 +2,8 @@
 //!
 //! Every write is a full (SET-bearing) PCM write; reads go straight to
 //! main memory. The baseline keeps no architecture state at all — the
-//! engine's shared machinery (coalescing, wear leveling, data checking)
-//! is everything it uses.
+//! engine's shared machinery (coalescing, wear leveling, and the event
+//! folds) is everything it uses.
 
 use super::{ReadAction, WriteAction};
 use crate::engine::EngineCore;
@@ -12,7 +12,6 @@ use pcm_sim::ServiceClass;
 
 pub(super) fn on_read(core: &mut EngineCore, addr: u64) -> Result<ReadAction, WomPcmError> {
     let physical = core.remap_main(addr)?;
-    core.check_read(physical)?;
     Ok(ReadAction::Main {
         addr: physical,
         companion: None,
@@ -21,7 +20,6 @@ pub(super) fn on_read(core: &mut EngineCore, addr: u64) -> Result<ReadAction, Wo
 
 pub(super) fn on_write(core: &mut EngineCore, addr: u64) -> Result<WriteAction, WomPcmError> {
     let addr = core.remap_main(addr)?;
-    core.check_write(addr)?;
     let row_id = core
         .decoder()
         .decode(addr)

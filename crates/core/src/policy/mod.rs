@@ -15,9 +15,10 @@
 //! The shared [`Engine`](crate::engine::Engine) drives the clock, the
 //! memory arrays, and the metrics; the policy decides *what* each demand
 //! access does by returning a [`ReadAction`] / [`WriteAction`], and
-//! reacts to refresh ticks and refresh completions. A fifth architecture
-//! is one more variant plus its arms in the `match`es below (see
-//! `DESIGN.md`, "Policy layer").
+//! reacts to refresh ticks and refresh completions. A policy reports
+//! what happened only through [`EngineCore::emit`]. A fifth
+//! architecture is one more variant plus its arms in the `match`es below
+//! (see `DESIGN.md`, "Policy layer").
 
 mod baseline;
 mod refresh;
@@ -138,7 +139,7 @@ impl Policy {
     ///
     /// # Errors
     ///
-    /// Propagates address-decoding and data-verification errors.
+    /// Propagates address-decoding errors.
     pub(crate) fn on_read(
         &mut self,
         core: &mut EngineCore,
@@ -156,7 +157,9 @@ impl Policy {
     ///
     /// # Errors
     ///
-    /// Propagates address-decoding and data-verification errors.
+    /// Propagates address-decoding errors, and
+    /// [`WomPcmError::InvalidConfig`] when a bank's hidden-page pool is
+    /// exhausted.
     pub(crate) fn on_write(
         &mut self,
         core: &mut EngineCore,
@@ -189,8 +192,8 @@ impl Policy {
     ///
     /// Returns [`WomPcmError::Internal`] when the policy refreshes no
     /// arrays or other arrays than `side`'s (a scheduling bug), and
-    /// propagates address-decoding or data-verification errors from the
-    /// policy's post-refresh bookkeeping.
+    /// propagates address-decoding errors from the policy's post-refresh
+    /// bookkeeping.
     pub(crate) fn on_completion(
         &mut self,
         core: &mut EngineCore,

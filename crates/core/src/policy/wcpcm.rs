@@ -56,11 +56,6 @@ impl WcpcmPolicy {
         // row at 32 banks/rank) are mirrored in the controller, so the
         // losing side's access is squashed before it occupies an
         // array; we therefore route the read to the owning side only.
-        //
-        // The functional checker is keyed by the logical address on
-        // both sides of the cache (wear leveling is rejected alongside
-        // verification, so logical == physical in main memory).
-        core.check_read(addr)?;
         let d = core.decoder().decode(addr);
         // womlint::allow(hotpath/transitive, reason = "WomCache::read is a tag lookup, not io::Read: it allocates nothing")
         let hit = self.cache.read(d.rank, d.bank, d.row);
@@ -86,7 +81,6 @@ impl WcpcmPolicy {
         core: &mut EngineCore,
         addr: u64,
     ) -> Result<WriteAction, WomPcmError> {
-        core.check_write(addr)?;
         let d = core.decoder().decode(addr);
         let cache_key = (u64::from(d.rank) << 32) | u64::from(d.row);
         // Coalescing requires the pending cache-row write to hold
@@ -168,10 +162,13 @@ impl WcpcmPolicy {
             let physical = core.remap_main(addr)?;
             core.push_victim(physical);
             // The flushed entry's lines land in main memory as
-            // first-pattern writes; the functional checker rewrites each
-            // one not already in that pattern (see
-            // `EngineCore::check_refresh_row`).
-            core.check_refresh_row(rank, victim_bank, row)?;
+            // first-pattern writes.
+            core.emit(Event::CacheFlush {
+                cycle: c.finish,
+                rank,
+                bank: victim_bank,
+                row,
+            });
         }
         Ok(())
     }

@@ -104,7 +104,6 @@ impl WomCodePolicy {
         addr: u64,
     ) -> Result<ReadAction, WomPcmError> {
         let physical = core.remap_main(addr)?;
-        core.check_read(physical)?;
         let companion = self.hidden_companion(core, MemOp::Read, physical)?;
         Ok(ReadAction::Main {
             addr: physical,
@@ -118,7 +117,6 @@ impl WomCodePolicy {
         addr: u64,
     ) -> Result<WriteAction, WomPcmError> {
         let addr = core.remap_main(addr)?;
-        core.check_write(addr)?;
         let d = core.decoder().decode(addr);
         let row_id = d.flat_row(&core.config().mem.geometry);
         if core.try_coalesce(row_id) {
@@ -166,7 +164,6 @@ impl WomCodePolicy {
             WomPcmError::Internal("refresh completion without a refresh driver".into())
         })?;
         if let Some((rank, bank, row)) = driver.on_refresh_completion(core, side, c)? {
-            core.check_refresh_row(rank, bank, row)?;
             // §3.2: the refresh writes the data back in the first-write
             // pattern, consuming one generation.
             let d = DecodedAddr {

@@ -328,11 +328,7 @@ impl Session {
     ///   checker that stopped.
     pub fn feed(&mut self, records: &[TraceRecord]) -> Result<(), WomPcmError> {
         self.ensure_open("feed")?;
-        let fed = records.iter().try_for_each(|record| {
-            self.engine.submit(*record)?;
-            self.records_fed += 1;
-            Ok(())
-        });
+        let fed = self.submit_all(records);
         self.engine.sync_check()?;
         fed
     }
@@ -340,6 +336,9 @@ impl Session {
     /// Drains a streaming [`TraceSource`] into the session; trace-side
     /// memory stays `O(chunk)`. Returns the number of records fed. The
     /// session stays open — call [`finish`](Self::finish) to finalize.
+    /// [`records_fed`](Self::records_fed) counts records as
+    /// [`feed`](Self::feed) does, one at a time, so after an error it
+    /// names exactly the records the engine took.
     ///
     /// # Errors
     ///
@@ -347,24 +346,29 @@ impl Session {
     /// source itself fails (I/O error, truncated container, bad record).
     pub fn feed_source<S: TraceSource>(&mut self, source: &mut S) -> Result<u64, WomPcmError> {
         self.ensure_open("feed_source")?;
+        let before = self.records_fed;
         let fed = self.submit_source(source);
         self.engine.sync_check()?;
-        fed
+        fed.map(|()| self.records_fed - before)
     }
 
     /// Submits every record of `source`; [`feed_source`](Self::feed_source)
     /// syncs the data checker after it.
-    fn submit_source<S: TraceSource>(&mut self, source: &mut S) -> Result<u64, WomPcmError> {
-        let mut fed: u64 = 0;
+    fn submit_source<S: TraceSource>(&mut self, source: &mut S) -> Result<(), WomPcmError> {
         while let Some(chunk) = source.next_chunk()? {
-            for record in chunk {
-                self.engine.submit(*record)?;
-            }
-            let n = chunk.len() as u64;
-            fed += n;
-            self.records_fed += n;
+            self.submit_all(chunk)?;
         }
-        Ok(fed)
+        Ok(())
+    }
+
+    /// Submits `records` in order, counting each one the engine takes:
+    /// the one per-record loop of both feeds.
+    fn submit_all(&mut self, records: &[TraceRecord]) -> Result<(), WomPcmError> {
+        for record in records {
+            self.engine.submit(*record)?;
+            self.records_fed += 1;
+        }
+        Ok(())
     }
 
     /// Returns the epochs that became final since the last poll.
@@ -770,6 +774,32 @@ mod tests {
         for outcome in outcomes {
             let err = outcome.expect_err("the checker is gone");
             assert!(matches!(err, WomPcmError::Internal(_)), "{err:?}");
+        }
+    }
+
+    /// Both feeds count the records the engine took before an error, so
+    /// a checkpoint taken then tells a resuming feeder where to go on.
+    #[test]
+    fn both_feeds_count_the_records_taken_before_an_error() {
+        use pcm_trace::stream::SliceSource;
+        for arch in Architecture::all_paper() {
+            let mut records = line_writes(10);
+            records.push(TraceRecord::new(5, 0x40, TraceOp::Write));
+            let mut sliced = Session::open(SessionSpec::tiny(arch)).unwrap();
+            let err = sliced.feed(&records).expect_err("the last record is late");
+            assert!(matches!(err, WomPcmError::TraceOrder { .. }), "{err:?}");
+            let mut sourced = Session::open(SessionSpec::tiny(arch)).unwrap();
+            let err = sourced
+                .feed_source(&mut SliceSource::new(&records))
+                .expect_err("the last record is late");
+            assert!(matches!(err, WomPcmError::TraceOrder { .. }), "{err:?}");
+            assert_eq!(sliced.records_fed(), 10, "{arch:?}");
+            assert_eq!(sourced.records_fed(), 10, "{arch:?}");
+            assert_eq!(
+                sliced.checkpoint().unwrap(),
+                sourced.checkpoint().unwrap(),
+                "{arch:?}"
+            );
         }
     }
 

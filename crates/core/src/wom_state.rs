@@ -295,6 +295,7 @@ impl WomStateTable {
             counts.fill(0);
         } else if self.cold != ColdPolicy::Erased {
             let cols = self.columns as usize;
+            // womlint::allow(hotpath/transitive, reason = "never runs from WomCache::flush, the hot caller: WomCache builds its table with ColdPolicy::Erased")
             self.rows.insert(row, vec![0; cols].into_boxed_slice());
         }
     }

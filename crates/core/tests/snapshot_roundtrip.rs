@@ -7,7 +7,8 @@
 //! architecture (checkpoints of a deterministic run must be byte-identical
 //! across builds), plus one per refresh architecture under the functional
 //! data checker, whose checkpoint carries the cells every §3.2 refresh
-//! rewrote. It also checks that damaged containers fail with typed
+//! rewrote, and one for the verified baseline, which pins its write and
+//! read checks. It also checks that damaged containers fail with typed
 //! errors, mirroring the `WOMTRC` truncation semantics. Regenerate the
 //! fixtures after an intentional format or model change:
 //!
@@ -163,9 +164,10 @@ fn fixture_path(name: &str) -> PathBuf {
 }
 
 /// Every golden checkpoint as `(fixture name, config, split)`: each
-/// architecture at [`SPLIT`], plus the two refresh architectures with the
-/// data checker on, whose checkpoints hold the functional cells each
-/// refresh rewrote. The `-inflight` pair checkpoints while refresh rows
+/// architecture at [`SPLIT`], plus the baseline and the two refresh
+/// architectures with the data checker on, whose checkpoints hold the
+/// functional cells and references its write, read and (for the refresh
+/// architectures) refresh checks left. The `-inflight` pair checkpoints while refresh rows
 /// are issued but not settled (3 main rows, one of them preempted; 1
 /// cache row), so they pin refresh rows in flight in the banks and the
 /// pending heap, which restore checks against each other, and a
@@ -177,7 +179,11 @@ fn golden_inputs() -> Vec<(String, SystemConfig, usize)> {
         .into_iter()
         .map(|arch| (arch.slug().to_string(), config(arch), SPLIT))
         .collect();
-    for arch in [Architecture::WomCodeRefresh, Architecture::Wcpcm] {
+    for arch in [
+        Architecture::Baseline,
+        Architecture::WomCodeRefresh,
+        Architecture::Wcpcm,
+    ] {
         let cfg = SystemBuilder::tiny(arch).verify_data(true).into_config();
         inputs.push((format!("{}-verified", arch.slug()), cfg, SPLIT));
     }
@@ -227,7 +233,7 @@ fn golden_womsnap_fixtures_stay_stable() {
             golden,
             "{name}: restoring and saving the fixture changed its bytes"
         );
-        if cfg.verify_data() {
+        if cfg.verify_data() && cfg.arch().uses_refresh() {
             // A verified fixture pins the refresh rewrite only if refreshes
             // ran before the checkpoint.
             assert!(

@@ -1,10 +1,8 @@
 //! The `womd` service binary: stdio by default, TCP with `--listen`.
 
-use std::net::TcpListener;
 use std::process::exit;
-use std::sync::Arc;
 
-use womd::service::{Service, ServiceConfig};
+use womd::service::ServiceConfig;
 use womd::wire;
 
 const USAGE: &str = "womd [--listen ADDR] [--workers N] [--max-resident N] \
@@ -58,22 +56,8 @@ fn main() {
         fail(&format!("unexpected argument '{extra}'"));
     }
 
-    let service = match Service::start(config) {
-        Ok(s) => s,
-        Err(e) => fail(&format!("failed to start worker pool: {e}")),
-    };
-    let result = match listen {
-        None => wire::serve_stdio(&service),
-        Some(addr) => match TcpListener::bind(&addr) {
-            Ok(listener) => {
-                eprintln!("womd: listening on {addr}");
-                wire::serve_tcp(&listener, &Arc::new(service))
-            }
-            Err(e) => fail(&format!("cannot bind {addr}: {e}")),
-        },
-    };
-    if let Err(e) = result {
-        eprintln!("womd: transport error: {e}");
+    if let Err(e) = wire::serve("womd", config, listen.as_deref()) {
+        eprintln!("womd: {e}");
         exit(1);
     }
 }

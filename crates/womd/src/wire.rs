@@ -36,7 +36,7 @@ use wom_pcm::session::SessionSpec;
 use wom_pcm::{Architecture, SystemConfig};
 
 use crate::json::{self, Json};
-use crate::service::{Service, ServiceError, SessionEvent};
+use crate::service::{Service, ServiceConfig, ServiceError, SessionEvent};
 
 /// How long `finish` waits between events before giving up.
 const FINISH_EVENT_TIMEOUT: Duration = Duration::from_secs(60);
@@ -320,12 +320,35 @@ fn respond_service_error<W: Write>(
     respond_error(writer, session, error.kind(), &error.to_string())
 }
 
+/// Starts a [`Service`] with `config` and serves the protocol on it:
+/// over TCP when `listen` names an address (announced on stderr as
+/// `<program>: listening on <addr>`), else over stdin/stdout. The one
+/// serve path of the `womd` binary and `womsim serve`.
+///
+/// # Errors
+///
+/// A one-line message naming what failed: starting the worker pool,
+/// binding `listen`, or the transport.
+pub fn serve(program: &str, config: ServiceConfig, listen: Option<&str>) -> Result<(), String> {
+    let service = Service::start(config).map_err(|e| format!("cannot start worker pool: {e}"))?;
+    let served = match listen {
+        None => serve_stdio(&service),
+        Some(addr) => {
+            let listener =
+                TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
+            eprintln!("{program}: listening on {addr}");
+            serve_tcp(&listener, &Arc::new(service))
+        }
+    };
+    served.map_err(|e| format!("transport error: {e}"))
+}
+
 /// Serves the protocol over stdin/stdout until EOF or `shutdown`.
 ///
 /// # Errors
 ///
 /// Propagates transport I/O errors.
-pub fn serve_stdio(service: &Service) -> io::Result<()> {
+fn serve_stdio(service: &Service) -> io::Result<()> {
     let stdin = io::stdin();
     let stdout = io::stdout();
     let mut reader = stdin.lock();
@@ -340,7 +363,7 @@ pub fn serve_stdio(service: &Service) -> io::Result<()> {
 /// # Errors
 ///
 /// Propagates accept-loop I/O errors.
-pub fn serve_tcp(listener: &TcpListener, service: &Arc<Service>) -> io::Result<()> {
+fn serve_tcp(listener: &TcpListener, service: &Arc<Service>) -> io::Result<()> {
     for stream in listener.incoming() {
         let stream = stream?;
         let service = Arc::clone(service);

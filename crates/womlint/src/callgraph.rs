@@ -4,10 +4,10 @@
 //!
 //! Resolution is deliberately conservative (this is a lint, not a
 //! compiler): a method call resolves to *every* workspace method with
-//! that name — preferring the receiver's own type when the receiver is
-//! `self`, then same-file candidates, then the whole workspace — so a
-//! helper extracted out of a hot function cannot escape the closure by
-//! being called through a trait. Calls that resolve to nothing in the
+//! that name — unless the receiver is `self` and its own type defines
+//! the method — so a helper extracted out of a hot function cannot
+//! escape the closure by being called through a trait, and a same-named
+//! method in the caller's file cannot hide the one actually called. Calls that resolve to nothing in the
 //! workspace are assumed external (`std`, dependencies) and are only
 //! constrained by the banned-call list; calls through non-path
 //! expressions (`(self.cb)(...)`) are surfaced as
@@ -151,7 +151,7 @@ impl Workspace {
                         }
                     }
                 }
-                self.resolve_method_by_name(caller.file, &call.name)
+                self.resolve_method_by_name(&call.name)
             }
             CallKind::Path { recv } => {
                 if recv == "Self" {
@@ -184,17 +184,10 @@ impl Workspace {
         }
     }
 
-    fn resolve_method_by_name(&self, caller_file: usize, name: &str) -> Resolution {
-        // Same-file candidates shadow workspace-wide ones: a file that
-        // defines `fn len` almost certainly calls its own.
-        let local: Vec<FnRef> = self
-            .in_file_by_name(caller_file, name)
-            .into_iter()
-            .filter(|r| self.func(*r).is_some_and(|f| f.owner.is_some()))
-            .collect();
-        if !local.is_empty() {
-            return Resolution::Workspace(local);
-        }
+    /// Every workspace method named `name`, the caller's own file's
+    /// among them: a same-file method must not shadow the rest, since
+    /// `self.cache.flush()` may well call another file's `flush`.
+    fn resolve_method_by_name(&self, name: &str) -> Resolution {
         match self.methods_by_name.get(name) {
             Some(c) => Resolution::Workspace(c.clone()),
             None => Resolution::External,
@@ -398,7 +391,7 @@ mod tests {
     }
 
     #[test]
-    fn same_file_methods_shadow_workspace_wide_ones() {
+    fn same_file_methods_do_not_shadow_workspace_wide_ones() {
         let ws = Workspace::new(vec![
             unit(
                 "a/src/lib.rs",
@@ -411,7 +404,22 @@ mod tests {
         ]);
         let root = named(&ws, "a/src/lib.rs", "root");
         let c = closure(&ws, &[root], &[], &BTreeSet::new());
-        assert!(c.reached.keys().all(|&r| r.file == root.file));
+        let reached: Vec<(usize, String)> = c
+            .reached
+            .keys()
+            .filter_map(|&r| ws.func(r).map(|f| (r.file, f.name.clone())))
+            .collect();
+        // `x.work()` may be either file's `work`, so both are hot.
+        let (a, b) = (root.file, 1 - root.file);
+        assert_eq!(
+            reached,
+            vec![
+                (a, "root".into()),
+                (a, "work".into()),
+                (b, "work".into()),
+                (b, "oops".into())
+            ]
+        );
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! `tests/fixtures_structural_clean/`, and mutation tests that delete a
 //! single covering line from the clean tree and assert the exact
 //! diagnostic that appears — the field-coverage proofs are only worth
-//! having if removing one field write fails the lint.
+//! having if removing one field write fails the lint. The two-file
+//! `tests/fixtures_shadowing{,_clean}/` trees pin cross-file method
+//! resolution.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -102,6 +104,31 @@ fn allow_paths_suppress_with_reasons() {
         .suppressed
         .iter()
         .any(|d| d.message.contains("recomputed from `kept`")));
+}
+
+/// A method call reaches every workspace method of its name: `tick`'s
+/// `self.cache.flush()` reaches `Cache::flush` in cache.rs although
+/// lib.rs, the caller's file, defines a `flush` of its own.
+#[test]
+fn a_same_file_namesake_does_not_hide_the_cross_file_callee() {
+    let cache = "demo/src/cache.rs".to_string();
+    let seeded = lint(&fixture_root("fixtures_shadowing"));
+    assert_eq!(
+        diags(&seeded.violations),
+        vec![(RULE_HOTPATH_TRANSITIVE.to_string(), cache.clone(), 11)]
+    );
+    assert!(
+        seeded.violations[0].message.contains("(tick -> flush)"),
+        "{}",
+        seeded.violations[0].message
+    );
+    // The clean tree's inline allow is used, so nothing is reported.
+    let clean = lint(&fixture_root("fixtures_shadowing_clean"));
+    assert!(clean.is_clean(), "unexpected: {:?}", clean.violations);
+    assert_eq!(
+        diags(&clean.suppressed),
+        vec![(RULE_HOTPATH_TRANSITIVE.to_string(), cache, 12)]
+    );
 }
 
 #[test]

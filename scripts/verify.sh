@@ -17,7 +17,7 @@
 # `shard_scaling` asserts that its serial and pooled shard merges are
 # byte-identical, and a `womsim run` interrupted after a snapshot and
 # then resumed must print the same report as a straight run: a
-# PCM-refresh run, and PCM-refresh and WCPCM runs under the functional
+# PCM-refresh run, and a run of each architecture under the functional
 # data checker. `service_throughput --floor 0` checks only that 16
 # interleaved womd tenants match their solo runs, and the wire smoke
 # diffs a tenant's streamed epochs against the committed fixture.
@@ -42,14 +42,15 @@ cargo lint-invariants
 # The canary: the lint must still fire on its seeded trees and pass the
 # clean ones. (`set -e` ignores a failing `!` command, hence the `if`s.)
 fixtures=crates/womlint/tests
-for seeded in fixtures fixtures_structural; do
+for seeded in fixtures fixtures_structural fixtures_shadowing; do
     if cargo run -q -p womlint -- --root "$fixtures/$seeded" > /dev/null; then
         echo "verify: womlint found nothing in its seeded $seeded tree" >&2
         exit 1
     fi
 done
-cargo run -q -p womlint -- --root "$fixtures/fixtures_clean" > /dev/null
-cargo run -q -p womlint -- --root "$fixtures/fixtures_structural_clean" > /dev/null
+for clean in fixtures_clean fixtures_structural_clean fixtures_shadowing_clean; do
+    cargo run -q -p womlint -- --root "$fixtures/$clean" > /dev/null
+done
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --document-private-items
 
 tmp=$(mktemp -d)
@@ -74,7 +75,7 @@ $womsim run refresh qsort:3000 --resume "$tmp/run.womsnap" --snapshot-every 1000
 test -s "$tmp/run.womsnap"
 $womsim run refresh qsort:6000 --resume "$tmp/run.womsnap" > "$tmp/resumed.txt"
 diff -u "$tmp/straight.txt" "$tmp/resumed.txt"
-for arch in refresh wcpcm; do
+for arch in baseline wom refresh wcpcm; do
     $womsim run "$arch" kv_zipf:6000 --verify > "$tmp/straight-$arch.txt"
     $womsim run "$arch" kv_zipf:3000 --verify --resume "$tmp/$arch.womsnap" --snapshot-every 1000 > /dev/null
     test -s "$tmp/$arch.womsnap"

@@ -502,30 +502,10 @@ fn cmd_compare(args: &[String], threads: usize) -> ExitCode {
 
 /// `womsim serve`: the womd service over stdio or TCP.
 fn cmd_serve(listen: Option<String>, config: womd::ServiceConfig) -> ExitCode {
-    let service = match womd::Service::start(config) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot start worker pool: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match listen {
-        None => womd::wire::serve_stdio(&service),
-        Some(addr) => match std::net::TcpListener::bind(&addr) {
-            Ok(listener) => {
-                eprintln!("womsim serve: listening on {addr}");
-                womd::wire::serve_tcp(&listener, &std::sync::Arc::new(service))
-            }
-            Err(e) => {
-                eprintln!("cannot bind {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    match result {
+    match womd::wire::serve("womsim serve", config, listen.as_deref()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("transport error: {e}");
+            eprintln!("womsim serve: {e}");
             ExitCode::FAILURE
         }
     }
