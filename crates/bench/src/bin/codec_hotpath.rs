@@ -1,4 +1,4 @@
-//! Row-codec microbenchmarks: the lane-kernel LUT fast path against
+//! Row-codec microbenchmarks: the table-stream fast path against
 //! the per-symbol reference path, for encode and decode.
 //!
 //! Each case times a full write lifetime (re-erase + one encode per

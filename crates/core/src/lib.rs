@@ -21,7 +21,7 @@
 //!   round-robin idle-rank selection, refresh threshold).
 //! * [`wcpcm`] — the §4 per-rank WOM-cache (tags, victims, hit rates).
 //! * [`observe`] — the instrumentation layer: structured events from the
-//!   engine and policies, per-epoch time-series, JSONL/CSV exporters.
+//!   engine and policies, per-epoch time-series, the JSONL exporter.
 //! * [`rowmap`] — the page-grained row-state store backing every
 //!   hot-path row-keyed table above.
 //! * [`functional`] — a data-bearing memory model (actual WOM encode /

@@ -1,9 +1,6 @@
-//! Epoch time-series exporters: JSON-Lines and CSV.
-//!
-//! Both exporters emit the same counter columns in the same order (one
-//! epoch per line/row), so downstream tooling can switch formats freely.
-//! JSON-Lines additionally carries the sparse latency-histogram
-//! snapshots; CSV (being flat) carries only the percentile summaries.
+//! Epoch time-series exporter: JSON-Lines, one epoch per line, with the
+//! counter columns in canonical order followed by the tail percentiles
+//! and the sparse latency-histogram snapshots.
 //!
 //! Numbers are integers throughout — cycle counts and event counts — so
 //! the output is bit-stable across platforms.
@@ -167,67 +164,6 @@ pub fn write_jsonl<W: Write>(
     Ok(())
 }
 
-/// Writes the series as CSV with a header row: the given `tags` become
-/// leading constant columns, followed by the same counter columns as the
-/// JSON-Lines exporter plus the percentile summaries (histogram
-/// snapshots are JSONL-only). Tag values containing commas or quotes are
-/// quoted per RFC 4180.
-///
-/// # Errors
-///
-/// Propagates I/O errors from `w`.
-pub fn write_csv<W: Write>(
-    w: &mut W,
-    series: &EpochSeries,
-    tags: &[(&str, &str)],
-) -> io::Result<()> {
-    let mut header = String::new();
-    for &(name, _) in tags {
-        header.push_str(&format!("{name},"));
-    }
-    header.push_str("epoch,start_cycle,end_cycle");
-    for name in COUNTER_NAMES {
-        header.push_str(&format!(",{name}"));
-    }
-    header.push_str(",read_p99_cycles,write_p50_cycles,write_p99_cycles");
-    writeln!(w, "{header}")?;
-
-    let mut line = String::new();
-    for (i, c) in series.epochs().iter().enumerate() {
-        line.clear();
-        for &(_, value) in tags {
-            push_csv_field(&mut line, value);
-            line.push(',');
-        }
-        line.push_str(&format!(
-            "{i},{},{}",
-            series.epoch_start(i),
-            series.epoch_end(i)
-        ));
-        for value in counter_values(c) {
-            line.push_str(&format!(",{value}"));
-        }
-        line.push_str(&format!(
-            ",{},{},{}",
-            c.read_hist.percentile(0.99),
-            c.write_hist.percentile(0.5),
-            c.write_hist.percentile(0.99)
-        ));
-        writeln!(w, "{line}")?;
-    }
-    Ok(())
-}
-
-fn push_csv_field(out: &mut String, value: &str) {
-    if value.contains([',', '"', '\n']) {
-        out.push('"');
-        out.push_str(&value.replace('"', "\"\""));
-        out.push('"');
-    } else {
-        out.push_str(value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::epoch::EpochRecorder;
@@ -270,36 +206,5 @@ mod tests {
         write_jsonl(&mut out, &sample_series(), &[("label", "a\"b\\c\n")]).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("\"label\":\"a\\\"b\\\\c\\n\""));
-    }
-
-    #[test]
-    fn csv_header_matches_jsonl_keys() {
-        let series = sample_series();
-        let mut csv = Vec::new();
-        write_csv(&mut csv, &series, &[("arch", "wcpcm")]).unwrap();
-        let csv = String::from_utf8(csv).unwrap();
-        let header = csv.lines().next().unwrap();
-        assert_eq!(csv.lines().count(), 3); // header + 2 epochs
-
-        let mut jsonl = Vec::new();
-        write_jsonl(&mut jsonl, &series, &[("arch", "wcpcm")]).unwrap();
-        let jsonl = String::from_utf8(jsonl).unwrap();
-        let first = jsonl.lines().next().unwrap();
-        // Every CSV column appears as a JSONL key (histograms are extra,
-        // JSONL-only payload).
-        for column in header.split(',') {
-            assert!(
-                first.contains(&format!("\"{column}\":")),
-                "CSV column {column} missing from JSONL"
-            );
-        }
-    }
-
-    #[test]
-    fn csv_quotes_awkward_tag_values() {
-        let mut out = Vec::new();
-        write_csv(&mut out, &sample_series(), &[("label", "a,b\"c")]).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("\"a,b\"\"c\""));
     }
 }

@@ -16,9 +16,9 @@
 //! [`EpochSeries`] (configure it with
 //! [`SystemConfig::epoch_cycles`](crate::SystemConfig) or
 //! [`SystemBuilder::epoch_cycles`](crate::SystemBuilder)); export a
-//! series with [`write_jsonl`] / [`write_csv`]. [`RunMetrics`](crate::RunMetrics)
-//! is a fold over the same stream, so epoch sums reconcile exactly with
-//! the end-of-run aggregates.
+//! series with [`write_jsonl`]. [`RunMetrics`](crate::RunMetrics) is a
+//! fold over the same stream, so epoch sums reconcile exactly with the
+//! end-of-run aggregates.
 //!
 //! ```
 //! use wom_pcm::{Architecture, SystemBuilder};
@@ -43,4 +43,4 @@ mod export;
 
 pub use epoch::{EpochCounters, EpochRecorder, EpochSeries};
 pub use event::{Event, WriteClass};
-pub use export::{push_epoch_jsonl, write_csv, write_jsonl};
+pub use export::{push_epoch_jsonl, write_jsonl};

@@ -5,6 +5,11 @@
 //! (2 data bits → 3 wits for the ⟨2²⟩²/3 code). [`BlockCodec`] tiles the
 //! symbol code across the row, and [`WitBuffer`] is the bit-addressable cell
 //! array the encoded wits live in.
+//!
+//! A codec holds one [`SymbolLut`] and runs one fused stream of it per
+//! row. The per-symbol reference path serves codes too large to
+//! tabulate and re-runs every encode the stream rejects, so errors come
+//! from the reference code itself.
 
 use crate::code::WomCode;
 use crate::error::WomCodeError;
@@ -211,15 +216,16 @@ pub struct BlockCodec<C> {
     code: C,
     symbols: usize,
     data_bits: usize,
-    /// Precompiled symbol tables (shared across clones); `None` when the
-    /// code's geometry is too large to tabulate — the per-symbol
-    /// reference path is used then.
-    lut: Option<Arc<SymbolLut>>,
-    /// Symbol-*pair* product table ([`SymbolLut::build_pair`]): lets the
-    /// lane kernels process two symbols per gather. Built only when the
-    /// row tiles an even number of symbols and the doubled geometry
-    /// stays L1-resident; `None` keeps the single-symbol lanes.
-    pair_lut: Option<Arc<SymbolLut>>,
+    /// The one table the row stream runs over (shared across clones):
+    /// the symbol-*pair* product table ([`SymbolLut::build_pair`]) when
+    /// the row tiles an even number of symbols and the pair fits
+    /// [`SymbolLut::MAX_PAIR_ENTRIES`], else the single-symbol table;
+    /// `None` when the code is too large to tabulate, and the per-symbol
+    /// reference path runs.
+    table: Option<Arc<SymbolLut>>,
+    /// Table lookups per row: `symbols / 2` over the pair table,
+    /// `symbols` over the single-symbol one.
+    lanes: usize,
 }
 
 impl<C: WomCode> BlockCodec<C> {
@@ -241,28 +247,32 @@ impl<C: WomCode> BlockCodec<C> {
                 actual: row_data_bits,
             });
         }
-        let lut = SymbolLut::build(&code).map(Arc::new);
         let symbols = row_data_bits / per_symbol;
-        let pair_lut = (lut.is_some() && symbols.is_multiple_of(2))
-            .then(|| SymbolLut::build_pair(&code).map(Arc::new))
+        let pair = symbols
+            .is_multiple_of(2)
+            .then(|| SymbolLut::build_pair(&code))
             .flatten();
+        let (table, lanes) = match pair {
+            Some(pair) => (Some(pair), symbols / 2),
+            None => (SymbolLut::build(&code), symbols),
+        };
         Ok(Self {
             code,
             symbols,
             data_bits: row_data_bits,
-            lut,
-            pair_lut,
+            table: table.map(Arc::new),
+            lanes,
         })
     }
 
-    /// Whether row calls actually run the tabulated kernels. `false`
+    /// Whether row calls actually run the tabulated stream. `false`
     /// means the geometry exceeded [`SymbolLut::MAX_TABLE_ENTRIES`] and
     /// every `*_row_into` call silently takes the per-symbol reference
     /// path — bench bins log this so reported numbers cannot quietly mix
     /// fast and slow paths.
     #[must_use]
     pub fn is_accelerated(&self) -> bool {
-        self.lut.is_some()
+        self.table.is_some()
     }
 
     /// The kernel row calls run when [`Self::is_accelerated`]: always
@@ -329,19 +339,14 @@ impl<C: WomCode> BlockCodec<C> {
         data: &[u8],
         cells: &mut WitBuffer,
     ) -> Result<Transitions, WomCodeError> {
-        if self.lut.is_some() {
-            let mut scratch = RowScratch::new();
-            self.encode_row_into(gen, data, cells, &mut scratch)
-        } else {
-            self.encode_row_reference(gen, data, cells)
-        }
+        self.encode_row_into(gen, data, cells, &mut RowScratch::new())
     }
 
     /// The per-symbol reference implementation of [`Self::encode_row`]:
     /// one [`WomCode::encode`] call per symbol, with a `Vec<Pattern>`
     /// staging buffer. Kept public as the validation oracle the LUT fast
-    /// path is tested against (and as the only path for codes too large
-    /// to tabulate).
+    /// path is tested against. It is also the only path for codes too
+    /// large to tabulate, and the re-run behind a rejected fast encode.
     ///
     /// # Errors
     ///
@@ -357,6 +362,7 @@ impl<C: WomCode> BlockCodec<C> {
         let wbits = self.code.wits() as usize;
         // Two-pass: validate all symbols first so a failure cannot leave the
         // row half-written.
+        // womlint::allow(hotpath/transitive, reason = "reference path: a tabulated codec re-runs it only for a rejected encode, which no in-budget write is, and a code too large to tabulate has no allocation-free path")
         let mut new_patterns = Vec::with_capacity(self.symbols);
         let mut total = Transitions::default();
         for s in 0..self.symbols {
@@ -387,18 +393,20 @@ impl<C: WomCode> BlockCodec<C> {
         Ok(out)
     }
 
-    /// Tabulated row encode into caller-provided scratch: one pass of
-    /// branch-free gathers ([`simd::gather`]) and AND-accumulated table
-    /// lookups ([`SymbolLut::encode_stream`]) stages the next row image
-    /// in `scratch`, via the symbol-*pair* table (two symbols per lookup)
-    /// when the geometry allowed building one — no heap allocation once
-    /// `scratch` has warmed up. Transition totals come from whole-word
-    /// XOR popcounts rather than per-symbol counting.
+    /// Tabulated row encode into caller-provided scratch: one fused
+    /// stream ([`SymbolLut::encode_stream`]) of branch-free gathers and
+    /// AND-accumulated table lookups stages the next row image in
+    /// `scratch`, two symbols per lookup when the codec holds the pair
+    /// table — no heap allocation once `scratch` has warmed up.
+    /// Transition totals come from whole-word XOR popcounts rather than
+    /// per-symbol counting.
     ///
     /// Behaviour is bit-identical to [`Self::encode_row_reference`],
-    /// including the all-or-nothing guarantee: on any error `cells` is
-    /// left unmodified. Codes too large to tabulate (not
-    /// [`Self::is_accelerated`]) fall back to the reference path, which
+    /// including the all-or-nothing guarantee: when the stream rejects
+    /// any symbol, the reference path re-runs the row and its result is
+    /// returned, so the error is the reference path's first error and
+    /// `cells` are left unmodified. Codes too large to tabulate (not
+    /// [`Self::is_accelerated`]) take the reference path directly, which
     /// allocates its staging buffer per call.
     ///
     /// # Errors
@@ -411,52 +419,20 @@ impl<C: WomCode> BlockCodec<C> {
         cells: &mut WitBuffer,
         scratch: &mut RowScratch,
     ) -> Result<Transitions, WomCodeError> {
-        let Some(lut) = self.lut.as_deref() else {
+        let Some(table) = self.table.as_deref() else {
             return self.encode_row_reference(gen, data, cells);
         };
         self.check_row_args(data.len(), cells.len())?;
-        if gen >= self.code.writes() {
-            return Err(WomCodeError::GenerationExhausted {
-                requested: gen,
-                limit: self.code.writes(),
-            });
-        }
-        let (table, paired) = match self.pair_lut.as_deref() {
-            Some(pair) => (pair, true),
-            None => (lut, false),
-        };
-        let lanes = if paired {
-            self.symbols / 2
-        } else {
-            self.symbols
-        };
         let RowScratch {
             words,
             cur_words,
             io_words,
-            cur_syms,
-            io_syms,
         } = scratch;
         fit(words, cells.words.len());
-        // The gathers are branch-free and always read a word pair, so
-        // the current image is copied once with a padding word (the data
-        // bytes get theirs from `bytes_to_words`).
-        cur_words.clear();
-        cur_words.extend_from_slice(&cells.words);
-        cur_words.push(0);
+        pad_copy(&cells.words, cur_words);
         simd::bytes_to_words(data, io_words);
-        if !table.encode_stream(gen, lanes, cur_words, io_words, words) {
-            // Cold path: unpack the lanes and re-run the symbol code to
-            // surface the exact error the reference path would produce.
-            fit(cur_syms, lanes);
-            fit(io_syms, lanes);
-            simd::unpack_symbols(cur_words, table.wits() as usize, cur_syms);
-            simd::unpack_symbols(io_words, table.data_bits() as usize, io_syms);
-            return Err(if paired {
-                self.first_symbol_error_paired(gen, cur_syms, io_syms)
-            } else {
-                self.first_symbol_error(gen, cur_syms, io_syms)
-            });
+        if !table.encode_stream(gen, self.lanes, cur_words, io_words, words) {
+            return self.encode_row_reference(gen, data, cells);
         }
         let total = simd::xor_transitions(&cells.words, words);
         for (dst, &src) in cells.words.iter_mut().zip(words.iter()) {
@@ -467,8 +443,9 @@ impl<C: WomCode> BlockCodec<C> {
 
     /// Decodes the row's cells into a caller-provided byte slice without
     /// allocating — the word-parallel counterpart of
-    /// [`Self::decode_row`]. Uses the lane kernels over the [`SymbolLut`]
-    /// when available and the per-symbol reference decode otherwise.
+    /// [`Self::decode_row`]: one fused stream
+    /// ([`SymbolLut::decode_stream`]) over the codec's table, or the
+    /// per-symbol reference decode when the code does not tabulate.
     ///
     /// # Errors
     ///
@@ -480,61 +457,20 @@ impl<C: WomCode> BlockCodec<C> {
         out: &mut [u8],
         scratch: &mut RowScratch,
     ) -> Result<(), WomCodeError> {
-        let Some(lut) = self.lut.as_deref() else {
+        let Some(table) = self.table.as_deref() else {
             return self.decode_row_reference(cells, out);
         };
         self.check_row_args(out.len(), cells.len())?;
-        self.decode_row_lanes(lut, cells, out, scratch);
+        let RowScratch {
+            cur_words,
+            io_words,
+            ..
+        } = scratch;
+        pad_copy(&cells.words, cur_words);
+        fit(io_words, self.data_bits.div_ceil(64));
+        table.decode_stream(self.lanes, cur_words, io_words);
+        simd::words_to_bytes(io_words, out);
         Ok(())
-    }
-
-    /// Lane decode: one fused gather-and-pack sweep over the pair or
-    /// single-symbol table, or, for geometries whose `2^wits × data_bits`
-    /// fits in 64 bits, a branch-free unpack, the register-resident
-    /// broadcast table (no memory lookup at all) and a branch-free repack
-    /// into bytes.
-    fn decode_row_lanes(
-        &self,
-        lut: &SymbolLut,
-        cells: &WitBuffer,
-        out: &mut [u8],
-        scratch: &mut RowScratch,
-    ) {
-        scratch.cur_words.clear();
-        scratch.cur_words.extend_from_slice(&cells.words);
-        scratch.cur_words.push(0);
-        // The pair table halves every lane pass (two symbols per
-        // lookup) and decodes in one fused gather-and-pack sweep with
-        // no intermediate lane arrays.
-        if let Some(pair) = self.pair_lut.as_deref() {
-            fit(&mut scratch.io_words, self.data_bits.div_ceil(64));
-            pair.decode_stream(self.symbols / 2, &scratch.cur_words, &mut scratch.io_words);
-            simd::words_to_bytes(&scratch.io_words, out);
-            return;
-        }
-        // Unpaired codes with a memory-resident decode table also decode
-        // in one fused sweep; only the broadcast (register-table) codes
-        // keep the unpack→broadcast→pack pipeline, which beats a fused
-        // memory walk for them.
-        let Some(packed) = lut.packed_decode() else {
-            fit(&mut scratch.io_words, self.data_bits.div_ceil(64));
-            lut.decode_stream(self.symbols, &scratch.cur_words, &mut scratch.io_words);
-            simd::words_to_bytes(&scratch.io_words, out);
-            return;
-        };
-        let wbits = lut.wits() as usize;
-        let dbits = lut.data_bits() as usize;
-        let lanes = self.symbols;
-        fit(&mut scratch.cur_syms, lanes);
-        fit(&mut scratch.io_syms, lanes);
-        simd::unpack_symbols(&scratch.cur_words, wbits, &mut scratch.cur_syms);
-        let dmask = (1u64 << dbits) - 1;
-        for (&p, o) in scratch.cur_syms.iter().zip(scratch.io_syms.iter_mut()) {
-            *o = ((packed >> ((p as usize) * dbits)) & dmask) as u16;
-        }
-        fit(&mut scratch.io_words, self.data_bits.div_ceil(64));
-        simd::pack_symbols(&scratch.io_syms, dbits, &mut scratch.io_words);
-        simd::words_to_bytes(&scratch.io_words, out);
     }
 
     /// The per-symbol reference implementation of
@@ -582,45 +518,6 @@ impl<C: WomCode> BlockCodec<C> {
         }
         Ok(())
     }
-
-    /// Reproduces the exact symbol-level error after the lane kernel's
-    /// AND-accumulated validity check failed: re-runs the symbol code
-    /// over the unpacked lanes and returns the first error, exactly as
-    /// the reference walk would have reported it.
-    #[cold]
-    fn first_symbol_error(&self, gen: u32, current: &[u16], data: &[u16]) -> WomCodeError {
-        let wbits = self.code.wits() as usize;
-        for (&c, &d) in current.iter().zip(data) {
-            if let Err(e) =
-                self.code
-                    .encode(gen, u64::from(d), Pattern::from_bits(u64::from(c), wbits))
-            {
-                return e;
-            }
-        }
-        WomCodeError::InvalidTable("lane kernel and symbol code disagree on encode success".into())
-    }
-
-    /// Pair-lane counterpart of [`Self::first_symbol_error`]: each lane
-    /// holds two adjacent symbols (even in the low half), so the halves
-    /// are re-encoded in row order to surface the same first error the
-    /// reference walk would report.
-    #[cold]
-    fn first_symbol_error_paired(&self, gen: u32, current: &[u16], data: &[u16]) -> WomCodeError {
-        let wbits = self.code.wits() as usize;
-        let dbits = self.code.data_bits();
-        let wmask = (1u64 << wbits) - 1;
-        let dmask = (1u64 << dbits) - 1;
-        for (&c, &d) in current.iter().zip(data) {
-            let (c, d) = (u64::from(c), u64::from(d));
-            for (cs, ds) in [(c & wmask, d & dmask), (c >> wbits, (d >> dbits) & dmask)] {
-                if let Err(e) = self.code.encode(gen, ds, Pattern::from_bits(cs, wbits)) {
-                    return e;
-                }
-            }
-        }
-        WomCodeError::InvalidTable("pair kernel and symbol code disagree on encode success".into())
-    }
 }
 
 /// Resizes a scratch vector to exactly `n` elements (cheap no-op once
@@ -633,28 +530,32 @@ fn fit<T: Copy + Default>(v: &mut Vec<T>, n: usize) {
     }
 }
 
+/// Copies a row image into `out` with one zero padding word: the stream
+/// gathers are branch-free and always read a word pair.
+#[inline]
+fn pad_copy(words: &[u64], out: &mut Vec<u64>) {
+    out.clear();
+    out.extend_from_slice(words);
+    out.push(0);
+}
+
 /// Caller-owned staging buffers for [`BlockCodec::encode_row_into`] and
 /// [`BlockCodec::decode_row_into`].
 ///
 /// `words` holds the next row image while symbols are validated, so a
-/// failed encode cannot leave the row half-written; the remaining fields
-/// are the lane kernels' symbol and word staging. A warm scratch makes
-/// the whole encode/decode allocation-free. One scratch can be reused
-/// across codecs and row sizes; it grows to the largest row it has seen.
+/// failed encode cannot leave the row half-written; the other two are
+/// the streams' word staging. A warm scratch makes the whole
+/// encode/decode allocation-free. One scratch can be reused across
+/// codecs and row sizes; it grows to the largest row it has seen.
 #[derive(Debug, Clone, Default)]
 pub struct RowScratch {
     /// Staged next row image.
     words: Vec<u64>,
-    /// Padded copy of the current cell image the lane unpack gathers from.
+    /// Padded copy of the current cell image the streams gather from.
     cur_words: Vec<u64>,
-    /// Data bytes repacked as padded words (encode) / packed data symbols
+    /// Data bytes repacked as padded words (encode) / packed data values
     /// awaiting byte serialization (decode).
     io_words: Vec<u64>,
-    /// Unpacked current wit patterns, one lane per symbol (lane decode
-    /// and the encode error cold path).
-    cur_syms: Vec<u16>,
-    /// Unpacked data values (encode cold path) / decoded values (decode).
-    io_syms: Vec<u16>,
 }
 
 impl RowScratch {

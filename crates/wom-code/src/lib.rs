@@ -44,11 +44,13 @@
 //! * [`tabular`] — validated table-driven codes for integrating other WOM
 //!   codes from the literature.
 //! * [`identity`] — the single-write baseline code (conventional PCM).
-//! * [`block`] — row-level tiling of symbol codes.
-//! * [`lut`] — precompiled dense symbol tables backing the word-parallel
-//!   row fast path.
-//! * [`simd`] — branch-free lane kernels for the gather-free stages of
-//!   the row fast path.
+//! * [`block`] — row-level tiling of symbol codes: one table and one
+//!   fused stream per row, with the per-symbol reference path as the
+//!   fallback and the cold re-run of a rejected encode.
+//! * [`lut`] — precompiled dense symbol tables and the fused row
+//!   streams over them.
+//! * [`simd`] — branch-free word primitives (symbol gather, transition
+//!   counting, byte↔word shuffles) the streams are built on.
 //! * [`analysis`] — the paper's §3.2 latency/speedup bounds.
 
 #![forbid(unsafe_code)]

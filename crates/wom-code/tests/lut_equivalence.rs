@@ -8,14 +8,18 @@
 //!    `(generation, current_pattern, data_value)` triple, including which
 //!    triples error, and on the transition counts (patterns *and*
 //!    transitions, not just round-trip values).
-//! 2. **Row level** — the lane kernels behind
+//! 2. **Row level** — the fused table stream behind
 //!    [`BlockCodec::encode_row_into`] / [`BlockCodec::decode_row_into`]
 //!    must be bit-identical to [`BlockCodec::encode_row_reference`] /
 //!    [`BlockCodec::decode_row_reference`] across whole write lifetimes,
-//!    including the exhaustion error (same error, cells untouched).
+//!    including every rejected encode (same error, cells untouched),
+//!    which the codec answers by re-running the reference path.
 //!
-//! The code matrix covers rs23, rs2 (k = 2..=4), flip, tabular, and
-//! identity, each in both orientations (plain and [`Inverted`]).
+//! The code matrix covers rs23, rs2 (k = 2..=4), flip (t = 1, 2, 4, 5,
+//! 7), tabular, and identity (1, 2, 4 and 8 bits), each in both
+//! orientations (plain and [`Inverted`]). Between them the rows run the
+//! symbol-pair table (blocked and unblocked streams) and the
+//! single-symbol table.
 
 use pcm_rng::Rng;
 use wom_code::{
@@ -58,7 +62,7 @@ fn code_matrix() -> Vec<(String, Box<dyn WomCode>, usize)> {
             24 * k as usize, // multiple of 8 and of k for k in 2..=4
         );
     }
-    for t in [1u32, 2, 4, 7] {
+    for t in [1u32, 2, 4, 5, 7] {
         push(
             &format!("flip_t{t}"),
             Box::new(FlipCode::new(t).unwrap()),
@@ -72,7 +76,7 @@ fn code_matrix() -> Vec<(String, Box<dyn WomCode>, usize)> {
         Box::new(Inverted::new(TabularWomCode::rivest_shamir_23())),
         256,
     );
-    for bits in [1u32, 2, 8] {
+    for bits in [1u32, 2, 4, 8] {
         push(
             &format!("identity_{bits}"),
             Box::new(IdentityCode::new(bits).unwrap()),
@@ -135,7 +139,7 @@ fn symbol_lut_is_bit_identical_to_every_code() {
     }
 }
 
-/// Row-level equivalence over whole write lifetimes: the lane kernels
+/// Row-level equivalence over whole write lifetimes: the table stream
 /// and the reference path, fed identical data streams, must produce
 /// identical cells, identical transition totals, and identical decodes
 /// at every generation.
@@ -177,7 +181,7 @@ fn row_fast_path_matches_reference_across_generations() {
 
 /// Decode is total: arbitrary cell states — including non-codeword
 /// patterns no encode would ever produce — decode to the same bytes
-/// through the lane kernels and the per-symbol reference.
+/// through the table stream and the per-symbol reference.
 #[test]
 fn non_codeword_decode_is_kernel_identical() {
     let mut rng = Rng::seed_from_u64(0xBAD_C0DE);
@@ -231,6 +235,30 @@ fn row_fast_path_exhaustion_matches_reference() {
             ref_cells, snapshot,
             "{label}: failed reference encode touched cells"
         );
+    }
+}
+
+/// Arbitrary current cells, mostly not codewords, so the stream rejects
+/// most encodes and the codec re-runs the reference path: at every
+/// generation (and one past the limit) both entry points return the same
+/// result and leave the same cells, for every code in the matrix.
+#[test]
+fn row_fast_path_matches_reference_from_arbitrary_cells() {
+    let mut rng = Rng::seed_from_u64(0xC01D_CE11);
+    for (label, code, row_bits) in code_matrix() {
+        let codec = BlockCodec::new(code, row_bits).unwrap();
+        let mut scratch = RowScratch::new();
+        for gen in 0..=codec.rewrite_limit() {
+            for _ in 0..16 {
+                let mut fast = random_cells(&mut rng, codec.encoded_bits());
+                let mut reference = fast.clone();
+                let data: Vec<u8> = (0..row_bits / 8).map(|_| rng.next_u64() as u8).collect();
+                let a = codec.encode_row_into(gen, &data, &mut fast, &mut scratch);
+                let b = codec.encode_row_reference(gen, &data, &mut reference);
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{label}: g{gen}");
+                assert_eq!(fast, reference, "{label}: cells diverge at g{gen}");
+            }
+        }
     }
 }
 

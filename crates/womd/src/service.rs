@@ -312,6 +312,22 @@ impl Service {
             })
     }
 
+    /// The mailbox of `name` while its session is open, else the
+    /// lifecycle error saying why it is not.
+    fn open_mailbox(&self, name: &str) -> Result<Arc<Mailbox>, ServiceError> {
+        let mailbox = self.mailbox(name)?;
+        let state = mailbox.state.load(Ordering::Acquire);
+        if state == ST_OPEN {
+            return Ok(mailbox);
+        }
+        let session = name.to_string();
+        Err(match state {
+            ST_EVICTED => ServiceError::Evicted { session },
+            ST_FAILED => ServiceError::Failed { session },
+            _ => ServiceError::Finished { session },
+        })
+    }
+
     /// Opens a session named `name`. `tags` become constant leading
     /// fields of every epoch line the session emits (match them to a
     /// single-tenant exporter's tags and the lines are byte-identical).
@@ -367,25 +383,7 @@ impl Service {
     /// ([`ServiceError::Evicted`] / [`ServiceError::Finished`] /
     /// [`ServiceError::Failed`] / [`ServiceError::UnknownSession`]).
     pub fn feed(&self, name: &str, records: Vec<TraceRecord>) -> Result<(), ServiceError> {
-        let mailbox = self.mailbox(name)?;
-        match mailbox.state.load(Ordering::Acquire) {
-            ST_OPEN => {}
-            ST_EVICTED => {
-                return Err(ServiceError::Evicted {
-                    session: name.to_string(),
-                })
-            }
-            ST_FAILED => {
-                return Err(ServiceError::Failed {
-                    session: name.to_string(),
-                })
-            }
-            _ => {
-                return Err(ServiceError::Finished {
-                    session: name.to_string(),
-                })
-            }
-        }
+        let mailbox = self.open_mailbox(name)?;
         let limit = self.inner.config.queue_batches;
         if mailbox
             .pending
@@ -431,25 +429,7 @@ impl Service {
     ///
     /// The same lifecycle errors as [`feed`](Self::feed).
     pub fn finish(&self, name: &str) -> Result<(), ServiceError> {
-        let mailbox = self.mailbox(name)?;
-        match mailbox.state.load(Ordering::Acquire) {
-            ST_OPEN => {}
-            ST_EVICTED => {
-                return Err(ServiceError::Evicted {
-                    session: name.to_string(),
-                })
-            }
-            ST_FAILED => {
-                return Err(ServiceError::Failed {
-                    session: name.to_string(),
-                })
-            }
-            _ => {
-                return Err(ServiceError::Finished {
-                    session: name.to_string(),
-                })
-            }
-        }
+        let mailbox = self.open_mailbox(name)?;
         let job = Job::Finish {
             name: name.to_string(),
             mailbox: Arc::clone(&mailbox),
@@ -672,6 +652,37 @@ fn fail_tenant(slots: &mut BTreeMap<String, Slot>, name: &str, mailbox: &Mailbox
     slots.remove(name);
 }
 
+/// The live tenant `name` on this worker, stamped with `clock`; for an
+/// unknown or evicted session, posts the error event and returns `None`.
+fn live_tenant<'a>(
+    slots: &'a mut BTreeMap<String, Slot>,
+    name: &str,
+    mailbox: &Mailbox,
+    clock: u64,
+) -> Option<&'a mut Tenant> {
+    match slots.get_mut(name) {
+        None => {
+            mailbox.push(SessionEvent::Error {
+                kind: "unknown_session",
+                message: format!("no live session '{name}' on this worker"),
+            });
+            None
+        }
+        Some(Slot::Evicted) => {
+            mailbox.state.store(ST_EVICTED, Ordering::Release);
+            mailbox.push(SessionEvent::Error {
+                kind: "evicted",
+                message: format!("session '{name}' was evicted under memory pressure"),
+            });
+            None
+        }
+        Some(Slot::Live(tenant)) => {
+            tenant.last_used = clock;
+            Some(tenant)
+        }
+    }
+}
+
 fn feed_job(
     slots: &mut BTreeMap<String, Slot>,
     name: &str,
@@ -679,68 +690,42 @@ fn feed_job(
     mailbox: &Arc<Mailbox>,
     clock: u64,
 ) {
-    match slots.get_mut(name) {
-        None => mailbox.push(SessionEvent::Error {
-            kind: "unknown_session",
-            message: format!("no live session '{name}' on this worker"),
-        }),
-        Some(Slot::Evicted) => {
-            mailbox.state.store(ST_EVICTED, Ordering::Release);
-            mailbox.push(SessionEvent::Error {
-                kind: "evicted",
-                message: format!("session '{name}' was evicted under memory pressure"),
-            });
-        }
-        Some(Slot::Live(tenant)) => {
-            tenant.last_used = clock;
-            let tags = tenant.tags.clone();
-            match ensure_resident(tenant) {
-                Err(message) => fail_tenant(slots, name, mailbox, message),
-                Ok(session) => match session.feed(records) {
-                    Ok(()) => publish_epochs(session, &tags, mailbox),
-                    Err(e) => fail_tenant(slots, name, mailbox, e.to_string()),
-                },
-            }
-        }
+    let Some(tenant) = live_tenant(slots, name, mailbox, clock) else {
+        return;
+    };
+    let tags = tenant.tags.clone();
+    match ensure_resident(tenant) {
+        Err(message) => fail_tenant(slots, name, mailbox, message),
+        Ok(session) => match session.feed(records) {
+            Ok(()) => publish_epochs(session, &tags, mailbox),
+            Err(e) => fail_tenant(slots, name, mailbox, e.to_string()),
+        },
     }
 }
 
 fn finish_job(slots: &mut BTreeMap<String, Slot>, name: &str, mailbox: &Arc<Mailbox>, clock: u64) {
-    match slots.get_mut(name) {
-        None => mailbox.push(SessionEvent::Error {
-            kind: "unknown_session",
-            message: format!("no live session '{name}' on this worker"),
-        }),
-        Some(Slot::Evicted) => {
-            mailbox.state.store(ST_EVICTED, Ordering::Release);
-            mailbox.push(SessionEvent::Error {
-                kind: "evicted",
-                message: format!("session '{name}' was evicted under memory pressure"),
-            });
-        }
-        Some(Slot::Live(tenant)) => {
-            tenant.last_used = clock;
-            let tags = tenant.tags.clone();
-            match ensure_resident(tenant) {
-                Err(message) => fail_tenant(slots, name, mailbox, message),
-                Ok(session) => match session.finish() {
-                    Err(e) => fail_tenant(slots, name, mailbox, e.to_string()),
-                    Ok(metrics) => {
-                        publish_epochs(session, &tags, mailbox);
-                        let records = session.records_fed();
-                        let metrics_debug = format!("{metrics:#?}");
-                        let metrics_fnv = fnv1a(metrics_debug.as_bytes());
-                        mailbox.state.store(ST_FINISHED, Ordering::Release);
-                        mailbox.push(SessionEvent::Finished {
-                            records,
-                            metrics_fnv,
-                            metrics_debug,
-                        });
-                        slots.remove(name);
-                    }
-                },
+    let Some(tenant) = live_tenant(slots, name, mailbox, clock) else {
+        return;
+    };
+    let tags = tenant.tags.clone();
+    match ensure_resident(tenant) {
+        Err(message) => fail_tenant(slots, name, mailbox, message),
+        Ok(session) => match session.finish() {
+            Err(e) => fail_tenant(slots, name, mailbox, e.to_string()),
+            Ok(metrics) => {
+                publish_epochs(session, &tags, mailbox);
+                let records = session.records_fed();
+                let metrics_debug = format!("{metrics:#?}");
+                let metrics_fnv = fnv1a(metrics_debug.as_bytes());
+                mailbox.state.store(ST_FINISHED, Ordering::Release);
+                mailbox.push(SessionEvent::Finished {
+                    records,
+                    metrics_fnv,
+                    metrics_debug,
+                });
+                slots.remove(name);
             }
-        }
+        },
     }
 }
 

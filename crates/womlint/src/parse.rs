@@ -46,7 +46,9 @@ pub enum CallKind {
         on_self: bool,
     },
     /// `Recv::name(...)` — a qualified call; `recv` is the path segment
-    /// directly before the callee.
+    /// directly before the callee. A lowercase `Recv::name` passed as a
+    /// value (`.map_or(d, Recv::name)`) is recorded the same way: whoever
+    /// receives it calls it.
     Path {
         /// The qualifying segment (`Type`, `Self`, or a module name).
         recv: String,
@@ -422,6 +424,28 @@ fn parse_fn(tokens: &[Token], i: usize, owner: Option<&str>) -> Option<FnDef> {
     })
 }
 
+/// The receiver of `Recv::name` at `j` when it names a function as a
+/// value (`.map_or(d, Recv::name)`), not a call, a further path segment,
+/// a macro or a constant: the segment is lowercase and nothing but
+/// punctuation that ends an expression follows it.
+fn path_value_recv(tokens: &[Token], j: usize, name: &str) -> Option<String> {
+    let lowercase = name.starts_with(|c: char| c.is_ascii_lowercase() || c == '_');
+    let ends_expr = [',', ')', ';', ']', '}']
+        .iter()
+        .any(|&c| is_punct(tokens, j + 1, c));
+    if !lowercase
+        || !ends_expr
+        || !is_punct(tokens, j.wrapping_sub(1), ':')
+        || !is_punct(tokens, j.wrapping_sub(2), ':')
+    {
+        return None;
+    }
+    match &tokens.get(j.wrapping_sub(3))?.kind {
+        TokenKind::Ident(recv) => Some(recv.clone()),
+        _ => None,
+    }
+}
+
 /// Extracts call sites from `tokens[start..end)`.
 fn extract_calls(tokens: &[Token], start: usize, end: usize) -> Vec<CallSite> {
     let mut out = Vec::new();
@@ -467,6 +491,12 @@ fn extract_calls(tokens: &[Token], start: usize, end: usize) -> Vec<CallSite> {
                 if let Some(call) = call {
                     out.push(call);
                 }
+            } else if let Some(recv) = path_value_recv(tokens, j, name) {
+                out.push(CallSite {
+                    name: name.clone(),
+                    kind: CallKind::Path { recv },
+                    line: t.line,
+                });
             }
         } else if t.kind == TokenKind::Punct('(') && is_punct(tokens, j.wrapping_sub(1), ')') {
             // `(...)(...)`: calling the result of an expression. Skip
@@ -594,6 +624,40 @@ mod tests {
                 ("", &CallKind::Dynamic),
                 ("g", &CallKind::Free),
                 ("h", &CallKind::Free),
+            ]
+        );
+    }
+
+    #[test]
+    fn functions_passed_by_path_are_call_sites() {
+        let it = items(
+            "fn f() {\n\
+                 x.map_or(false, Recorder::check);\n\
+                 y.is_none_or(Memory::is_idle);\n\
+                 let g = Self::step;\n\
+                 let _ = [a::leaf, b::other];\n\
+                 let _ = (Ordering::Less, u64::MAX);\n\
+                 let _: kinds::Kind = std::mem::take(z);\n\
+             }\n",
+        );
+        let path = |recv: &str| CallKind::Path { recv: recv.into() };
+        let method = CallKind::Method { on_self: false };
+        let kinds: Vec<(&str, CallKind)> = it.fns[0]
+            .calls
+            .iter()
+            .map(|c| (c.name.as_str(), c.kind.clone()))
+            .collect();
+        assert_eq!(
+            kinds,
+            vec![
+                ("map_or", method.clone()),
+                ("check", path("Recorder")),
+                ("is_none_or", method),
+                ("is_idle", path("Memory")),
+                ("step", path("Self")),
+                ("leaf", path("a")),
+                ("other", path("b")),
+                ("take", path("mem")),
             ]
         );
     }

@@ -101,3 +101,21 @@ impl Snap for TraitState {
         put_u64(w, self.written);
     }
 }
+
+/// Second region root: hands `Widen::grow` to `map` by path and never
+/// calls it by name, so only the path edge reaches its allocation.
+pub fn drain(xs: &[u64]) -> u64 {
+    xs.iter().copied().map(Widen::grow).sum()
+}
+
+/// Owner of the function `drain` passes by path.
+pub struct Widen;
+
+impl Widen {
+    /// Reachable from `drain` by path: the `collect` is a transitive
+    /// violation.
+    fn grow(x: u64) -> u64 {
+        let v: Vec<u64> = (0..x).collect();
+        v.len() as u64
+    }
+}

@@ -96,3 +96,18 @@ impl Snap for TraitState {
         put_u64(w, self.counted);
     }
 }
+
+/// Second region root: hands `Widen::grow` to `map` by path.
+pub fn drain(xs: &[u64]) -> u64 {
+    xs.iter().copied().map(Widen::grow).sum()
+}
+
+/// Owner of the function `drain` passes by path.
+pub struct Widen;
+
+impl Widen {
+    /// Reachable from `drain` by path; allocation-free.
+    fn grow(x: u64) -> u64 {
+        x.wrapping_add(1)
+    }
+}

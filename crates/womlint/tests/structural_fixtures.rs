@@ -45,7 +45,8 @@ fn structural_seeds_carry_exact_rule_ids_and_lines() {
         (RULE_SNAPSHOT_COVERAGE.to_string(), lib.clone(), 51),
         (RULE_MERGE_COVERAGE.to_string(), lib.clone(), 71),
         (RULE_SUPPRESSION_UNUSED.to_string(), lib.clone(), 83),
-        (RULE_SNAPSHOT_COVERAGE.to_string(), lib, 96),
+        (RULE_SNAPSHOT_COVERAGE.to_string(), lib.clone(), 96),
+        (RULE_HOTPATH_TRANSITIVE.to_string(), lib, 118),
         (RULE_CONFIG_STALE.to_string(), "womlint.toml".to_string(), 1),
     ];
     assert_eq!(diags(&report.violations), expected);
@@ -54,6 +55,14 @@ fn structural_seeds_carry_exact_rule_ids_and_lines() {
     assert!(trait_gap
         .message
         .starts_with("field `TraitState.forgotten` is not referenced by `save_state`"));
+    // `drain` never calls `Widen::grow` by name: it passes it to `map`,
+    // and that path is the edge.
+    let by_path = report.violations.iter().find(|d| d.line == 118).unwrap();
+    assert!(
+        by_path.message.contains("(drain -> grow)"),
+        "{}",
+        by_path.message
+    );
 }
 
 #[test]

@@ -2,8 +2,8 @@
 # Local counterpart of CI: every deterministic check CI runs. Formatting
 # and clippy, the release build, the whole workspace's tests, the
 # invariant lint (DESIGN.md §9) and its self-lint canary, the
-# warning-free rustdoc build, the figure and trace-CLI smoke runs, the
-# bench-harness checks, the womd service checks, and the perfbench smoke
+# warning-free rustdoc build, a run of every example, the figure and
+# trace-CLI smoke runs, the bench-harness checks, the womd service checks, and the perfbench smoke
 # runs. Tier-1 `cargo test -q` covers only the root package; this covers
 # everything CI does that decides correctness. Only CI's timing gates
 # stay CI-only: the `bench_compare` checks against the committed
@@ -52,6 +52,10 @@ for clean in fixtures_clean fixtures_structural_clean fixtures_shadowing_clean; 
     cargo run -q -p womlint -- --root "$fixtures/$clean" > /dev/null
 done
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --document-private-items
+# `cargo test` builds the examples but runs none of them.
+for example in examples/*.rs; do
+    cargo run --release --offline --quiet --example "$(basename "$example" .rs)" > /dev/null
+done
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
